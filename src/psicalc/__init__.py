@@ -34,7 +34,6 @@ from .errors import (
 from .expansions import (
     ExpansionReport,
     psi_bernoulli_taylor,
-    remainder_oracle,
     taylor_classical,
     verify_expansion,
 )
@@ -46,7 +45,6 @@ from .hahn import (
     jackson_integral_exact,
     jackson_integral_numeric,
     q_derivative,
-    q_factor,
     verify_hahn_reduction,
     verify_jackson_inverse,
 )
@@ -80,12 +78,7 @@ from .operators import (
     x_hat_psi,
 )
 from .parsing import parse_poly
-from .poly import (
-    Polynomial,
-    eval_functional_difference,
-    poly_affine_compose,
-    poly_eval,
-)
+from .poly import Polynomial
 from .sequences import (
     AdmissibilityReport,
     AdmissibleSequence,
@@ -93,9 +86,6 @@ from .sequences import (
     admissibility_check,
     parse_psi_spec,
     parse_rational,
-    psi_factor,
-    psi_factorial,
-    psi_falling_factorial,
 )
 
 __version__ = "0.1.0"

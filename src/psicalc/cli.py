@@ -279,6 +279,8 @@ def _verify_reports(suite: str, ctx: PsiContext, max_degree: int):
 
 
 def _run_verify(args) -> int:
+    if args.max_degree < 0:
+        raise DomainError("--max-degree must be nonnegative")
     ctx = parse_psi_spec(args.psi)
     suites = SUITES if args.suite == "all" else (args.suite,)
     results = []

@@ -71,10 +71,7 @@ def forward_difference(f: LatticeFunction) -> LatticeFunction:
     if f.is_polynomial:
         p = f.polynomial
         return LatticeFunction.from_polynomial(p.compose_affine(1, 1) - p)
-    if len(f.table) < 2:
-        raise RangeError("difference of a single-entry table is empty")
-    diffs = [b - a for a, b in zip(f.table, f.table[1:])]
-    return LatticeFunction.from_table(diffs, start=f.start)
+    return _table_difference(f, f.start)
 
 
 def backward_nabla(f: LatticeFunction) -> LatticeFunction:
@@ -82,10 +79,16 @@ def backward_nabla(f: LatticeFunction) -> LatticeFunction:
     if f.is_polynomial:
         p = f.polynomial
         return LatticeFunction.from_polynomial(p - p.compose_affine(1, -1))
+    return _table_difference(f, f.start + 1)
+
+
+def _table_difference(f: LatticeFunction, start: int) -> LatticeFunction:
+    """Consecutive table differences, indexed from `start`; the forward
+    and backward differences differ only in where the result begins."""
     if len(f.table) < 2:
         raise RangeError("difference of a single-entry table is empty")
     diffs = [b - a for a, b in zip(f.table, f.table[1:])]
-    return LatticeFunction.from_table(diffs, start=f.start + 1)
+    return LatticeFunction.from_table(diffs, start=start)
 
 
 def definite_sum(f: LatticeFunction, x: int) -> Fraction:
@@ -158,15 +161,9 @@ def newton_expansion(
     for t in terms:
         partial = partial + t
 
-    # dk is now Delta^(n+1) f
-    nfac = math.factorial(n)
-    top = dk
-
+    # dk is now Delta^(n+1) f; the remainder is its (n+1)-fold sum
     def remainder_at(x: int) -> Fraction:
-        acc = Fraction(0)
-        for r in range(x):
-            acc += falling_factorial_value(x - r - 1, n) / nfac * top(r)
-        return acc
+        return iterated_sum(dk, n + 1, x)
 
     points = tuple(sweep)
     exact = all(partial(x) + remainder_at(x) == f(x) for x in points)

@@ -73,7 +73,7 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
         inner = G - Polynomial.constant(G(alpha))  # G(x) - G(alpha)
         remainder = remainder + Polynomial.monomial(n - j, math.comb(n, j) * Fraction(-1) ** j) * inner
 
-    oracle = remainder_oracle(f, partial)
+    oracle = f - partial
     return ExpansionReport(
         psi_label="classical",
         alpha=alpha,
@@ -125,7 +125,7 @@ def psi_bernoulli_taylor(
     for t in terms:
         partial = partial + t
     remainder = Polynomial.constant(rem_value)
-    oracle = remainder_oracle(Polynomial.constant(f(x_eval)), partial)
+    oracle = f(x_eval) - partial
     return ExpansionReport(
         psi_label=ctx.label,
         alpha=alpha,
@@ -137,11 +137,6 @@ def psi_bernoulli_taylor(
         exact=remainder == oracle,
         x_eval=x_eval,
     )
-
-
-def remainder_oracle(f: Polynomial, partial: Polynomial) -> Polynomial:
-    """The remainder an expansion is forced to have: f - partial_sum."""
-    return f - partial
 
 
 def verify_expansion(report: ExpansionReport) -> VerificationReport:

@@ -1,5 +1,9 @@
 """q-derivative, Hahn (q,h)-derivative, and the Jackson q-integral.
 
+The Jackson q-calculus is the psi-calculus of the Gauss q-integers
+n_q = 1 + q + ... + q^(n-1): q_derivative and jackson_antiderivative are
+the psi-derivative and psi-antiderivative on a gauss_q PsiContext.
+
 Everything is exact on polynomials; the only floating-point code in the
 package is the numeric Jackson quadrature, which sums the geometric
 sampling series for a black-box integrand.
@@ -13,14 +17,14 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import (
-    AdmissibilityError,
     ConvergenceError,
     DegenerateParamsError,
     DomainError,
     InternalError,
 )
-from .operators import VerificationReport, _report
+from .operators import VerificationReport, _report, psi_antiderivative, psi_derivative
 from .poly import Polynomial, Scalar
+from .sequences import AdmissibleSequence, PsiContext
 
 JACKSON_TERM_CAP = 100_000
 
@@ -35,22 +39,9 @@ class HahnParams:
         object.__setattr__(self, "h", Fraction(h))
 
 
-def q_factor(n: int, q: Scalar) -> Fraction:
-    """The q-integer 1 + q + ... + q^(n-1); n itself at q = 1."""
-    q = Fraction(q)
-    if q == 1:
-        return Fraction(n)
-    value = (1 - q**n) / (1 - q)
-    if value == 0:
-        raise AdmissibilityError(f"{n}_q = 0 at q = {q}")
-    return value
-
-
 def q_derivative(f: Polynomial, q: Scalar) -> Polynomial:
     """x^n -> n_q x^(n-1); the difference quotient (f(x)-f(qx))/((1-q)x)."""
-    return Polynomial(
-        [c * q_factor(n, q) for n, c in enumerate(f.coeffs[1:], 1)]
-    )
+    return psi_derivative(PsiContext(AdmissibleSequence.gauss_q(q)), f)
 
 
 def hahn_derivative(f: Polynomial, p: HahnParams) -> Polynomial:
@@ -86,9 +77,7 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
 
 def jackson_antiderivative(f: Polynomial, q: Scalar) -> Polynomial:
     """x^n -> x^(n+1)/(n+1)_q, as a polynomial in the upper limit."""
-    return Polynomial(
-        [0] + [c / q_factor(n + 1, q) for n, c in enumerate(f.coeffs)]
-    )
+    return psi_antiderivative(PsiContext(AdmissibleSequence.gauss_q(q)), f)
 
 
 def jackson_integral_exact(f: Polynomial, q: Scalar, z: Scalar) -> Fraction:

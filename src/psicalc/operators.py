@@ -29,23 +29,17 @@ PolyOp = Callable[[Polynomial], Polynomial]
 
 def psi_derivative(ctx: PsiContext, f: Polynomial) -> Polynomial:
     """x^n -> n_psi x^(n-1), extended linearly; constants map to 0."""
-    return Polynomial(
-        [c * ctx.factor(n) for n, c in enumerate(f.coeffs[1:], 1)]
-    )
+    return f._diagonal(ctx.factor, -1)
 
 
 def x_hat_psi(ctx: PsiContext, f: Polynomial) -> Polynomial:
     """x^n -> ((n+1)/(n+1)_psi) x^(n+1); images have zero constant term."""
-    return Polynomial(
-        [0] + [c * (n + 1) / ctx.factor(n + 1) for n, c in enumerate(f.coeffs)]
-    )
+    return f._diagonal(lambda k: ctx.factor(k) / k, 1, inverse=True)
 
 
 def psi_antiderivative(ctx: PsiContext, f: Polynomial) -> Polynomial:
     """x^n -> x^(n+1)/(n+1)_psi; the right inverse of the psi-derivative."""
-    return Polynomial(
-        [0] + [c / ctx.factor(n + 1) for n, c in enumerate(f.coeffs)]
-    )
+    return f._diagonal(ctx.factor, 1, inverse=True)
 
 
 def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) -> Fraction:
@@ -78,9 +72,7 @@ def psi_power(ctx: PsiContext, n: int) -> Polynomial:
 
 def umbral_tilde(ctx: PsiContext, g: Polynomial) -> Polynomial:
     """The umbral map g -> g(x_hat) 1: scales the x^n coefficient by n!/n_psi!."""
-    return Polynomial(
-        [c * math.factorial(n) / ctx.factorial(n) for n, c in enumerate(g.coeffs)]
-    )
+    return g._diagonal(lambda n: math.factorial(n) / ctx.factorial(n), 0)
 
 
 def psi_exp(ctx: PsiContext, alpha: Scalar, N: int) -> Polynomial:
@@ -244,9 +236,7 @@ def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationRe
         lhs = lhs + inner
         bk = b(bk)
     # bk is now b^(n+1) f
-    tail = b(f)
-    for _ in range(n):
-        tail = b(tail)
+    tail = bk
     for _ in range(n + 1):
         tail = a(tail)
     rhs = f - tail

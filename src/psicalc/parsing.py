@@ -55,7 +55,10 @@ class _Parser:
         den = 1
         if self.peek() == "/":
             self.pos += 1
+            start = self.pos
             den = self.uint()
+            if den == 0:
+                raise ParseError("zero denominator", start)
         value = Fraction(num, den)
         return -value if negative else value
 

@@ -8,8 +8,9 @@ floating point.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -149,12 +150,27 @@ class Polynomial:
     def derivative(self, k: int = 1) -> "Polynomial":
         f = self
         for _ in range(k):
-            f = Polynomial([(i + 1) * c for i, c in enumerate(f.coeffs[1:], 0)])
+            f = f._diagonal(int, -1)  # x^n -> n x^(n-1)
         return f
 
     def antiderivative(self) -> "Polynomial":
         """Classical antiderivative with zero constant term."""
-        return Polynomial([0] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        return self._diagonal(int, 1, inverse=True)
+
+    def _diagonal(
+        self, weight: Callable[[int], Scalar], step: int, inverse: bool = False
+    ) -> "Polynomial":
+        """x^n -> weight(k) x^(n+step), extended linearly, for step in
+        {-1, 0, 1} and k the larger of n and n+step; constants vanish when
+        step = -1.  inverse=True divides by weight(k) instead.  Every
+        derivative, antiderivative and x_hat of the calculus is one of these.
+        """
+        coeffs = self.coeffs[1:] if step < 0 else self.coeffs
+        apply = operator.truediv if inverse else operator.mul
+        out = [apply(c, weight(k)) for k, c in enumerate(coeffs, abs(step))]
+        if step > 0:
+            out.insert(0, 0)
+        return Polynomial(out)
 
     def compose_affine(self, q: Scalar, h: Scalar) -> "Polynomial":
         """The polynomial x -> f(qx + h), computed by Horner composition."""
@@ -204,16 +220,3 @@ def _coerce(v: "Polynomial | Scalar") -> Polynomial:
         return v
     return Polynomial.constant(v)
 
-
-def poly_eval(f: Polynomial, a: Scalar) -> Fraction:
-    """The evaluation functional: f at the point a, exactly."""
-    return f(a)
-
-
-def poly_affine_compose(f: Polynomial, q: Scalar, h: Scalar) -> Polynomial:
-    return f.compose_affine(q, h)
-
-
-def eval_functional_difference(f: Polynomial, a: Scalar, b: Scalar) -> Fraction:
-    """f(b) - f(a)."""
-    return f(b) - f(a)

@@ -5,7 +5,8 @@ An admissible sequence supplies one nonzero rational factor n_psi per
 positive integer n.  Three built-in families are provided (the classical
 integers, the Gauss q-integers, and the Fibonacci numbers) plus custom
 factor lists.  A PsiContext wraps a sequence with memoized factor and
-factorial tables; it is the parameter every psi-operator takes.
+factorial tables; it is the parameter every psi-operator takes.  On the
+Gauss q-integers the psi-calculus is the Jackson q-calculus of `hahn`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"not a rational: {text!r}", 0)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", text.index("/") + 1) from None
 
 
 @dataclass(frozen=True)
@@ -146,20 +150,6 @@ class PsiContext:
         for j in range(k):
             acc *= self.factor(x - j)
         return acc
-
-
-# Module-level convenience names, as thin wrappers over the context methods.
-
-def psi_factor(ctx: PsiContext, n: int) -> Fraction:
-    return ctx.factor(n)
-
-
-def psi_factorial(ctx: PsiContext, n: int) -> Fraction:
-    return ctx.factorial(n)
-
-
-def psi_falling_factorial(ctx: PsiContext, x: int, k: int) -> Fraction:
-    return ctx.falling_factorial(x, k)
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,12 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
 
+    def test_negative_max_degree_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-degree", "-1")
+        assert code == 2
+        assert "PASS" not in out
+        assert "--max-degree" in err
+
 
 class TestJackson:
     def test_side_by_side(self, capsys):
@@ -122,3 +128,15 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--psi", "fib", "--n", "5")
         assert code == 0
         assert "psi = fib" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--f", "1/0", "--order", "1"],
+    ["expand", "--f", "x", "--alpha", "1/0", "--order", "1"],
+    ["table", "--psi", "q:1/0", "--n", "3"],
+    ["jackson", "--f", "x", "--q", "1/0", "--z", "1"],
+])
+def test_zero_denominator_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err

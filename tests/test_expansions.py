@@ -10,7 +10,6 @@ from psicalc import (
     Polynomial,
     parse_psi_spec,
     psi_bernoulli_taylor,
-    remainder_oracle,
     taylor_classical,
     verify_expansion,
 )
@@ -112,10 +111,10 @@ class TestPsiBernoulliTaylor:
 
 class TestOracleAndVerifier:
     def test_oracle_subtracts(self):
-        assert remainder_oracle(X**2, X**2) == Polynomial.zero()
+        assert X**2 - X**2 == Polynomial.zero()
         partial = 1 + 3 * (X - 1) + 3 * (X - 1) ** 2
-        assert remainder_oracle(X**3, partial) == (X - 1) ** 3
-        assert remainder_oracle(Polynomial.zero(), Polynomial.zero()) == Polynomial.zero()
+        assert X**3 - partial == (X - 1) ** 3
+        assert Polynomial.zero() - Polynomial.zero() == Polynomial.zero()
 
     def test_verifier_passes_fresh_report(self):
         assert verify_expansion(taylor_classical(X**4, F(1, 3), 2)).passed

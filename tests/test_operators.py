@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
 from psicalc import (
@@ -13,6 +14,7 @@ from psicalc import (
     divided_difference_zero,
     exp_poly,
     historical_divided_difference_sum,
+    jackson_antiderivative,
     parse_psi_spec,
     psi_antiderivative,
     psi_definite_integral,
@@ -20,6 +22,7 @@ from psicalc import (
     psi_exp,
     psi_pair,
     psi_power,
+    q_derivative,
     star_psi,
     umbral_tilde,
     verify_bernoulli_identity,
@@ -301,3 +304,58 @@ class TestGhwInvariant:
     def test_all_contexts_to_64(self):
         for spec in ("classical", "q:2", "q:1/2", "q:3/2", "fib"):
             assert verify_commutator(psi_pair(parse_psi_spec(spec)), 64).passed
+
+
+BUILTIN_SPECS = ("classical", "q:2", "q:1/2", "q:3/2", "fib")
+
+
+def _definition_factor(spec: str, n: int) -> F:
+    """n_psi straight from the sequence's definition, without PsiContext."""
+    if spec == "fib":
+        a, b = 1, 1
+        for _ in range(n - 1):
+            a, b = b, a + b
+        return F(a)
+    q = _gauss_q(spec)
+    return F(n) if q == 1 else (1 - q**n) / (1 - q)
+
+
+def _gauss_q(spec: str) -> F:
+    return F(1) if spec == "classical" else F(spec[2:])
+
+
+def _scaled_monomial(c: F, degree: int) -> tuple:
+    """Coefficient tuple of c x^degree; the zero polynomial below degree 0."""
+    return tuple([F(0)] * degree + [c]) if degree >= 0 else ()
+
+
+class TestDiagonalOperatorsOracle:
+    """Each operator of shape x^n -> w x^(n+-1) (or the umbral scaling,
+    which keeps the degree) against its closed form on c x^n."""
+
+    @given(
+        st.sampled_from(BUILTIN_SPECS),
+        st.integers(min_value=0, max_value=20),
+        rationals.filter(lambda c: c != 0),
+    )
+    def test_monomial_images(self, spec, n, c):
+        ctx = parse_psi_spec(spec)
+        f = Polynomial.monomial(n, c)
+        w = lambda k: _definition_factor(spec, k)
+        w_factorial = math.prod((w(k) for k in range(1, n + 1)), start=F(1))
+        cases = [
+            ("psi_derivative", psi_derivative(ctx, f), n - 1, c * w(n) if n else 0),
+            ("x_hat_psi", x_hat_psi(ctx, f), n + 1, c * (n + 1) / w(n + 1)),
+            ("psi_antiderivative", psi_antiderivative(ctx, f), n + 1, c / w(n + 1)),
+            ("umbral_tilde", umbral_tilde(ctx, f), n, c * math.factorial(n) / w_factorial),
+            ("derivative", f.derivative(), n - 1, c * n),
+            ("antiderivative", f.antiderivative(), n + 1, c / (n + 1)),
+        ]
+        if spec != "fib":
+            q = _gauss_q(spec)
+            cases += [
+                ("q_derivative", q_derivative(f, q), n - 1, c * w(n) if n else 0),
+                ("jackson_antiderivative", jackson_antiderivative(f, q), n + 1, c / w(n + 1)),
+            ]
+        for name, image, degree, coeff in cases:
+            assert image.coeffs == _scaled_monomial(F(coeff), degree), name

@@ -12,9 +12,6 @@ from psicalc import (
     admissibility_check,
     parse_psi_spec,
     parse_rational,
-    psi_factor,
-    psi_factorial,
-    psi_falling_factorial,
 )
 
 
@@ -24,76 +21,76 @@ def ctx(spec):
 
 class TestFactor:
     def test_classical(self):
-        assert psi_factor(ctx("classical"), 5) == 5
+        assert ctx("classical").factor(5) == 5
 
     def test_gauss_q(self):
-        assert psi_factor(ctx("q:2"), 3) == 7
+        assert ctx("q:2").factor(3) == 7
 
     def test_fibonomial(self):
-        assert psi_factor(ctx("fib"), 4) == 3
-        assert [psi_factor(ctx("fib"), n) for n in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]
+        assert ctx("fib").factor(4) == 3
+        assert [ctx("fib").factor(n) for n in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]
 
     def test_q_one_is_classical(self):
         c = ctx("q:1")
-        assert [psi_factor(c, n) for n in range(1, 10)] == list(range(1, 10))
+        assert [c.factor(n) for n in range(1, 10)] == list(range(1, 10))
 
     def test_custom(self):
         c = PsiContext(AdmissibleSequence.custom([F(1), F(1, 2), F(-3)]))
-        assert psi_factor(c, 2) == F(1, 2)
+        assert c.factor(2) == F(1, 2)
 
     def test_zero_factor_raises(self):
         with pytest.raises(AdmissibilityError):
-            psi_factor(ctx("q:-1"), 2)
+            ctx("q:-1").factor(2)
 
     def test_nonpositive_index_rejected(self):
         with pytest.raises(DomainError):
-            psi_factor(ctx("classical"), 0)
+            ctx("classical").factor(0)
 
 
 class TestFactorial:
     def test_classical(self):
-        assert psi_factorial(ctx("classical"), 4) == 24
+        assert ctx("classical").factorial(4) == 24
 
     def test_gauss_q(self):
-        assert psi_factorial(ctx("q:2"), 3) == 21
+        assert ctx("q:2").factorial(3) == 21
 
     def test_fibonomial(self):
-        assert psi_factorial(ctx("fib"), 4) == 6
+        assert ctx("fib").factorial(4) == 6
 
     def test_zero_case(self):
-        assert psi_factorial(ctx("fib"), 0) == 1
+        assert ctx("fib").factorial(0) == 1
 
     def test_matches_ordinary_factorial(self):
         c = ctx("classical")
         for n in range(20):
-            assert psi_factorial(c, n) == math.factorial(n)
+            assert c.factorial(n) == math.factorial(n)
 
     def test_recurrence(self):
         c = ctx("q:3/2")
         for n in range(1, 12):
-            assert psi_factorial(c, n) == psi_factor(c, n) * psi_factorial(c, n - 1)
+            assert c.factorial(n) == c.factor(n) * c.factorial(n - 1)
 
 
 class TestFallingFactorial:
     def test_classical(self):
-        assert psi_falling_factorial(ctx("classical"), 5, 3) == 60
+        assert ctx("classical").falling_factorial(5, 3) == 60
 
     def test_fibonomial(self):
-        assert psi_falling_factorial(ctx("fib"), 5, 2) == 15
+        assert ctx("fib").falling_factorial(5, 2) == 15
 
     def test_empty_product(self):
-        assert psi_falling_factorial(ctx("q:7"), 7, 0) == 1
+        assert ctx("q:7").falling_factorial(7, 0) == 1
 
     def test_classical_closed_form(self):
         c = ctx("classical")
         for x in range(1, 10):
             for k in range(x + 1):
                 expected = F(math.factorial(x), math.factorial(x - k))
-                assert psi_falling_factorial(c, x, k) == expected
+                assert c.falling_factorial(x, k) == expected
 
     def test_index_below_one_rejected(self):
         with pytest.raises(DomainError):
-            psi_falling_factorial(ctx("classical"), 3, 4)
+            ctx("classical").falling_factorial(3, 4)
 
 
 class TestAdmissibilityCheck:
@@ -117,8 +114,8 @@ class TestAdmissibilityCheck:
 class TestMemoization:
     def test_repeated_calls_identical(self):
         c = ctx("fib")
-        first = [psi_factorial(c, n) for n in range(12)]
-        second = [psi_factorial(c, n) for n in range(12)]
+        first = [c.factorial(n) for n in range(12)]
+        second = [c.factorial(n) for n in range(12)]
         assert first == second
 
 
