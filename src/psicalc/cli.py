@@ -325,7 +325,10 @@ def _run_jackson(args) -> int:
     f = parse_poly(args.f)
     exact = hahn.jackson_integral_exact(f, args.q, args.z)
 
-    float_coeffs = [float(c) for c in f.coeffs]
+    try:
+        float_coeffs = [float(c) for c in f.coeffs]
+    except OverflowError:
+        raise DomainError("a coefficient of f is too large for a float") from None
 
     def fn(t: float) -> float:
         acc = 0.0

@@ -157,9 +157,7 @@ def newton_expansion(
     for k in range(n + 1):
         terms.append(falling_factorial_poly(k) * (dk(0) / math.factorial(k)))
         dk = forward_difference(dk)
-    partial = Polynomial()
-    for t in terms:
-        partial = partial + t
+    partial = sum(terms, Polynomial())
 
     # dk is now Delta^(n+1) f; the remainder is its (n+1)-fold sum
     def remainder_at(x: int) -> Fraction:

@@ -59,9 +59,7 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
     for k in range(n + 1):
         terms.append(shifted**k * (fk(alpha) / math.factorial(k)))
         fk = fk.derivative()
-    partial = Polynomial()
-    for t in terms:
-        partial = partial + t
+    partial = sum(terms, Polynomial())
 
     # fk is now f^(n+1); expand the kernel (x-t)^n binomially in t and
     # integrate each t-monomial exactly from alpha to x.
@@ -121,9 +119,7 @@ def psi_bernoulli_taylor(
         img = x_hat_psi(ctx, img)
     rem_value = Fraction(-1) ** n * psi_definite_integral(ctx, img, w0, 0) / math.factorial(n)
 
-    partial = Polynomial()
-    for t in terms:
-        partial = partial + t
+    partial = sum(terms, Polynomial())
     remainder = Polynomial.constant(rem_value)
     oracle = f(x_eval) - partial
     return ExpansionReport(
@@ -142,9 +138,7 @@ def psi_bernoulli_taylor(
 def verify_expansion(report: ExpansionReport) -> VerificationReport:
     """Recompute the exactness verdict from the report's raw fields."""
     failures = []
-    total = Polynomial()
-    for t in report.terms:
-        total = total + t
+    total = sum(report.terms, Polynomial())
     if total != report.partial_sum:
         failures.append(("partial_sum", report.partial_sum, total))
     if report.cauchy_remainder != report.oracle_remainder and not failures:

@@ -64,11 +64,12 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     if p.q == 1:
         raise DomainError("the reduction's conjugating shift needs q != 1")
     s = p.h / (1 - p.q)
+    ctx = PsiContext(AdmissibleSequence.gauss_q(p.q))  # one n_q memo for all n
     failures = []
     for n in range(N + 1):
         xn = Polynomial.monomial(n)
         lhs = hahn_derivative(xn, p)
-        rhs = q_derivative(xn.compose_affine(1, s), p.q).compose_affine(1, -s)
+        rhs = psi_derivative(ctx, xn.compose_affine(1, s)).compose_affine(1, -s)
         if lhs != rhs:
             failures.append((f"n={n}", lhs, rhs))
             break
@@ -111,7 +112,12 @@ def jackson_integral_numeric(
     if not 0 < q < 1:
         raise DomainError(f"numeric Jackson integral needs 0 < q < 1, got {q}")
     qf = float(q)
-    zf = float(Fraction(z))
+    if not 0.0 < qf < 1.0:
+        raise DomainError(f"q is too close to {qf:g} for a float quadrature")
+    try:
+        zf = float(Fraction(z))
+    except OverflowError:
+        raise DomainError("z is too large for a float") from None
     prefactor = (1.0 - qf) * zf
     cutoff = tail_tol * (1.0 - qf)
     terms = []
@@ -139,6 +145,7 @@ def jackson_integral_numeric(
 
 def verify_jackson_inverse(f: Polynomial, q: Scalar) -> VerificationReport:
     """The q-derivative of the Jackson antiderivative returns f."""
-    lhs = q_derivative(jackson_antiderivative(f, q), q)
+    ctx = PsiContext(AdmissibleSequence.gauss_q(q))
+    lhs = psi_derivative(ctx, psi_antiderivative(ctx, f))
     failures = [] if lhs == f else [(f"f={f}", lhs, f)]
     return _report("jackson-inverse", f"q={Fraction(q)}", 1, failures)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .poly import Polynomial, Scalar
-from .sequences import PsiContext
+from .sequences import AdmissibleSequence, PsiContext
 
 PolyOp = Callable[[Polynomial], Polynomial]
 
@@ -33,8 +33,10 @@ def psi_derivative(ctx: PsiContext, f: Polynomial) -> Polynomial:
 
 
 def x_hat_psi(ctx: PsiContext, f: Polynomial) -> Polynomial:
-    """x^n -> ((n+1)/(n+1)_psi) x^(n+1); images have zero constant term."""
-    return f._diagonal(lambda k: ctx.factor(k) / k, 1, inverse=True)
+    """x^n -> ((n+1)/(n+1)_psi) x^(n+1); images have zero constant term.
+    Built as the psi-antiderivative followed by x^m -> m x^m, so that no
+    weight is a Fraction quotient."""
+    return f._diagonal(ctx.factor, 1, inverse=True)._diagonal(int, 0)
 
 
 def psi_antiderivative(ctx: PsiContext, f: Polynomial) -> Polynomial:
@@ -85,10 +87,7 @@ def psi_exp(ctx: PsiContext, alpha: Scalar, N: int) -> Polynomial:
 
 def exp_poly(alpha: Scalar, N: int) -> Polynomial:
     """Degree-N truncation of the ordinary exponential series."""
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
-    alpha = Fraction(alpha)
-    return Polynomial([alpha**n / math.factorial(n) for n in range(N + 1)])
+    return psi_exp(PsiContext(AdmissibleSequence.classical()), alpha, N)
 
 
 def divided_difference_zero(f: Polynomial) -> Polynomial:
@@ -118,47 +117,14 @@ def derivative_pair(y: Scalar = 0) -> GhwPair:
     )
 
 
-def _shifted_int_coeffs(f: Polynomial, h: int) -> list | None:
-    """Coefficients of f(x + h) as plain ints, or None if f has any
-    non-integer coefficient.  Uses the addition-only synthetic-division
-    shift, which is far cheaper than a general affine composition."""
-    if any(c.denominator != 1 for c in f.coeffs):
-        return None
-    cs = [c.numerator for c in f.coeffs]
-    d = len(cs)
-    if h == 1:
-        for k in range(d - 1):
-            for j in range(d - 2, k - 1, -1):
-                cs[j] += cs[j + 1]
-    elif h == -1:
-        for k in range(d - 1):
-            for j in range(d - 2, k - 1, -1):
-                cs[j] -= cs[j + 1]
-    else:
-        for k in range(d - 1):
-            for j in range(d - 2, k - 1, -1):
-                cs[j] += h * cs[j + 1]
-    return cs
-
-
 def delta_pair() -> GhwPair:
     """The forward difference with x_hat composed with the backward shift."""
     x = Polynomial.x()
-
-    def lower(f: Polynomial) -> Polynomial:
-        shifted = _shifted_int_coeffs(f, 1)
-        if shifted is None:
-            return f.compose_affine(1, 1) - f
-        return Polynomial(a - b.numerator for a, b in zip(shifted, f.coeffs))
-
-    def raiser(f: Polynomial) -> Polynomial:
-        shifted = _shifted_int_coeffs(f, -1)
-        if shifted is None:
-            return x * f.compose_affine(1, -1)
-        shifted.insert(0, 0)
-        return Polynomial(shifted)
-
-    return GhwPair(name="Delta, x*E^-1", lower=lower, raiser=raiser)
+    return GhwPair(
+        name="Delta, x*E^-1",
+        lower=lambda f: f.compose_affine(1, 1) - f,
+        raiser=lambda f: x * f.compose_affine(1, -1),
+    )
 
 
 def psi_pair(ctx: PsiContext) -> GhwPair:
@@ -347,28 +313,20 @@ def historical_divided_difference_sum(f: Polynomial, signed: bool = True) -> Pol
     """Sum_{n>=1} (+-1)^(n-1) x^(n-1) f^(n)(x) / n!, a finite sum on
     polynomials.  The unsigned variant (signed=False) is kept so the
     failure it produces can be demonstrated."""
-    acc = Polynomial()
-    fn = f.derivative()
-    n = 1
-    while fn:
-        c = Fraction(1, math.factorial(n))
-        if signed and n % 2 == 0:
-            c = -c
-        acc = acc + Polynomial.monomial(n - 1, c) * fn
+    acc, fn = Polynomial(), f
+    for n in range(1, f.degree + 1):
         fn = fn.derivative()
-        n += 1
+        sign = -1 if signed and n % 2 == 0 else 1
+        acc = acc + Polynomial.monomial(n - 1, Fraction(sign, math.factorial(n))) * fn
     return acc
 
 
 def historical_evaluation_sum(f: Polynomial) -> Polynomial:
     """Sum_{n>=0} (-1)^n x^n f^(n)(x) / n!, a finite sum on polynomials."""
-    acc = Polynomial()
-    fn = f
-    n = 0
-    while fn or n == 0:
+    acc, fn = Polynomial(), f
+    for n in range(max(f.degree, 0) + 1):
         acc = acc + Polynomial.monomial(n, Fraction((-1) ** n, math.factorial(n))) * fn
         fn = fn.derivative()
-        n += 1
     return acc
 
 

@@ -1,13 +1,17 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are `fractions.Fraction` values, index i holding the
-coefficient of x^i.  The zero polynomial has an empty coefficient tuple
-and degree -1.  All arithmetic is exact; nothing in this module touches
-floating point.
+A polynomial is stored in one canonical form, FLINT's `fmpq_poly` layout:
+a tuple of `int` numerators (index i for x^i) over one positive `int`
+denominator, with gcd(den, *num) = 1 and no trailing zero; the zero
+polynomial has no numerators, denominator 1 and degree -1.  All arithmetic
+runs on the integers and pays one gcd per result, not one per coefficient.
+`.coeffs` is a read-only `Fraction` tuple built on first use.  Floats are
+refused: nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Union
@@ -16,13 +20,27 @@ Scalar = Union[int, Fraction]
 
 
 class Polynomial:
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        cs = [_rational(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        """Store sum(num[i] x^i) / den in canonical form; den != 0."""
+        while num and not num[-1]:
+            num.pop()
+        if den != 1:
+            g = math.gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        self._num = tuple(num)
+        self._den = den
+        self._coeffs = None
 
     # -- constructors ----------------------------------------------------
 
@@ -47,43 +65,52 @@ class Polynomial:
     # -- structure -------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, index i holding that of x^i."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple([Fraction(c, den) for c in self._num])
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._num):
+            return Fraction(self._num[i], self._den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
         other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self._num, other._num, self._den
+        if den != other._den:
+            den = math.lcm(den, other._den)
+            a = [c * (den // self._den) for c in a]
+            b = [c * (den // other._den) for c in b]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return _canonical([*map(operator.add, a, b), *a[len(b):]], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return _canonical([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         return self + (-_coerce(other))
@@ -93,22 +120,24 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
+            p = other.numerator
+            return _canonical([c * p for c in self._num], self._den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self or not other:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        b = other._num
+        out = [0] * (len(self._num) + len(b) - 1)
+        for i, a in enumerate(self._num):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
+                for j, c in enumerate(b, i):
+                    out[j] += a * c
+        return _canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, s: Scalar) -> "Polynomial":
-        return self * (Fraction(1) / Fraction(s))
+        return self * (1 / Fraction(_rational(s)))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -123,29 +152,38 @@ class Polynomial:
         return result
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division over the rationals."""
+        """Exact long division over the rationals.  With m the divisor's
+        leading numerator, y = m x makes m^d f(y/m) and m^(e-1) g(y/m)
+        integer polynomials, the second monic, so no step makes a Fraction."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
-            if c:
-                quot[i - d] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * b
-        return Polynomial(quot), Polynomial(rem)
+        f, g = self._num, other._num
+        d, e, m = len(f) - 1, len(g) - 1, g[-1]
+        if d < e:
+            return Polynomial(), self
+        rem = [c * m ** (d - i) for i, c in enumerate(f)]
+        monic = [c * m ** (e - 1 - j) for j, c in enumerate(g[:-1])]
+        quot = [0] * (d - e + 1)
+        for i in range(d, e - 1, -1):
+            c = quot[i - e] = rem[i]
+            for j, b in enumerate(monic, i - e):
+                rem[j] -= c * b
+        q_num = [c * m**k * other._den for k, c in enumerate(quot)]
+        r_num = [c * m**k for k, c in enumerate(rem[:e])]
+        return (_canonical(q_num, self._den * m ** (d - e + 1)),
+                _canonical(r_num, self._den * m**d))
 
     # -- calculus and evaluation ------------------------------------------
 
     def __call__(self, a: Scalar) -> Fraction:
-        a = Fraction(a)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        """Horner evaluation at a = p/q, homogenised so that only the
+        final division makes a Fraction."""
+        a = _rational(a)
+        p, q = a.numerator, a.denominator
+        acc, qk = 0, 1
+        for c in reversed(self._num):
+            acc, qk = acc * p + c * qk, qk * q
+        return Fraction(acc * q, self._den * qk)  # acc / (den q^d); qk = q^(d+1)
 
     def derivative(self, k: int = 1) -> "Polynomial":
         f = self
@@ -164,59 +202,78 @@ class Polynomial:
         {-1, 0, 1} and k the larger of n and n+step; constants vanish when
         step = -1.  inverse=True divides by weight(k) instead.  Every
         derivative, antiderivative and x_hat of the calculus is one of these.
+        The weights share the lcm of their denominators: one gcd in all.
         """
-        coeffs = self.coeffs[1:] if step < 0 else self.coeffs
-        apply = operator.truediv if inverse else operator.mul
-        out = [apply(c, weight(k)) for k, c in enumerate(coeffs, abs(step))]
+        num = self._num[1:] if step < 0 else self._num
+        ws = [weight(k) for k in range(abs(step), abs(step) + len(num))]
+        tops = [w.numerator for w in ws]
+        bottoms = [w.denominator for w in ws]
+        if inverse:
+            tops, bottoms = bottoms, tops
+        lcm = math.lcm(*bottoms)
+        out = [c * t * (lcm // b) for c, t, b in zip(num, tops, bottoms)]
         if step > 0:
             out.insert(0, 0)
-        return Polynomial(out)
+        return _canonical(out, self._den * lcm)
 
     def compose_affine(self, q: Scalar, h: Scalar) -> "Polynomial":
-        """The polynomial x -> f(qx + h), computed by Horner composition."""
-        linear = Polynomial([Fraction(h), Fraction(q)])
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * linear + Polynomial.constant(c)
-        return acc
+        """The polynomial x -> f(qx + h).  With h = r/s and q = a/b,
+        s^d f((r/s) t) has the integer coefficients n_i r^i s^(d-i), and
+        t -> t + 1 shifts them with additions only (von zur Gathen &
+        Gerhard, ISSAC 1997); t = a s x / (b r) then scales them back."""
+        q, h = _rational(q), _rational(h)
+        a, b, r, s = q.numerator, q.denominator, h.numerator, h.denominator
+        cs, d = list(self._num), self.degree
+        if r:
+            cs = [c * r**i * s ** (d - i) for i, c in enumerate(cs)]
+            for k in range(d):
+                for j in range(d - 1, k - 1, -1):
+                    cs[j] += cs[j + 1]
+            cs = [c // r**i * s**i for i, c in enumerate(cs)]
+        out = [c * a**i * b ** (d - i) for i, c in enumerate(cs)]
+        return _canonical(out, self._den * (b * s) ** max(d, 0))
 
     def truncate(self, n: int) -> "Polynomial":
         """Drop all terms of degree > n."""
-        return Polynomial(self.coeffs[: n + 1])
+        return _canonical(list(self._num[: n + 1]), self._den)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         pieces = []
         for d in range(self.degree, -1, -1):
             c = self.coeffs[d]
             if not c:
                 continue
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = "x" if d == 1 else f"x^{d}"
-            else:
-                body = f"{mag}*x" if d == 1 else f"{mag}*x^{d}"
-            if not pieces:
-                # a bare leading minus would not re-parse, so keep the
-                # coefficient explicit on a negative leading term
-                if c < 0:
-                    body = f"{c}" if d == 0 else (f"{c}*x" if d == 1 else f"{c}*x^{d}")
-                pieces.append(body)
-            else:
-                pieces.append(f"{'-' if c < 0 else '+'} {body}")
-        return " ".join(pieces)
+            # a bare leading minus would not re-parse, so keep the
+            # coefficient explicit on a negative leading term
+            mag = c if c < 0 and not pieces else abs(c)
+            power = "x" if d == 1 else f"x^{d}"
+            body = str(mag) if d == 0 else (power if mag == 1 else f"{mag}*{power}")
+            pieces.append(f"{'-' if c < 0 else '+'} {body}" if pieces else body)
+        return " ".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
+
+
+def _canonical(num: list[int], den: int) -> Polynomial:
+    """sum(num[i] x^i) / den, built without converting each coefficient."""
+    p = Polynomial.__new__(Polynomial)
+    p._set(num, den)
+    return p
+
+
+def _rational(v: Scalar) -> Scalar:
+    """v as an exact int or Fraction; a float is refused, not converted."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    if isinstance(v, float):
+        raise TypeError(f"float {v!r} is not an exact rational; use a Fraction or an int")
+    return Fraction(v)
 
 
 def _coerce(v: "Polynomial | Scalar") -> Polynomial:
     if isinstance(v, Polynomial):
         return v
     return Polynomial.constant(v)
-

@@ -15,6 +15,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import AdmissibilityError, DomainError, ParseError
@@ -22,15 +23,17 @@ from .errors import AdmissibilityError, DomainError, ParseError
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' with optional leading minus."""
+def parse_rational(text: str, offset: int = 0) -> Fraction:
+    """Parse 'p' or 'p/q' with optional leading minus.  `offset` is where
+    text starts inside a larger input; error positions count from there."""
+    offset += len(text) - len(text.lstrip())
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise ParseError(f"not a rational: {text!r}", 0)
+        raise ParseError(f"not a rational: {text!r}", offset)
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", text.index("/") + 1) from None
+        raise ParseError(f"zero denominator in {text!r}", offset + text.index("/") + 1) from None
 
 
 @dataclass(frozen=True)
@@ -128,10 +131,10 @@ class PsiContext:
             raise DomainError(f"n_psi! requires n >= 0, got {n}")
         with self._lock:
             cached = self._factorials.get(n)
-        if cached is not None:
-            return cached
-        top = max(self._factorials)
-        acc = self._factorials[top]
+            if cached is not None:
+                return cached
+            top = max(self._factorials)
+            acc = self._factorials[top]
         for k in range(top + 1, n + 1):
             acc = acc * self.factor(k)
             with self._lock:
@@ -182,18 +185,19 @@ def parse_psi_spec(text: str) -> PsiContext:
 
     ``classical`` | ``q:<rational>`` | ``fib`` | ``custom:<r1>,<r2>,...``
     """
+    start = len(text) - len(text.lstrip())  # error positions count in the spec as given
     text = text.strip()
     if text == "classical":
         return PsiContext(AdmissibleSequence.classical())
     if text == "fib":
         return PsiContext(AdmissibleSequence.fibonomial())
     if text.startswith("q:"):
-        return PsiContext(AdmissibleSequence.gauss_q(parse_rational(text[2:])))
+        return PsiContext(AdmissibleSequence.gauss_q(parse_rational(text[2:], start + 2)))
     if text.startswith("custom:"):
+        start += len("custom:")
         parts = text[len("custom:"):].split(",")
-        if not parts or parts == [""]:
-            raise ParseError("custom psi-spec needs at least one factor", len("custom:"))
-        return PsiContext(
-            AdmissibleSequence.custom([parse_rational(p) for p in parts])
-        )
-    raise ParseError(f"unrecognized psi-spec {text!r}", 0)
+        if parts == [""]:
+            raise ParseError("custom psi-spec needs at least one factor", start)
+        starts = accumulate([len(p) + 1 for p in parts], initial=start)
+        return PsiContext(AdmissibleSequence.custom(list(map(parse_rational, parts, starts))))
+    raise ParseError(f"unrecognized psi-spec {text!r}", start)

@@ -110,6 +110,18 @@ class TestJackson:
         code, _, _ = run(capsys, "jackson", "--f", "x", "--q", "2", "--z", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--z", "1" + "0" * 400),
+        ("--f", "10^400*x"),
+        ("--q", "1/1" + "0" * 400),
+        ("--q", "9" * 400 + "/1" + "0" * 400),
+    ], ids=["huge-z", "huge-coefficient", "q-rounds-to-0", "q-rounds-to-1"])
+    def test_values_beyond_float_range_are_domain_errors(self, capsys, flag, value):
+        argv = {"--f": "x", "--q": "1/2", "--z": "1", flag: value}
+        code, _, err = run(capsys, "jackson", *[a for kv in argv.items() for a in kv])
+        assert code == 2
+        assert "Traceback" not in err and "float" in err
+
 
 class TestTable:
     def test_gauss_two_golden(self, capsys):
@@ -128,6 +140,11 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--psi", "fib", "--n", "5")
         assert code == 0
         assert "psi = fib" in out
+
+    def test_psi_spec_error_offset(self, capsys):
+        code, _, err = run(capsys, "table", "--psi", "q:1/0", "--n", "3")
+        assert code == 2
+        assert "at offset 4" in err
 
 
 @pytest.mark.parametrize("argv", [

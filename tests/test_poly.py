@@ -92,6 +92,19 @@ class TestStructure:
             assert q * g + r == f
             assert r.degree < g.degree
 
+    @pytest.mark.parametrize("make", [
+        lambda: Polynomial([0.1]),
+        lambda: Polynomial([1, F(1, 2), 2.0]),
+        lambda: Polynomial.constant(0.5),
+        lambda: X + 0.5,
+        lambda: X / 0.5,
+        lambda: X.compose_affine(0.5, 1),
+        lambda: X(0.5),
+    ])
+    def test_floats_are_refused(self, make):
+        with pytest.raises(TypeError):
+            make()
+
     def test_derivative_and_antiderivative(self):
         f = X**4 - F(3, 2) * X
         assert f.antiderivative().derivative() == f

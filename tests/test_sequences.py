@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -118,6 +121,34 @@ class TestMemoization:
         second = [c.factorial(n) for n in range(12)]
         assert first == second
 
+    def test_shared_context_across_threads(self):
+        reference = [ctx("fib").factorial(n) for n in range(1, 201)]
+        shared = ctx("fib")
+        results, errors = {}, []
+
+        def worker(seed):
+            order = list(range(1, 201))
+            random.Random(seed).shuffle(order)
+            try:
+                results[seed] = {n: shared.factorial(n) for n in order}
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for seed in range(8):
+            assert [results[seed][n] for n in range(1, 201)] == reference
+
 
 class TestPsiSpecGrammar:
     def test_labels_round_trip(self):
@@ -132,3 +163,15 @@ class TestPsiSpecGrammar:
     def test_bad_spec(self):
         with pytest.raises(ParseError):
             parse_psi_spec("gauss(2)")
+
+    @pytest.mark.parametrize("spec,position", [
+        ("q:1/0", 4),
+        ("q:x", 2),
+        ("custom:1,2/0", 11),
+        ("custom:1/2,-3,y", 14),
+        (" q: 1/0", 6),
+    ])
+    def test_error_offsets_count_in_the_whole_spec(self, spec, position):
+        with pytest.raises(ParseError) as info:
+            parse_psi_spec(spec)
+        assert info.value.position == position
