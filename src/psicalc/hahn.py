@@ -23,7 +23,7 @@ from .errors import (
     InternalError,
 )
 from .operators import VerificationReport, _report, psi_antiderivative, psi_derivative
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, _rational
 from .sequences import AdmissibleSequence, PsiContext
 
 JACKSON_TERM_CAP = 100_000
@@ -35,8 +35,8 @@ class HahnParams:
     h: Fraction
 
     def __init__(self, q: Scalar, h: Scalar):
-        object.__setattr__(self, "q", Fraction(q))
-        object.__setattr__(self, "h", Fraction(h))
+        object.__setattr__(self, "q", Fraction(_rational(q)))
+        object.__setattr__(self, "h", Fraction(_rational(h)))
 
 
 def q_derivative(f: Polynomial, q: Scalar) -> Polynomial:
@@ -102,8 +102,11 @@ def jackson_integral_numeric(
     tail_tol: float,
     max_terms: int = JACKSON_TERM_CAP,
 ) -> JacksonQuadrature:
-    """Sum (1-q) z fn(q^k z) q^k until the current term drops below
+    """Sum (1-q) z fn(q^k z) q^k until the terms stay below
     tail_tol * (1-q), which bounds the geometric tail by about tail_tol.
+    A run of small terms only counts once its sample points q^k z shrink
+    by a factor of 2, at least max(3, ceil(ln 2 / -ln q)) terms, so the
+    dip of the integrand around a (multiple) root cannot end the sum.
 
     q and z are accepted exactly and converted to float once, recorded in
     the result.  Raises ConvergenceError if the cap is hit first.
@@ -120,16 +123,17 @@ def jackson_integral_numeric(
         raise DomainError("z is too large for a float") from None
     prefactor = (1.0 - qf) * zf
     cutoff = tail_tol * (1.0 - qf)
+    streak = max(3, math.ceil(math.log(2.0) / -math.log(qf)))
     terms = []
     qk = 1.0
     small_streak = 0
     for k in range(max_terms):
         term = prefactor * fn(qk * zf) * qk
         terms.append(term)
-        # a single tiny term may just be a zero of the integrand; demand a
-        # short run of them before trusting the geometric tail bound
+        # a tiny term may just sit next to a zero of the integrand; demand
+        # a run of them before trusting the geometric tail bound
         small_streak = small_streak + 1 if abs(term) < cutoff else 0
-        if small_streak >= 3:
+        if small_streak >= streak:
             return JacksonQuadrature(
                 value=math.fsum(terms),
                 terms_used=k + 1,

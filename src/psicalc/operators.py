@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, _rational
 from .sequences import AdmissibleSequence, PsiContext
 
 PolyOp = Callable[[Polynomial], Polynomial]
@@ -29,19 +29,31 @@ PolyOp = Callable[[Polynomial], Polynomial]
 
 def psi_derivative(ctx: PsiContext, f: Polynomial) -> Polynomial:
     """x^n -> n_psi x^(n-1), extended linearly; constants map to 0."""
-    return f._diagonal(ctx.factor, -1)
+    n = max(f.degree, 0)
+    rows = ctx.rows(n)
+    lcm = rows.den_lcm[n - 1] if n else 1
+    if lcm == 1:
+        return f._diagonal(rows.num, 1, -1)
+    return f._diagonal([a * (lcm // b) for a, b in zip(rows.num[:n], rows.den)], lcm, -1)
 
 
 def x_hat_psi(ctx: PsiContext, f: Polynomial) -> Polynomial:
     """x^n -> ((n+1)/(n+1)_psi) x^(n+1); images have zero constant term.
-    Built as the psi-antiderivative followed by x^m -> m x^m, so that no
-    weight is a Fraction quotient."""
-    return f._diagonal(ctx.factor, 1, inverse=True)._diagonal(int, 0)
+    With k_psi = a/b the weight of x^(k-1) is k b / a, over the lcm of
+    the a's."""
+    n = f.degree + 1
+    rows = ctx.rows(n)
+    lcm = rows.num_lcm[n - 1] if n else 1
+    ws = [k * b * (lcm // a) for k, a, b in zip(range(1, n + 1), rows.num, rows.den)]
+    return f._diagonal(ws, lcm, 1)
 
 
 def psi_antiderivative(ctx: PsiContext, f: Polynomial) -> Polynomial:
     """x^n -> x^(n+1)/(n+1)_psi; the right inverse of the psi-derivative."""
-    return f._diagonal(ctx.factor, 1, inverse=True)
+    n = f.degree + 1
+    rows = ctx.rows(n)
+    lcm = rows.num_lcm[n - 1] if n else 1
+    return f._diagonal([b * (lcm // a) for a, b in zip(rows.num[:n], rows.den)], lcm, 1)
 
 
 def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) -> Fraction:
@@ -73,15 +85,28 @@ def psi_power(ctx: PsiContext, n: int) -> Polynomial:
 
 
 def umbral_tilde(ctx: PsiContext, g: Polynomial) -> Polynomial:
-    """The umbral map g -> g(x_hat) 1: scales the x^n coefficient by n!/n_psi!."""
-    return g._diagonal(lambda n: math.factorial(n) / ctx.factorial(n), 0)
+    """The umbral map g -> g(x_hat) 1: scales the x^n coefficient by n!/n_psi!.
+    With k_psi = a_k/b_k and d the degree, that is n! b_1...b_n a_(n+1)...a_d
+    over a_1...a_d."""
+    d = g.degree
+    rows = ctx.rows(d)
+    ws, top = [1], 1  # top = n! b_1...b_n
+    for n, b in zip(range(1, d + 1), rows.den):
+        top *= n * b
+        ws.append(top)
+    den = 1  # a_(n+1)...a_d
+    for n in range(d, 0, -1):
+        ws[n] *= den
+        den *= rows.num[n - 1]
+    ws[0] = den
+    return g._diagonal(ws, den, 0)
 
 
 def psi_exp(ctx: PsiContext, alpha: Scalar, N: int) -> Polynomial:
     """Degree-N truncation of the psi-exponential: sum a^n x^n / n_psi!."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    alpha = Fraction(alpha)
+    alpha = Fraction(_rational(alpha))
     return Polynomial([alpha**n / ctx.factorial(n) for n in range(N + 1)])
 
 

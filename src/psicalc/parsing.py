@@ -7,7 +7,9 @@
     rational := int ('/' uint)?
 
 Whitespace is insignificant.  Printing a Polynomial with str() produces
-text this grammar accepts, so parse/print round-trips exactly.
+text this grammar accepts, so parse/print round-trips exactly.  Parentheses
+nest at most MAX_NESTING deep, so the recursion stays far from Python's
+limit.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ from fractions import Fraction
 from .errors import ParseError
 from .poly import Polynomial
 
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -65,9 +70,13 @@ class _Parser:
     def base(self) -> Polynomial:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.pos)
             self.pos += 1
+            self.depth += 1
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if ch == "x":
             self.pos += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -188,33 +188,30 @@ class Polynomial:
     def derivative(self, k: int = 1) -> "Polynomial":
         f = self
         for _ in range(k):
-            f = f._diagonal(int, -1)  # x^n -> n x^(n-1)
+            f = f._diagonal(range(1, len(f._num)), 1, -1)  # x^n -> n x^(n-1)
         return f
 
     def antiderivative(self) -> "Polynomial":
         """Classical antiderivative with zero constant term."""
-        return self._diagonal(int, 1, inverse=True)
+        n = len(self._num)
+        lcm = math.lcm(*range(1, n + 1))
+        return self._diagonal([lcm // k for k in range(1, n + 1)], lcm, 1)
 
-    def _diagonal(
-        self, weight: Callable[[int], Scalar], step: int, inverse: bool = False
-    ) -> "Polynomial":
-        """x^n -> weight(k) x^(n+step), extended linearly, for step in
-        {-1, 0, 1} and k the larger of n and n+step; constants vanish when
-        step = -1.  inverse=True divides by weight(k) instead.  Every
-        derivative, antiderivative and x_hat of the calculus is one of these.
-        The weights share the lcm of their denominators: one gcd in all.
+    def _diagonal(self, weights: Sequence[int], den: int, step: int) -> "Polynomial":
+        """x^n -> (w / den) x^(n+step), extended linearly, for step in
+        {-1, 0, 1}; constants vanish when step = -1.  w is weights[i] for
+        the i-th coefficient kept: that of x^(i+1) when step = -1 and of
+        x^i otherwise.  The weights are ints over the one nonzero int den
+        and must cover every kept coefficient; extra ones are ignored.
+        Every derivative, antiderivative, x_hat and umbral scaling of the
+        calculus is one of these: one integer product per coefficient and
+        one gcd in all.
         """
         num = self._num[1:] if step < 0 else self._num
-        ws = [weight(k) for k in range(abs(step), abs(step) + len(num))]
-        tops = [w.numerator for w in ws]
-        bottoms = [w.denominator for w in ws]
-        if inverse:
-            tops, bottoms = bottoms, tops
-        lcm = math.lcm(*bottoms)
-        out = [c * t * (lcm // b) for c, t, b in zip(num, tops, bottoms)]
+        out = list(map(operator.mul, num, weights))
         if step > 0:
             out.insert(0, 0)
-        return _canonical(out, self._den * lcm)
+        return _canonical(out, self._den * den)
 
     def compose_affine(self, q: Scalar, h: Scalar) -> "Polynomial":
         """The polynomial x -> f(qx + h).  With h = r/s and q = a/b,

@@ -5,20 +5,23 @@ An admissible sequence supplies one nonzero rational factor n_psi per
 positive integer n.  Three built-in families are provided (the classical
 integers, the Gauss q-integers, and the Fibonacci numbers) plus custom
 factor lists.  A PsiContext wraps a sequence with memoized factor and
-factorial tables; it is the parameter every psi-operator takes.  On the
+factorial tables and with the integer rows the operators weigh
+coefficients by; it is the parameter every psi-operator takes.  On the
 Gauss q-integers the psi-calculus is the Jackson q-calculus of `hahn`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import AdmissibilityError, DomainError, ParseError
+from .poly import _rational
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
 
@@ -50,7 +53,7 @@ class AdmissibleSequence:
 
     @classmethod
     def gauss_q(cls, q) -> "AdmissibleSequence":
-        return cls("gauss_q", q=Fraction(q))
+        return cls("gauss_q", q=Fraction(_rational(q)))
 
     @classmethod
     def fibonomial(cls) -> "AdmissibleSequence":
@@ -58,7 +61,7 @@ class AdmissibleSequence:
 
     @classmethod
     def custom(cls, factors) -> "AdmissibleSequence":
-        return cls("custom", factors=tuple(Fraction(f) for f in factors))
+        return cls("custom", factors=tuple(Fraction(_rational(f)) for f in factors))
 
     def raw_factor(self, n: int) -> Fraction:
         """n_psi without the nonzero check (admissibility_check needs raw values)."""
@@ -95,17 +98,33 @@ class AdmissibleSequence:
         return "custom:" + ",".join(str(f) for f in self.factors)
 
 
+class PsiRows(NamedTuple):
+    """1_psi ... m_psi as integers: k_psi = num[k-1] / den[k-1] in lowest
+    terms with den[k-1] > 0, num_lcm[k-1] = lcm(|num[0]|, ..., |num[k-1]|)
+    and den_lcm[k-1] = lcm(den[0], ..., den[k-1])."""
+
+    num: tuple[int, ...]
+    den: tuple[int, ...]
+    num_lcm: tuple[int, ...]
+    den_lcm: tuple[int, ...]
+
+
 class PsiContext:
-    """An admissible sequence plus memoized n_psi and n_psi! tables.
+    """An admissible sequence plus memoized n_psi and n_psi! tables and
+    the integer rows of n_psi (see `rows`).
 
     Memo growth is guarded by a lock so contexts can be shared between
-    threads; all returned values are immutable Fractions.
+    threads; all returned values are immutable.  The rows are one
+    immutable `PsiRows` snapshot, replaced whole under the lock when it
+    grows, so a reader never sees a half-grown row; they take O(m) space
+    for the largest index m asked for.
     """
 
     def __init__(self, sequence: AdmissibleSequence):
         self.sequence = sequence
         self._factors: dict[int, Fraction] = {}
         self._factorials: dict[int, Fraction] = {0: Fraction(1)}
+        self._rows = PsiRows((), (), (), ())
         self._lock = threading.Lock()
 
     @property
@@ -124,6 +143,31 @@ class PsiContext:
         if v == 0:
             raise AdmissibilityError(f"{self.label}: {n}_psi = 0")
         return v
+
+    def rows(self, n: int) -> PsiRows:
+        """The rows of k_psi for at least 1 <= k <= n.  They grow in
+        increasing k through `factor`, so a zero or missing factor raises
+        the error `factor` raises, at the same first index; the rows
+        before that index are kept."""
+        rows = self._rows
+        if len(rows.num) >= n:
+            return rows
+        num, den, num_lcm, den_lcm = map(list, rows)
+        a, b = (num_lcm[-1], den_lcm[-1]) if num else (1, 1)
+        try:
+            for k in range(len(num) + 1, n + 1):
+                v = self.factor(k)
+                a, b = math.lcm(a, v.numerator), math.lcm(b, v.denominator)
+                num.append(v.numerator)
+                den.append(v.denominator)
+                num_lcm.append(a)
+                den_lcm.append(b)
+        finally:
+            rows = PsiRows(tuple(num), tuple(den), tuple(num_lcm), tuple(den_lcm))
+            with self._lock:
+                if len(rows.num) > len(self._rows.num):
+                    self._rows = rows
+        return rows
 
     def factorial(self, n: int) -> Fraction:
         """n_psi! = n_psi * (n-1)_psi!, with 0_psi! = 1."""

@@ -59,6 +59,13 @@ class TestExpand:
         assert code == 2
         assert "offset" in err
 
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        code, _, err = run(
+            capsys, "expand", "--f", "(" * 2000 + "x" + ")" * 2000, "--order", "1"
+        )
+        assert code == 2
+        assert "Traceback" not in err and "offset 100" in err
+
 
 class TestVerify:
     def test_all_suites_fibonomial(self, capsys):

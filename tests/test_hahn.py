@@ -136,6 +136,19 @@ class TestJacksonNumeric:
         with pytest.raises(ConvergenceError):
             jackson_integral_numeric(lambda t: 1.0, F(99, 100), 1, 1e-13, max_terms=10)
 
+    def test_multiple_root_does_not_end_the_sum(self):
+        # the terms dip below the cutoff around the sixfold root at 1/2;
+        # three of them in a row must not pass for the geometric tail
+        q, z = F(99, 100), 2
+        numeric = jackson_integral_numeric(lambda t: 3 * (t - 0.5) ** 6, q, z, 1e-13)
+        exact = float(jackson_integral_exact(3 * (X - F(1, 2)) ** 6, q, z))
+        assert abs(numeric.value - exact) < 1e-12
+        assert numeric.terms_used <= 10_000
+
+    def test_streak_spans_a_halving_of_the_sample_points(self):
+        # ln 2 / -ln(1/2) = 1, so q = 1/2 keeps the run of three
+        assert jackson_integral_numeric(lambda t: t * t, F(1, 2), 1, 1e-13).terms_used == 18
+
     def test_polynomial_grid_against_exact(self):
         for q in (F(1, 2), F(9, 10), F(99, 100)):
             for z in (F(1), F(2), F(-2), F(1, 3)):

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
 from psicalc import (
+    AdmissibilityError,
+    DomainError,
     Polynomial,
     bernoulli_identity_sweep,
     delta_pair,
@@ -307,10 +312,18 @@ class TestGhwInvariant:
 
 
 BUILTIN_SPECS = ("classical", "q:2", "q:1/2", "q:3/2", "fib")
+# negative factors with denominators other than 1: signs reach the lcm of
+# the numerators that x_hat and the psi-antiderivative divide by
+CUSTOM_SPEC = (
+    "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9,-11/2,6,-13/7,1/3,"
+    "-8,15/4,-2/11,7/6,-9/10,12,-5/8,17/3,-1/6,2"
+)
 
 
 def _definition_factor(spec: str, n: int) -> F:
     """n_psi straight from the sequence's definition, without PsiContext."""
+    if spec.startswith("custom:"):
+        return F(spec[len("custom:"):].split(",")[n - 1])
     if spec == "fib":
         a, b = 1, 1
         for _ in range(n - 1):
@@ -359,3 +372,88 @@ class TestDiagonalOperatorsOracle:
             ]
         for name, image, degree, coeff in cases:
             assert image.coeffs == _scaled_monomial(F(coeff), degree), name
+
+    @pytest.mark.parametrize(
+        "spec", BUILTIN_SPECS + (CUSTOM_SPEC,), ids=[*BUILTIN_SPECS, "custom"]
+    )
+    @given(f=polynomials(max_degree=20))
+    def test_polynomial_images(self, spec, f):
+        ctx = parse_psi_spec(spec)
+        cs = f.coeffs
+        w = lambda k: _definition_factor(spec, k)
+        w_factorial = lambda n: math.prod((w(k) for k in range(1, n + 1)), start=F(1))
+        lowered = lambda w: [c * w(k) for k, c in enumerate(cs) if k]
+        raised = lambda w: [0] + [c * w(n + 1) for n, c in enumerate(cs)]
+        cases = [
+            ("psi_derivative", psi_derivative(ctx, f), lowered(w)),
+            ("x_hat_psi", x_hat_psi(ctx, f), raised(lambda k: k / w(k))),
+            ("psi_antiderivative", psi_antiderivative(ctx, f), raised(lambda k: 1 / w(k))),
+            ("umbral_tilde", umbral_tilde(ctx, f),
+             [c * math.factorial(n) / w_factorial(n) for n, c in enumerate(cs)]),
+            ("derivative", f.derivative(), lowered(lambda k: k)),
+            ("antiderivative", f.antiderivative(), raised(lambda k: F(1, k))),
+        ]
+        if spec in BUILTIN_SPECS and spec != "fib":
+            q = _gauss_q(spec)
+            cases += [
+                ("q_derivative", q_derivative(f, q), cases[0][2]),
+                ("jackson_antiderivative", jackson_antiderivative(f, q), cases[2][2]),
+            ]
+        for name, image, coeffs in cases:
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            assert image.coeffs == tuple(map(F, coeffs)), name
+
+    @pytest.mark.parametrize("op", [psi_derivative, psi_antiderivative, x_hat_psi, umbral_tilde])
+    def test_zero_factor_error_is_unchanged(self, op):
+        ctx = parse_psi_spec("custom:1,0,2")
+        with pytest.raises(AdmissibilityError) as exc:
+            op(ctx, X**3)
+        assert str(exc.value) == "custom:1,0,2: 2_psi = 0"
+        with pytest.raises(AdmissibilityError):
+            op(ctx, X**3)  # raised again, not hidden by the rows kept so far
+        assert psi_derivative(ctx, X) == Polynomial.constant(1)
+        assert x_hat_psi(ctx, Polynomial.constant(1)) == X
+
+    @pytest.mark.parametrize("op", [psi_derivative, psi_antiderivative, x_hat_psi, umbral_tilde])
+    def test_missing_factor_error_is_unchanged(self, op):
+        ctx = parse_psi_spec("custom:1,2")
+        with pytest.raises(DomainError) as exc:
+            op(ctx, X**5)
+        assert str(exc.value) == "custom sequence has 2 factors, index 3 requested"
+        assert psi_derivative(ctx, X**2) == 2 * X
+
+
+class TestSharedContextRows:
+    def test_threads_growing_one_context(self):
+        degrees = range(65)
+
+        def images(ctx, order):
+            xs = {n: Polynomial.monomial(n) for n in order}
+            return {n: (x_hat_psi(ctx, xn), psi_derivative(ctx, xn)) for n, xn in xs.items()}
+
+        reference = images(parse_psi_spec("q:3/2"), degrees)
+        shared = parse_psi_spec("q:3/2")
+        results, errors = {}, []
+
+        def worker(seed):
+            order = list(degrees)
+            random.Random(seed).shuffle(order)
+            try:
+                results[seed] = images(shared, order)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(results[seed] == reference for seed in range(8))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from psicalc import ParseError, Polynomial, parse_poly
+from psicalc.parsing import MAX_NESTING
 
 X = Polynomial.x()
 
@@ -42,6 +43,16 @@ class TestGrammar:
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError):
             parse_poly("(x + 1")
+
+    def test_nesting_up_to_the_bound(self):
+        depth = MAX_NESTING
+        assert parse_poly("(" * depth + "x + 1" + ")" * depth) == X + 1
+
+    def test_nesting_beyond_the_bound(self):
+        depth = 2000
+        with pytest.raises(ParseError) as exc:
+            parse_poly("(" * depth + "x" + ")" * depth)
+        assert exc.value.position == MAX_NESTING
 
 
 def random_polynomial(rng):

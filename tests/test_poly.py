@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
-from psicalc import Polynomial
+from psicalc import AdmissibleSequence, HahnParams, Polynomial, parse_psi_spec, psi_exp
 
 X = Polynomial.x()
 
@@ -100,6 +100,11 @@ class TestStructure:
         lambda: X / 0.5,
         lambda: X.compose_affine(0.5, 1),
         lambda: X(0.5),
+        lambda: HahnParams(0.1, 0),
+        lambda: HahnParams(F(1, 2), 0.25),
+        lambda: AdmissibleSequence.gauss_q(0.1),
+        lambda: AdmissibleSequence.custom([1, 0.5]),
+        lambda: psi_exp(parse_psi_spec("classical"), 0.1, 1),
     ])
     def test_floats_are_refused(self, make):
         with pytest.raises(TypeError):
