@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import RangeError
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, _rational
 
 Table = tuple[Fraction, ...]
 
@@ -30,7 +30,7 @@ class LatticeFunction:
             raise ValueError("exactly one of polynomial/table must be given")
         self.polynomial: Optional[Polynomial] = polynomial
         self.table: Optional[Table] = (
-            None if table is None else tuple(Fraction(v) for v in table)
+            None if table is None else tuple(Fraction(_rational(v)) for v in table)
         )
         self.start = start
 
@@ -110,9 +110,9 @@ def falling_factorial_poly(k: int) -> Polynomial:
 
 
 def falling_factorial_value(x: Scalar, k: int) -> Fraction:
-    """x(x-1)...(x-k+1) evaluated directly."""
+    """x(x-1)...(x-k+1) evaluated directly, for rational x."""
     acc = Fraction(1)
-    x = Fraction(x)
+    x = _rational(x)
     for j in range(k):
         acc *= x - j
     return acc
@@ -120,13 +120,13 @@ def falling_factorial_value(x: Scalar, k: int) -> Fraction:
 
 def iterated_sum(f: LatticeFunction, k: int, x: int) -> Fraction:
     """The k-fold definite sum via the closed kernel:
-    sum over r < x of (x-r-1)^(falling k-1)/(k-1)! f(r)."""
+    sum over r < x of (x-r-1)^(falling k-1)/(k-1)! f(r), whose weight is
+    the binomial C(x-r-1, k-1)."""
     if k < 1:
         raise RangeError(f"iterated sum depth must be >= 1, got {k}")
-    kfac = math.factorial(k - 1)
     acc = Fraction(0)
     for r in range(x):
-        acc += falling_factorial_value(x - r - 1, k - 1) / kfac * f(r)
+        acc += math.comb(x - r - 1, k - 1) * f(r)
     return acc
 
 
@@ -211,21 +211,14 @@ def bernoulli_maclaurin(
     terms = []
     dk = f
     for k in range(n + 1):
-        value = (
-            falling_factorial_value(alpha, k)
-            / math.factorial(k)
-            * Fraction(-1) ** (k + flip)
-            * dk(alpha)
-        )
-        terms.append(value)
+        terms.append((-1) ** (k + flip) * math.comb(alpha, k) * dk(alpha))
         dk = backward_nabla(dk)
 
     # dk is now nabla^(n+1) f
-    nfac = math.factorial(n)
     remainder = Fraction(0)
     for r in range(alpha):
-        remainder += falling_factorial_value(r, n) / nfac * dk(r + 1)
-    remainder *= Fraction(-1) ** (n + 1 - flip)
+        remainder += math.comb(r, n) * dk(r + 1)
+    remainder *= (-1) ** (n + 1 - flip)
 
     total = sum(terms, Fraction(0)) + remainder
     target = f(0)

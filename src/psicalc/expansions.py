@@ -25,7 +25,7 @@ from .operators import (
     psi_derivative,
     x_hat_psi,
 )
-from .poly import Polynomial, Scalar
+from .poly import Polynomial, Scalar, _rational
 from .sequences import PsiContext
 
 
@@ -51,7 +51,7 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
     polynomial integral of (x-t)^n f^(n+1)(t)/n! from alpha to x."""
     if n < 0:
         raise ValueError("expansion order must be nonnegative")
-    alpha = Fraction(alpha)
+    alpha = Fraction(_rational(alpha))
     shifted = Polynomial([-alpha, 1])  # x - alpha
 
     terms = []
@@ -99,7 +99,7 @@ def psi_bernoulli_taylor(
     """
     if n < 0:
         raise ValueError("expansion order must be nonnegative")
-    alpha, x_eval = Fraction(alpha), Fraction(x_eval)
+    alpha, x_eval = Fraction(_rational(alpha)), Fraction(_rational(x_eval))
     phi = f.compose_affine(1, x_eval)  # phi(w) = f(x_eval + w)
     w0 = alpha - x_eval
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .errors import DomainError
 from .poly import Polynomial, Scalar, _rational
 from .sequences import AdmissibleSequence, PsiContext
 
@@ -133,7 +134,7 @@ class GhwPair:
 
 def derivative_pair(y: Scalar = 0) -> GhwPair:
     """The classical pair: d/dx with multiplication by (x - y)."""
-    y = Fraction(y)
+    y = _rational(y)
     x = Polynomial.x()
     return GhwPair(
         name=f"D, x-({y})",
@@ -261,36 +262,51 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     order n <= max_n.
 
     Both sides are scaled by n! so integer-coefficient pairs never leave
-    the integers: with T_k = (-q)^k p^k f and S_n = sum_k (n!/k!) T_k
-    (built by S_n = n S_(n-1) + T_n), the identity reads
-    p S_n = (-q)^n p^(n+1) f, and the next term is one raiser application
-    away from the right side just computed: T_(n+1) = -q rhs_n.
+    the integers: with T(m, k) = (-q)^k p^k x^m and S_n = sum_k (n!/k!)
+    T(m, k) (built by S_n = n S_(n-1) + T(m, n)), the identity reads
+    p S_n = (-q)^n p^(n+1) x^m.
+
+    The right side comes from earlier terms by linearity: with
+    p x^m = sum_j c_j x^j (j <= m, since p lowers the degree),
+    rhs(m, n) = sum_j c_j T(j, n), and the next term is one raiser
+    application away from it: T(m, n+1) = -q rhs(m, n).  So each case
+    costs one lower and at most one raiser call.  The cases run order by
+    order, so only the column T(., n) is kept; it is complete before any
+    rhs(m, n) needs it, which covers c_m != 0 as well.  The report is
+    that of the (m, n) order: its first counterexample and the cases up
+    to it.  A lower operator that raises the degree of some x^m is a
+    DomainError.
     """
-    failures = []
-    cases = 0
-    for m in range(max_m + 1):
-        if failures:
-            break
-        powers = [Polynomial.monomial(m)]  # p^k x^m
-        for _ in range(max_n + 2):
-            powers.append(pair.lower(powers[-1]))
-        partial = Polynomial()  # S_(n-1)
-        term = powers[0]  # T_n
-        for n in range(max_n + 1):
-            partial = partial * n + term
-            lhs = pair.lower(partial)
-            rhs = powers[n + 1]
-            for _ in range(n):
-                rhs = pair.raiser(rhs)
-            rhs = rhs * Fraction((-1) ** n)
-            cases += 1
+    terms = [Polynomial.monomial(m) for m in range(max_m + 1)]  # T(m, n)
+    parts = []  # p x^m as [(c_j, j)]
+    for m, xm in enumerate(terms):
+        image = pair.lower(xm)
+        if image.degree > m:
+            raise DomainError(
+                f"pair {pair.name}: the lower operator maps x^{m} to degree "
+                f"{image.degree}; it must not raise the degree"
+            )
+        parts.append([(c, j) for j, c in enumerate(image.coeffs) if c])
+    partials = [Polynomial()] * (max_m + 1)  # S_(n-1) for each x^m
+    first = None  # the counterexample first in (m, n) order so far
+    top = max_m  # only a counterexample below x^(top+1) can come before it
+    for n in range(max_n + 1):
+        rhss = []
+        for m in range(top + 1):
+            partials[m] = partials[m] * n + terms[m]
+            lhs = pair.lower(partials[m])
+            rhs = sum([terms[j] * c for c, j in parts[m]], Polynomial())
             if lhs != rhs:
-                failures.append((f"m={m}, n={n}", lhs, rhs))
+                first, top = (m, n, lhs, rhs), m - 1
                 break
-            term = -pair.raiser(rhs)
-    return _report(
-        "bernoulli", f"pair={pair.name}, m<={max_m}, n<={max_n}", cases, failures
-    )
+            rhss.append(rhs)
+        if n < max_n:
+            terms = [-pair.raiser(rhs) for rhs in rhss]
+    params = f"pair={pair.name}, m<={max_m}, n<={max_n}"
+    if first is None:
+        return _report("bernoulli", params, (max_m + 1) * (max_n + 1), [])
+    m, n, lhs, rhs = first
+    return _report("bernoulli", params, m * (max_n + 1) + n + 1, [(f"m={m}, n={n}", lhs, rhs)])
 
 
 def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> VerificationReport:
@@ -304,7 +320,7 @@ def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Verificatio
 
 def verify_exp_addition(ctx: PsiContext, alpha: Scalar, beta: Scalar, N: int) -> VerificationReport:
     """exp(a x) * (psi-exp of b) agrees with the psi-exp of a+b up to degree N."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = Fraction(_rational(alpha)), Fraction(_rational(beta))
     lhs = star_psi(ctx, exp_poly(alpha, N), psi_exp(ctx, beta, N)).truncate(N)
     rhs = psi_exp(ctx, alpha + beta, N)
     failures = [] if lhs == rhs else [(f"alpha={alpha}, beta={beta}, N={N}", lhs, rhs)]
@@ -317,7 +333,7 @@ def verify_per_partes(
     ctx: PsiContext, f: Polynomial, g: Polynomial, a: Scalar, b: Scalar
 ) -> VerificationReport:
     """Integration by parts for the psi-integral and star product."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = Fraction(_rational(a)), Fraction(_rational(b))
     lhs = psi_definite_integral(ctx, star_psi(ctx, f, psi_derivative(ctx, g)), a, b)
     boundary = star_psi(ctx, f, g)
     rhs = (boundary(b) - boundary(a)) - psi_definite_integral(

@@ -99,14 +99,24 @@ class TestIteratedSum:
         assert iterated_sum(f, 2, 3) == 3
 
     def test_composition_oracle(self):
-        # brute-force k-fold composition of definite_sum
-        for poly in (X, X**2 - X, 2 * X**3 + F(1, 2) * X, Polynomial.constant(1)):
-            f = lat(poly)
-            values = {x: f(x) for x in range(13)}
-            for k in range(1, 5):
-                values = {x: sum((values[r] for r in range(x)), F(0)) for x in range(13)}
-                for x in range(13):
-                    assert iterated_sum(f, k, x) == values[x]
+        # k nested definite_sum calls, each level tabulated on 0..16;
+        # no closed form is involved
+        tables = [LatticeFunction.from_table([F(v, 3) for v in range(-7, 10)])]
+        polys = (X, X**2 - X, 2 * X**3 + F(1, 2) * X, Polynomial.constant(1))
+        for f in [lat(p) for p in polys] + tables:
+            level = f
+            for k in range(1, 9):
+                level = LatticeFunction.from_table([definite_sum(level, x) for x in range(17)])
+                for x in range(17):
+                    assert iterated_sum(f, k, x) == level(x)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_short_table_range_error(self, k):
+        # f(3) lies outside the table; it is read even where the kernel
+        # weight C(x-r-1, k-1) is zero, as it is for every r when k = 5
+        t = LatticeFunction.from_table([1, 2, 3])
+        with pytest.raises(RangeError):
+            iterated_sum(t, k, 4)
 
 
 class TestFallingFactorial:

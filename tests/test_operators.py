@@ -236,6 +236,78 @@ class TestBernoulliIdentity:
         assert bernoulli_identity_sweep(delta_pair(), 10, 6).passed
 
 
+def _realisations():
+    """The nine built-in realisations and (D + 1, x), a valid pair whose
+    lower image of x^m keeps x^m."""
+    pairs = [derivative_pair(y) for y in (0, 1, -2)] + [delta_pair()]
+    pairs += [psi_pair(parse_psi_spec(s)) for s in ("classical", "q:2", "q:1/2", "q:3/2", "fib")]
+    return pairs + [GhwPair("D+1, x", lambda f: f.derivative() + f, lambda f: X * f)]
+
+
+# Pairs that break the identity at one degree only; the expected reports
+# are those of the sweep that rebuilt (-q)^n p^(n+1) x^m from scratch.
+BROKEN_PAIRS = [
+    (
+        GhwPair("D, bad x", lambda f: f.derivative(),
+                lambda f: X * f + (X**6 if f.degree == 5 else 0)),
+        "bernoulli [pair=D, bad x, m<=10, n<=6] cases=44 FAIL\n"
+        "  at m=6, n=1: lhs=-36*x^5 rhs=-30*x^5",
+    ),
+    (
+        GhwPair("bad D, x", lambda f: f.derivative() + (1 if f.degree == 4 else 0),
+                lambda f: X * f),
+        "bernoulli [pair=bad D, x, m<=10, n<=6] cases=31 FAIL\n"
+        "  at m=4, n=2: lhs=24*x^3 - 1 rhs=24*x^3",
+    ),
+]
+
+
+class TestBernoulliSweep:
+    """The tabulated sweep against the direct operator composition of
+    verify_bernoulli_identity, which shares no table with it."""
+
+    @pytest.mark.parametrize(
+        "pair", _realisations() + [p for p, _ in BROKEN_PAIRS], ids=lambda p: p.name
+    )
+    def test_agrees_with_direct_verifier(self, pair):
+        M, N = 7, 4
+        direct = [
+            (m, n)
+            for m in range(M + 1)
+            for n in range(N + 1)
+            if not verify_bernoulli_identity(pair, n, X**m).passed
+        ]
+        assert bernoulli_identity_sweep(pair, M, N).passed == (not direct)
+
+    @pytest.mark.parametrize("pair, text", BROKEN_PAIRS, ids=["bad-raiser", "bad-lower"])
+    def test_first_counterexample_text(self, pair, text):
+        assert str(bernoulli_identity_sweep(pair, 10, 6)) == text
+
+    def test_degree_raising_lower_is_a_domain_error(self):
+        pair = GhwPair("x, D", lambda f: X * f, lambda f: f.derivative())
+        with pytest.raises(DomainError, match=r"x, D.*x\^0"):
+            bernoulli_identity_sweep(pair, 3, 2)
+
+    @pytest.mark.parametrize("pair", [derivative_pair(1), delta_pair(), psi_pair(FIB)],
+                             ids=lambda p: p.name)
+    def test_call_counts(self, pair):
+        calls = {"lower": 0, "raiser": 0}
+
+        def counted(name, op):
+            def wrapper(f):
+                calls[name] += 1
+                return op(f)
+            return wrapper
+
+        counting = GhwPair(pair.name, counted("lower", pair.lower), counted("raiser", pair.raiser))
+        M, N = 9, 5
+        assert bernoulli_identity_sweep(counting, M, N).passed
+        # one lower call per case plus one for p x^m; one raiser call per
+        # case except the last order of each monomial, whose T(m, N+1) no
+        # case reads
+        assert calls == {"lower": (M + 1) * (N + 2), "raiser": (M + 1) * N}
+
+
 class TestLeibniz:
     @given(polynomials(max_degree=5), polynomials(max_degree=5))
     def test_classical(self, f, g):

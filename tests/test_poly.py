@@ -5,7 +5,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
-from psicalc import AdmissibleSequence, HahnParams, Polynomial, parse_psi_spec, psi_exp
+from psicalc import (
+    AdmissibleSequence,
+    HahnParams,
+    LatticeFunction,
+    Polynomial,
+    derivative_pair,
+    falling_factorial_value,
+    parse_psi_spec,
+    psi_bernoulli_taylor,
+    psi_exp,
+    taylor_classical,
+    verify_exp_addition,
+    verify_per_partes,
+)
 
 X = Polynomial.x()
 
@@ -105,6 +118,16 @@ class TestStructure:
         lambda: AdmissibleSequence.gauss_q(0.1),
         lambda: AdmissibleSequence.custom([1, 0.5]),
         lambda: psi_exp(parse_psi_spec("classical"), 0.1, 1),
+        lambda: derivative_pair(0.1),
+        lambda: taylor_classical(X, 0.1, 1),
+        lambda: psi_bernoulli_taylor(parse_psi_spec("fib"), X, 0.1, 0, 1),
+        lambda: psi_bernoulli_taylor(parse_psi_spec("fib"), X, 0, 0.5, 1),
+        lambda: verify_exp_addition(parse_psi_spec("fib"), 0.1, 0, 2),
+        lambda: verify_exp_addition(parse_psi_spec("fib"), 0, 0.5, 2),
+        lambda: verify_per_partes(parse_psi_spec("fib"), X, X, 0.5, 1),
+        lambda: verify_per_partes(parse_psi_spec("fib"), X, X, 0, 1.5),
+        lambda: falling_factorial_value(0.5, 2),
+        lambda: LatticeFunction.from_table([1, 0.1]),
     ])
     def test_floats_are_refused(self, make):
         with pytest.raises(TypeError):
