@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -90,6 +91,16 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psicalc",
@@ -123,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jackson.add_argument("--f", required=True)
     p_jackson.add_argument("--q", type=_rat, required=True)
     p_jackson.add_argument("--z", type=_rat, required=True)
-    p_jackson.add_argument("--tol", type=float, default=1e-13)
+    p_jackson.add_argument("--tol", type=_tol, default=1e-13)
     p_jackson.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table", help="psi-sequence tables")

@@ -10,6 +10,7 @@ range with an explicit start, so differencing can shift the range.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -121,13 +122,16 @@ def falling_factorial_value(x: Scalar, k: int) -> Fraction:
 def iterated_sum(f: LatticeFunction, k: int, x: int) -> Fraction:
     """The k-fold definite sum via the closed kernel:
     sum over r < x of (x-r-1)^(falling k-1)/(k-1)! f(r), whose weight is
-    the binomial C(x-r-1, k-1)."""
+    the binomial C(x-r-1, k-1).  A polynomial-backed f = P/den sums the
+    integers P(r); a table-backed one reads every f(r), r < x."""
     if k < 1:
         raise RangeError(f"iterated sum depth must be >= 1, got {k}")
-    acc = Fraction(0)
-    for r in range(x):
-        acc += math.comb(x - r - 1, k - 1) * f(r)
-    return acc
+    weights = [math.comb(x - r - 1, k - 1) for r in range(x)]
+    p = f.polynomial
+    if p is None:
+        return sum(map(operator.mul, weights, map(f, range(x))), Fraction(0))
+    # f = P / den with P integral: sum the integers P(r), one Fraction in all
+    return Fraction(sum(map(operator.mul, weights, p._numerator_values(range(x)))), p._den)
 
 
 @dataclass(frozen=True)
@@ -154,9 +158,13 @@ def newton_expansion(
         raise ValueError("expansion order must be nonnegative")
     terms = []
     dk = f
-    for k in range(n + 1):
-        terms.append(falling_factorial_poly(k) * (dk(0) / math.factorial(k)))
+    falling = Polynomial.constant(1)  # x^(falling k)
+    for k in range(min(n, f.polynomial.degree) + 1):
+        if k:
+            falling = falling * Polynomial([1 - k, 1])
+        terms.append(falling * (dk(0) / math.factorial(k)))
         dk = forward_difference(dk)
+    terms += [Polynomial()] * (n + 1 - len(terms))  # Delta^k f = 0 beyond deg f
     partial = sum(terms, Polynomial())
 
     # dk is now Delta^(n+1) f; the remainder is its (n+1)-fold sum

@@ -6,6 +6,13 @@ and the psi-deformed expansion, which is pointwise: all operators act in
 the coordinate w = t - x_eval, where the deformed commutation relation
 holds verbatim and the boundary terms vanish.
 
+Both are built in closed form.  The classical terms come from one Taylor
+shift g(u) = f(alpha + u), and the remainder from the shifted f^(n+1)
+and the Beta integral int_0^s (s-u)^n u^j du = s^(n+j+1) n! j!/(n+j+1)!:
+one integer weight pass and one shift back by -alpha.  Term k of the
+deformed expansion is one pass of the k-th x_hat power over the k-th
+psi-derivative, so an order-n expansion makes O(n) operator passes.
+
 Each expansion returns an ExpansionReport carrying both the constructed
 remainder and the independently forced one (f minus the partial sum);
 `exact` records their equality.
@@ -48,28 +55,35 @@ class ExpansionReport:
 
 def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
     """Taylor expansion about alpha to order n, remainder as the exact
-    polynomial integral of (x-t)^n f^(n+1)(t)/n! from alpha to x."""
+    polynomial integral of (x-t)^n f^(n+1)(t)/n! from alpha to x.
+
+    One Taylor shift g(u) = f(alpha + u) gives every term: its
+    coefficient k is f^(k)(alpha)/k!.  With x = alpha + s the remainder
+    is the integral of (s-u)^n h(u)/n! over 0 <= u <= s, h = g^(n+1) the
+    shifted f^(n+1), and the Beta integral
+    int_0^s (s-u)^n u^j du = s^(n+j+1) n! j!/(n+j+1)!
+    makes it one weight pass u^j -> j!/(n+j+1)! s^(n+j+1) on h, shifted
+    back by -alpha.
+    """
     if n < 0:
         raise ValueError("expansion order must be nonnegative")
     alpha = Fraction(_rational(alpha))
-    shifted = Polynomial([-alpha, 1])  # x - alpha
+    g = f.compose_affine(1, alpha)
+    step = Polynomial([-alpha, 1])  # x - alpha
 
     terms = []
-    fk = f
-    for k in range(n + 1):
-        terms.append(shifted**k * (fk(alpha) / math.factorial(k)))
-        fk = fk.derivative()
+    power = Polynomial.constant(1)  # (x - alpha)^k
+    for k in range(min(n, g.degree) + 1):
+        if k:
+            power = power * step
+        terms.append(power * g.coeff(k))
+    terms += [Polynomial()] * (n + 1 - len(terms))  # f^(k) = 0 beyond deg f
     partial = sum(terms, Polynomial())
 
-    # fk is now f^(n+1); expand the kernel (x-t)^n binomially in t and
-    # integrate each t-monomial exactly from alpha to x.
-    g = fk / math.factorial(n)
-    remainder = Polynomial()
-    for j in range(n + 1):
-        integrand = Polynomial.monomial(j) * g  # t^j g(t)
-        G = integrand.antiderivative()
-        inner = G - Polynomial.constant(G(alpha))  # G(x) - G(alpha)
-        remainder = remainder + Polynomial.monomial(n - j, math.comb(n, j) * Fraction(-1) ** j) * inner
+    h = g.derivative(n + 1)
+    beta = [math.perm(n + j + 1, n + 1) for j in range(h.degree + 1)]  # (n+j+1)!/j!
+    lcm = math.lcm(*beta)
+    remainder = h._diagonal([lcm // w for w in beta], lcm, n + 1).compose_affine(1, -alpha)
 
     oracle = f - partial
     return ExpansionReport(
@@ -103,23 +117,19 @@ def psi_bernoulli_taylor(
     phi = f.compose_affine(1, x_eval)  # phi(w) = f(x_eval + w)
     w0 = alpha - x_eval
 
-    terms = []
+    values = []
     dk = phi  # k-th psi-derivative of phi
-    for k in range(n + 1):
-        img = dk
-        for _ in range(k):
-            img = x_hat_psi(ctx, img)
-        value = Fraction(-1) ** k * img(w0) / math.factorial(k)
-        terms.append(Polynomial.constant(value))
+    for k in range(min(n, phi.degree) + 1):
+        values.append(x_hat_psi(ctx, dk, k)(w0) / ((-1) ** k * math.factorial(k)))
         dk = psi_derivative(ctx, dk)
+    values += [Fraction(0)] * (n + 1 - len(values))  # dk = 0 beyond deg f
 
     # dk is now the (n+1)-st psi-derivative of phi
-    img = dk
-    for _ in range(n):
-        img = x_hat_psi(ctx, img)
-    rem_value = Fraction(-1) ** n * psi_definite_integral(ctx, img, w0, 0) / math.factorial(n)
+    img = x_hat_psi(ctx, dk, n)
+    rem_value = psi_definite_integral(ctx, img, w0, 0) / ((-1) ** n * math.factorial(n))
 
-    partial = sum(terms, Polynomial())
+    terms = [Polynomial.constant(v) for v in values]
+    partial = Polynomial.constant(sum(values))
     remainder = Polynomial.constant(rem_value)
     oracle = f(x_eval) - partial
     return ExpansionReport(

@@ -64,7 +64,8 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     if p.q == 1:
         raise DomainError("the reduction's conjugating shift needs q != 1")
     s = p.h / (1 - p.q)
-    ctx = PsiContext(AdmissibleSequence.gauss_q(p.q))  # one n_q memo for all n
+    ctx = PsiContext(AdmissibleSequence.gauss_q(p.q))
+    ctx.rows(N)  # grown once to N_q, not one index per monomial
     failures = []
     for n in range(N + 1):
         xn = Polynomial.monomial(n)
@@ -109,8 +110,11 @@ def jackson_integral_numeric(
     dip of the integrand around a (multiple) root cannot end the sum.
 
     q and z are accepted exactly and converted to float once, recorded in
-    the result.  Raises ConvergenceError if the cap is hit first.
+    the result.  tail_tol must be finite and positive.  Raises
+    ConvergenceError if the cap is hit first.
     """
+    if not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise DomainError(f"tail tolerance must be finite and > 0, got {tail_tol}")
     q = Fraction(q)
     if not 0 < q < 1:
         raise DomainError(f"numeric Jackson integral needs 0 < q < 1, got {q}")

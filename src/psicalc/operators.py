@@ -15,12 +15,13 @@ a failed identity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DomainError
-from .poly import Polynomial, Scalar, _rational
+from .poly import Polynomial, Scalar, _perms, _rational
 from .sequences import AdmissibleSequence, PsiContext
 
 PolyOp = Callable[[Polynomial], Polynomial]
@@ -28,8 +29,11 @@ PolyOp = Callable[[Polynomial], Polynomial]
 
 # -- basic operators ------------------------------------------------------
 
-def psi_derivative(ctx: PsiContext, f: Polynomial) -> Polynomial:
-    """x^n -> n_psi x^(n-1), extended linearly; constants map to 0."""
+def psi_derivative(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial:
+    """x^n -> n_psi x^(n-1), extended linearly; constants map to 0.  The
+    k-th power is one pass too: x^n -> (n_psi!/(n-k)_psi!) x^(n-k)."""
+    if k != 1:
+        return _psi_power(ctx, f, k, raising=False)
     n = max(f.degree, 0)
     rows = ctx.rows(n)
     lcm = rows.den_lcm[n - 1] if n else 1
@@ -38,23 +42,65 @@ def psi_derivative(ctx: PsiContext, f: Polynomial) -> Polynomial:
     return f._diagonal([a * (lcm // b) for a, b in zip(rows.num[:n], rows.den)], lcm, -1)
 
 
-def x_hat_psi(ctx: PsiContext, f: Polynomial) -> Polynomial:
+def x_hat_psi(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial:
     """x^n -> ((n+1)/(n+1)_psi) x^(n+1); images have zero constant term.
     With k_psi = a/b the weight of x^(k-1) is k b / a, over the lcm of
-    the a's."""
+    the a's.  The k-th power is one pass too:
+    x^n -> ((n+k)!/n!) (n_psi!/(n+k)_psi!) x^(n+k)."""
+    if k != 1:
+        return _psi_power(ctx, f, k, raising=True, falling=True)
     n = f.degree + 1
     rows = ctx.rows(n)
     lcm = rows.num_lcm[n - 1] if n else 1
-    ws = [k * b * (lcm // a) for k, a, b in zip(range(1, n + 1), rows.num, rows.den)]
+    ws = [i * b * (lcm // a) for i, a, b in zip(range(1, n + 1), rows.num, rows.den)]
     return f._diagonal(ws, lcm, 1)
 
 
-def psi_antiderivative(ctx: PsiContext, f: Polynomial) -> Polynomial:
-    """x^n -> x^(n+1)/(n+1)_psi; the right inverse of the psi-derivative."""
+def psi_antiderivative(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial:
+    """x^n -> x^(n+1)/(n+1)_psi; the right inverse of the psi-derivative.
+    The k-th power is one pass too: x^n -> (n_psi!/(n+k)_psi!) x^(n+k)."""
+    if k != 1:
+        return _psi_power(ctx, f, k, raising=True)
     n = f.degree + 1
     rows = ctx.rows(n)
     lcm = rows.num_lcm[n - 1] if n else 1
     return f._diagonal([b * (lcm // a) for a, b in zip(rows.num[:n], rows.den)], lcm, 1)
+
+
+def _psi_power(
+    ctx: PsiContext, f: Polynomial, k: int, raising: bool, falling: bool = False
+) -> Polynomial:
+    """The k-th power of the psi-derivative (raising=False), of the
+    psi-antiderivative, or of x_hat (falling=True) in one integer pass.
+
+    The run r_m = (m+1)_psi ... (m+k)_psi = (m+k)_psi!/m_psi! is a
+    quotient of the prefix-product rows; the derivative power maps
+    x^(m+k) -> r_m x^m, the antiderivative power x^m -> x^(m+k) / r_m,
+    and the x_hat power that times (m+k)!/m!.  The rows are grown to the
+    top index the k single steps would reach, so a bad factor raises the
+    same error.  A single step (k = 1) reads the per-index rows and their
+    cached lcms instead: no quotient and no lcm per call.
+    """
+    if k < 0:
+        raise ValueError("operator power must be nonnegative")
+    d = f.degree
+    if not k or (raising and d < 0):
+        return f
+    if not raising and d < k:
+        ctx.rows(max(d, 0))
+        return Polynomial()
+    count = d + 1 if raising else d - k + 1
+    rows = ctx.rows(count + k - 1)
+    a, b = rows.num_prod, rows.den_prod
+    num = [a[m + k] // a[m] for m in range(count)]
+    den = [b[m + k] // b[m] for m in range(count)]
+    if raising:
+        num, den = den, num
+    lcm = math.lcm(*den)
+    ws = num if lcm == 1 else [x * (lcm // y) for x, y in zip(num, den)]
+    if falling:
+        ws = map(operator.mul, ws, _perms(count + k, k))
+    return f._diagonal(ws, lcm, k if raising else -k)
 
 
 def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) -> Fraction:
@@ -87,20 +133,12 @@ def psi_power(ctx: PsiContext, n: int) -> Polynomial:
 
 def umbral_tilde(ctx: PsiContext, g: Polynomial) -> Polynomial:
     """The umbral map g -> g(x_hat) 1: scales the x^n coefficient by n!/n_psi!.
-    With k_psi = a_k/b_k and d the degree, that is n! b_1...b_n a_(n+1)...a_d
-    over a_1...a_d."""
-    d = g.degree
+    With n_psi! = A_n / B_n from the prefix-product rows and d the degree,
+    that is n! B_n (A_d / A_n) over A_d."""
+    d = max(g.degree, 0)
     rows = ctx.rows(d)
-    ws, top = [1], 1  # top = n! b_1...b_n
-    for n, b in zip(range(1, d + 1), rows.den):
-        top *= n * b
-        ws.append(top)
-    den = 1  # a_(n+1)...a_d
-    for n in range(d, 0, -1):
-        ws[n] *= den
-        den *= rows.num[n - 1]
-    ws[0] = den
-    return g._diagonal(ws, den, 0)
+    a, b = rows.num_prod, rows.den_prod
+    return g._diagonal([math.factorial(n) * b[n] * (a[d] // a[n]) for n in range(d + 1)], a[d], 0)
 
 
 def psi_exp(ctx: PsiContext, alpha: Scalar, N: int) -> Polynomial:
@@ -217,21 +255,14 @@ def verify_commutator(pair: GhwPair, N: int) -> VerificationReport:
 def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationReport:
     """Sum_k a^k (1 - ab) b^k f = f - a^(n+1) b^(n+1) f, with a the
     psi-antiderivative and b the psi-derivative."""
-    a = lambda g: psi_antiderivative(ctx, g)
-    b = lambda g: psi_derivative(ctx, g)
     lhs = Polynomial()
     bk = f  # b^k f
     for k in range(n + 1):
-        inner = bk - a(b(bk))
-        for _ in range(k):
-            inner = a(inner)
-        lhs = lhs + inner
-        bk = b(bk)
+        nxt = psi_derivative(ctx, bk)
+        lhs = lhs + psi_antiderivative(ctx, bk - psi_antiderivative(ctx, nxt), k)
+        bk = nxt
     # bk is now b^(n+1) f
-    tail = bk
-    for _ in range(n + 1):
-        tail = a(tail)
-    rhs = f - tail
+    rhs = f - psi_antiderivative(ctx, bk, n + 1)
     failures = [] if lhs == rhs else [(f"n={n}, f={f}", lhs, rhs)]
     return _report("telescoping", f"psi={ctx.label}, n={n}", 1, failures)
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import repeat
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -50,7 +51,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: Scalar) -> "Polynomial":
-        return cls([c])
+        c = _rational(c)
+        return _canonical([c.numerator], c.denominator)
 
     @classmethod
     def monomial(cls, n: int, c: Scalar = 1) -> "Polynomial":
@@ -185,11 +187,21 @@ class Polynomial:
             acc, qk = acc * p + c * qk, qk * q
         return Fraction(acc * q, self._den * qk)  # acc / (den q^d); qk = q^(d+1)
 
+    def _numerator_values(self, points: Iterable[int]) -> list[int]:
+        """den * f(r) at each integer r, by Horner on the numerators."""
+        coeffs, out = self._num[::-1], []
+        for r in points:
+            acc = 0
+            for c in coeffs:
+                acc = acc * r + c
+            out.append(acc)
+        return out
+
     def derivative(self, k: int = 1) -> "Polynomial":
-        f = self
-        for _ in range(k):
-            f = f._diagonal(range(1, len(f._num)), 1, -1)  # x^n -> n x^(n-1)
-        return f
+        """The k-th derivative in one pass: x^n -> n!/(n-k)! x^(n-k)."""
+        if k < 0:
+            raise ValueError("derivative order must be nonnegative")
+        return self._diagonal(_perms(len(self._num), k), 1, -k)
 
     def antiderivative(self) -> "Polynomial":
         """Classical antiderivative with zero constant term."""
@@ -197,20 +209,20 @@ class Polynomial:
         lcm = math.lcm(*range(1, n + 1))
         return self._diagonal([lcm // k for k in range(1, n + 1)], lcm, 1)
 
-    def _diagonal(self, weights: Sequence[int], den: int, step: int) -> "Polynomial":
-        """x^n -> (w / den) x^(n+step), extended linearly, for step in
-        {-1, 0, 1}; constants vanish when step = -1.  w is weights[i] for
-        the i-th coefficient kept: that of x^(i+1) when step = -1 and of
-        x^i otherwise.  The weights are ints over the one nonzero int den
-        and must cover every kept coefficient; extra ones are ignored.
-        Every derivative, antiderivative, x_hat and umbral scaling of the
-        calculus is one of these: one integer product per coefficient and
-        one gcd in all.
+    def _diagonal(self, weights: Iterable[int], den: int, step: int) -> "Polynomial":
+        """x^n -> (w / den) x^(n+step), extended linearly, for any int
+        step; the terms below x^(-step) vanish when step < 0.  w is the
+        i-th weight for the i-th coefficient kept: that of x^(i-step) when
+        step < 0 and of x^i otherwise.  The weights are ints over the one
+        nonzero int den and must cover every kept coefficient; extra ones
+        are ignored.  Every derivative, antiderivative, x_hat and umbral
+        scaling of the calculus, and every power of one, is one of these:
+        one integer product per coefficient and one gcd in all.
         """
-        num = self._num[1:] if step < 0 else self._num
+        num = self._num[-step:] if step < 0 else self._num
         out = list(map(operator.mul, num, weights))
         if step > 0:
-            out.insert(0, 0)
+            out[:0] = [0] * step
         return _canonical(out, self._den * den)
 
     def compose_affine(self, q: Scalar, h: Scalar) -> "Polynomial":
@@ -259,6 +271,11 @@ def _canonical(num: list[int], den: int) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p._set(num, den)
     return p
+
+
+def _perms(stop: int, k: int) -> Iterable[int]:
+    """The falling factorials i!/(i-k)! for k <= i < stop."""
+    return range(1, stop) if k == 1 else map(math.perm, range(k, stop), repeat(k))
 
 
 def _rational(v: Scalar) -> Scalar:

@@ -101,12 +101,17 @@ class AdmissibleSequence:
 class PsiRows(NamedTuple):
     """1_psi ... m_psi as integers: k_psi = num[k-1] / den[k-1] in lowest
     terms with den[k-1] > 0, num_lcm[k-1] = lcm(|num[0]|, ..., |num[k-1]|)
-    and den_lcm[k-1] = lcm(den[0], ..., den[k-1])."""
+    and den_lcm[k-1] = lcm(den[0], ..., den[k-1]).  The prefix products
+    num_prod[k] = num[0] ... num[k-1] and den_prod[k] (1 at k = 0) give
+    k_psi! = num_prod[k] / den_prod[k], and a run of factors as one quotient:
+    (m+k)_psi! / m_psi! = (num_prod[m+k] // num_prod[m]) / (den_prod[m+k] // den_prod[m])."""
 
     num: tuple[int, ...]
     den: tuple[int, ...]
     num_lcm: tuple[int, ...]
     den_lcm: tuple[int, ...]
+    num_prod: tuple[int, ...]
+    den_prod: tuple[int, ...]
 
 
 class PsiContext:
@@ -116,7 +121,7 @@ class PsiContext:
     Memo growth is guarded by a lock so contexts can be shared between
     threads; all returned values are immutable.  The rows are one
     immutable `PsiRows` snapshot, replaced whole under the lock when it
-    grows, so a reader never sees a half-grown row; they take O(m) space
+    grows, so a reader never sees a half-grown row; they hold O(m) ints
     for the largest index m asked for.
     """
 
@@ -124,7 +129,7 @@ class PsiContext:
         self.sequence = sequence
         self._factors: dict[int, Fraction] = {}
         self._factorials: dict[int, Fraction] = {0: Fraction(1)}
-        self._rows = PsiRows((), (), (), ())
+        self._rows = PsiRows((), (), (), (), (1,), (1,))
         self._lock = threading.Lock()
 
     @property
@@ -152,7 +157,7 @@ class PsiContext:
         rows = self._rows
         if len(rows.num) >= n:
             return rows
-        num, den, num_lcm, den_lcm = map(list, rows)
+        num, den, num_lcm, den_lcm, num_prod, den_prod = map(list, rows)
         a, b = (num_lcm[-1], den_lcm[-1]) if num else (1, 1)
         try:
             for k in range(len(num) + 1, n + 1):
@@ -162,8 +167,10 @@ class PsiContext:
                 den.append(v.denominator)
                 num_lcm.append(a)
                 den_lcm.append(b)
+                num_prod.append(num_prod[-1] * v.numerator)
+                den_prod.append(den_prod[-1] * v.denominator)
         finally:
-            rows = PsiRows(tuple(num), tuple(den), tuple(num_lcm), tuple(den_lcm))
+            rows = PsiRows(*map(tuple, (num, den, num_lcm, den_lcm, num_prod, den_prod)))
             with self._lock:
                 if len(rows.num) > len(self._rows.num):
                     self._rows = rows

@@ -117,6 +117,12 @@ class TestJackson:
         code, _, _ = run(capsys, "jackson", "--f", "x", "--q", "2", "--z", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "0", "nan", "-1", "1e-400"])
+    def test_tolerance_rejected_when_parsed(self, capsys, tol):
+        code, out, err = run(capsys, "jackson", "--f", "x", "--q", "1/2", "--z", "1", "--tol", tol)
+        assert code == 2
+        assert out == "" and "argument --tol" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--z", "1" + "0" * 400),
         ("--f", "10^400*x"),

@@ -110,6 +110,15 @@ class TestIteratedSum:
                 for x in range(17):
                     assert iterated_sum(f, k, x) == level(x)
 
+    @given(polynomials(max_degree=8))
+    def test_polynomial_and_table_backings_agree(self, p):
+        # the integer kernel of a polynomial-backed function against the
+        # Fraction sum over the same values in a table
+        table = LatticeFunction.from_table([p(r) for r in range(21)])
+        for k in range(1, 9):
+            for x in range(21):
+                assert iterated_sum(lat(p), k, x) == iterated_sum(table, k, x)
+
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_short_table_range_error(self, k):
         # f(3) lies outside the table; it is read even where the kernel

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -107,6 +108,45 @@ class TestPsiBernoulliTaylor:
         r = psi_bernoulli_taylor(FIB, f, 1, 4, 9)
         assert r.cauchy_remainder == Polynomial.zero()
         assert r.exact
+
+
+class TestPsiFreeClosedForm:
+    """x_hat^k D_psi^k = x^k D^k for every admissible psi, so term k of the
+    psi-expansion is (-1)^k sum_m phi_m C(m, k) w0^m, with phi(w) =
+    f(x_eval + w) expanded binomially and w0 = alpha - x_eval."""
+
+    @given(
+        st.sampled_from(["classical", "q:2", "q:1/2", "q:3/2", "fib", "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9"]),
+        polynomials(max_degree=6),
+        rationals,
+        rationals,
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_terms(self, spec, f, alpha, x_eval, n):
+        cs = f.coeffs
+        phi = [sum((c * math.comb(i, m) * x_eval ** (i - m) for i, c in enumerate(cs) if i >= m), F(0))
+               for m in range(len(cs))]
+        w0 = alpha - x_eval
+        want = [(-1) ** k * sum((p * math.comb(m, k) * w0**m for m, p in enumerate(phi)), F(0))
+                for k in range(n + 1)]
+        r = psi_bernoulli_taylor(parse_psi_spec(spec), f, alpha, x_eval, n)
+        assert all(t.degree <= 0 for t in r.terms)
+        assert [t.coeff(0) for t in r.terms] == want
+        assert r.exact
+
+
+class TestTaylorRemainderOracle:
+    @given(polynomials(max_degree=9), rationals, st.integers(min_value=0, max_value=11))
+    def test_kernel_integral_by_sympy(self, f, alpha, n):
+        sympy = pytest.importorskip("sympy")
+        x, t = sympy.symbols("x t")
+        rat = lambda c: sympy.Rational(c.numerator, c.denominator)
+        ft = sum((rat(c) * t**i for i, c in enumerate(f.coeffs)), sympy.Integer(0))
+        kernel = (x - t) ** n * sympy.diff(ft, t, n + 1)
+        want = sympy.expand(sympy.integrate(kernel, (t, rat(alpha), x)) / sympy.factorial(n))
+        got = sum((rat(c) * x**i for i, c in enumerate(taylor_classical(f, alpha, n).cauchy_remainder.coeffs)),
+                  sympy.Integer(0))
+        assert sympy.expand(got - want) == 0
 
 
 class TestOracleAndVerifier:

@@ -24,6 +24,7 @@ from psicalc import (
     verify_hahn_reduction,
     verify_jackson_inverse,
     LatticeFunction,
+    PsiContext,
 )
 
 X = Polynomial.x()
@@ -96,6 +97,19 @@ class TestHahnReduction:
         with pytest.raises(DomainError):
             verify_hahn_reduction(HahnParams(1, 1), 4)
 
+    def test_zero_q_integer_is_inadmissible(self):
+        assert verify_hahn_reduction(HahnParams(-1, 1), 1).passed
+        with pytest.raises(AdmissibilityError) as exc:
+            verify_hahn_reduction(HahnParams(-1, 1), 4)
+        assert str(exc.value) == "q:-1: 2_psi = 0"
+
+    def test_rows_grown_once_before_the_monomials(self, monkeypatch):
+        asked = []
+        rows = PsiContext.rows
+        monkeypatch.setattr(PsiContext, "rows", lambda ctx, n: asked.append(n) or rows(ctx, n))
+        assert verify_hahn_reduction(HahnParams(F(3, 2), 1), 12).passed
+        assert asked[0] == 12 and max(asked) == 12
+
 
 class TestJacksonExact:
     def test_classical(self):
@@ -131,6 +145,13 @@ class TestJacksonNumeric:
     def test_domain_check(self):
         with pytest.raises(DomainError):
             jackson_integral_numeric(lambda t: t, F(3, 2), 1, 1e-12)
+
+    @pytest.mark.parametrize("tol", [0, -1, 0.0, float("nan"), float("inf"), float("-inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        calls = []
+        with pytest.raises(DomainError, match="tolerance"):
+            jackson_integral_numeric(lambda t: calls.append(t) or t, F(1, 2), 1, tol, max_terms=10)
+        assert calls == []  # refused before any term is computed
 
     def test_cap_reached(self):
         with pytest.raises(ConvergenceError):

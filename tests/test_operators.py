@@ -529,3 +529,64 @@ class TestSharedContextRows:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert all(results[seed] == reference for seed in range(8))
+
+
+def _outcome(thunk):
+    """The value of thunk(), or the type and text of what it raised."""
+    try:
+        return thunk()
+    except (AdmissibilityError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _repeated(op, f, k):
+    for _ in range(k):
+        f = op(f)
+    return f
+
+
+class TestOperatorPowers:
+    """Each k-th power, made in one pass, against k single applications."""
+
+    @pytest.mark.parametrize(
+        "spec", BUILTIN_SPECS + (CUSTOM_SPEC,), ids=[*BUILTIN_SPECS, "custom"]
+    )
+    @given(f=polynomials(max_degree=12))
+    def test_power_is_k_single_steps(self, spec, f):
+        ctx = parse_psi_spec(spec)
+        powers = [
+            (op.__name__, lambda g, k, op=op: op(ctx, g, k))
+            for op in (psi_derivative, x_hat_psi, psi_antiderivative)
+        ] + [("derivative", Polynomial.derivative)]
+        for name, power in powers:
+            steps = f  # k single steps
+            for k in range(9):
+                assert power(f, k) == steps, (name, k)
+                steps = power(steps, 1)
+
+    @pytest.mark.parametrize("spec", ["custom:1,0,2", "custom:1,2", "custom:3/2,-1/2"])
+    @pytest.mark.parametrize("op", [psi_derivative, psi_antiderivative, x_hat_psi])
+    def test_errors_match_single_steps(self, spec, op):
+        # a zero factor, a missing one, and the last factor given: the
+        # power raises exactly when, and what, its first bad step raises
+        for f in (Polynomial(), Polynomial.constant(5), X, X**2 + 1, X**3, X**4):
+            for k in range(5):
+                power = _outcome(lambda: op(parse_psi_spec(spec), f, k))
+                steps = _outcome(lambda: _repeated(lambda g: op(parse_psi_spec(spec), g), f, k))
+                assert power == steps, (str(f), k)
+
+    @pytest.mark.parametrize("op", [psi_derivative, psi_antiderivative, x_hat_psi])
+    def test_negative_power_is_refused(self, op):
+        with pytest.raises(ValueError):
+            op(CLASSICAL, X**2, -1)
+        with pytest.raises(ValueError):
+            (X**2).derivative(-1)
+
+    def test_closed_forms_on_a_monomial(self):
+        # x^5 on fib (1, 1, 2, 3, 5, 8, 13): 5_psi!/3_psi! = 15, and
+        # x_hat^2 x^5 = (7!/5!) (5_psi!/7_psi!) x^7 = 42/104 x^7
+        assert psi_derivative(FIB, X**5, 2) == 15 * X**3
+        assert psi_antiderivative(FIB, X**5, 2) == X**7 / 104
+        assert x_hat_psi(FIB, X**5, 2) == F(42, 104) * X**7
+        assert (X**5).derivative(3) == 60 * X**2
+        assert (X**2).derivative(3) == Polynomial()
