@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -72,6 +71,8 @@ _CORPUS_SEED = 20260826
 
 def _corpus(max_degree: int, count: int = 6) -> list[Polynomial]:
     """Deterministic polynomial corpus with small rational coefficients."""
+    import random  # only verify needs it; kept off the start-up path
+
     rng = random.Random(_CORPUS_SEED)
     polys = []
     for _ in range(count):
@@ -405,6 +406,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # exact results are printed in full, past CPython's default limit on
+    # int-to-str conversion; the caller's limit is restored on the way out
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.command == "expand":
             return _run_expand(args)
@@ -425,6 +430,8 @@ def main(argv=None) -> int:
     except PsiCalcError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

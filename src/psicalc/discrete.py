@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .errors import RangeError
-from .poly import Polynomial, Scalar, _rational
+from .poly import Polynomial, _rational
+from .record import Record
 
-Table = tuple[Fraction, ...]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
+    from .poly import Scalar
+
+    Table = tuple[Fraction, ...]
 
 
 class LatticeFunction:
@@ -29,8 +34,8 @@ class LatticeFunction:
     def __init__(self, polynomial=None, table=None, start=0):
         if (polynomial is None) == (table is None):
             raise ValueError("exactly one of polynomial/table must be given")
-        self.polynomial: Optional[Polynomial] = polynomial
-        self.table: Optional[Table] = (
+        self.polynomial: Polynomial | None = polynomial
+        self.table: Table | None = (
             None if table is None else tuple(Fraction(_rational(v)) for v in table)
         )
         self.start = start
@@ -51,7 +56,7 @@ class LatticeFunction:
         return self.polynomial is not None
 
     @property
-    def end(self) -> Optional[int]:
+    def end(self) -> int | None:
         """Last valid argument for a table-backed function."""
         if self.table is None:
             return None
@@ -134,11 +139,11 @@ def iterated_sum(f: LatticeFunction, k: int, x: int) -> Fraction:
     return Fraction(sum(map(operator.mul, weights, p._numerator_values(range(x)))), p._den)
 
 
-@dataclass(frozen=True)
-class DeltaExpansionReport:
+class DeltaExpansionReport(Record):
     """Newton expansion report; the remainder is an integer-point
     evaluator because its defining sum has an argument-dependent bound."""
 
+    __slots__ = ("order", "terms", "partial_sum", "remainder_at", "checked_points", "exact")
     order: int
     terms: tuple[Polynomial, ...]
     partial_sum: Polynomial
@@ -183,10 +188,10 @@ def newton_expansion(
     )
 
 
-@dataclass(frozen=True)
-class MaclaurinReport:
+class MaclaurinReport(Record):
     """Bernoulli-Maclaurin report: everything is a rational scalar."""
 
+    __slots__ = ("alpha", "order", "terms", "remainder", "total", "target", "exact")
     alpha: int
     order: int
     terms: tuple[Fraction, ...]

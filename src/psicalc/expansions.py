@@ -21,9 +21,7 @@ remainder and the independently forced one (f minus the partial sum);
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .operators import (
     VerificationReport,
@@ -32,12 +30,19 @@ from .operators import (
     psi_derivative,
     x_hat_psi,
 )
-from .poly import Polynomial, Scalar, _rational
+from .poly import Polynomial, _rational
+from .record import Record
 from .sequences import PsiContext
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .poly import Scalar
 
-@dataclass(frozen=True)
-class ExpansionReport:
+
+class ExpansionReport(Record):
+    __slots__ = ("psi_label", "alpha", "order", "terms", "partial_sum",
+                 "cauchy_remainder", "oracle_remainder", "exact", "x_eval")
+    _defaults = {"x_eval": None}
     psi_label: str
     alpha: Fraction
     order: int
@@ -46,7 +51,7 @@ class ExpansionReport:
     cauchy_remainder: Polynomial
     oracle_remainder: Polynomial
     exact: bool
-    x_eval: Optional[Fraction] = None  # set on pointwise psi reports
+    x_eval: Fraction | None  # set on pointwise psi reports
 
     @property
     def total(self) -> Polynomial:

@@ -12,9 +12,7 @@ sampling series for a black-box integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     ConvergenceError,
@@ -23,20 +21,26 @@ from .errors import (
     InternalError,
 )
 from .operators import VerificationReport, _report, psi_antiderivative, psi_derivative
-from .poly import Polynomial, Scalar, _rational
+from .poly import Polynomial, _rational
+from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
+    from .poly import Scalar
 
 JACKSON_TERM_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class HahnParams:
+class HahnParams(Record):
+    __slots__ = ("q", "h")
     q: Fraction
     h: Fraction
 
     def __init__(self, q: Scalar, h: Scalar):
-        object.__setattr__(self, "q", Fraction(_rational(q)))
-        object.__setattr__(self, "h", Fraction(_rational(h)))
+        super().__init__(Fraction(_rational(q)), Fraction(_rational(h)))
 
 
 def q_derivative(f: Polynomial, q: Scalar) -> Polynomial:
@@ -87,8 +91,8 @@ def jackson_integral_exact(f: Polynomial, q: Scalar, z: Scalar) -> Fraction:
     return jackson_antiderivative(f, q)(z)
 
 
-@dataclass(frozen=True)
-class JacksonQuadrature:
+class JacksonQuadrature(Record):
+    __slots__ = ("value", "terms_used", "tail_tol", "q", "z")
     value: float
     terms_used: int
     tail_tol: float
@@ -109,20 +113,21 @@ def jackson_integral_numeric(
     by a factor of 2, at least max(3, ceil(ln 2 / -ln q)) terms, so the
     dip of the integrand around a (multiple) root cannot end the sum.
 
-    q and z are accepted exactly and converted to float once, recorded in
-    the result.  tail_tol must be finite and positive.  Raises
+    q and z are accepted exactly (a float raises TypeError) and converted
+    to float once, recorded in the result.  tail_tol must be finite and
+    positive.  Raises
     ConvergenceError if the cap is hit first.
     """
     if not (math.isfinite(tail_tol) and tail_tol > 0):
         raise DomainError(f"tail tolerance must be finite and > 0, got {tail_tol}")
-    q = Fraction(q)
+    q = Fraction(_rational(q))
     if not 0 < q < 1:
         raise DomainError(f"numeric Jackson integral needs 0 < q < 1, got {q}")
     qf = float(q)
     if not 0.0 < qf < 1.0:
         raise DomainError(f"q is too close to {qf:g} for a float quadrature")
     try:
-        zf = float(Fraction(z))
+        zf = float(Fraction(_rational(z)))
     except OverflowError:
         raise DomainError("z is too large for a float") from None
     prefactor = (1.0 - qf) * zf

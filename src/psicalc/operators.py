@@ -16,15 +16,20 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .errors import DomainError
-from .poly import Polynomial, Scalar, _perms, _rational
+from .poly import Polynomial, _perms, _rational
+from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
-PolyOp = Callable[[Polynomial], Polynomial]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
+    from .poly import Scalar
+
+    PolyOp = Callable[[Polynomial], Polynomial]
 
 
 # -- basic operators ------------------------------------------------------
@@ -161,10 +166,10 @@ def divided_difference_zero(f: Polynomial) -> Polynomial:
 
 # -- GHW pairs -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GhwPair:
+class GhwPair(Record):
     """A degree-lowering/degree-raising operator pair with [lower, raiser] = 1."""
 
+    __slots__ = ("name", "lower", "raiser")
     name: str
     lower: PolyOp
     raiser: PolyOp
@@ -202,19 +207,20 @@ def psi_pair(ctx: PsiContext) -> GhwPair:
 
 # -- verification reports ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
+    __slots__ = ("inputs", "lhs", "rhs")
     inputs: str
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    __slots__ = ("identity", "params", "cases", "counterexample")
+    _defaults = {"counterexample": None}
     identity: str
     params: str
     cases: int
-    counterexample: Optional[Counterexample] = None
+    counterexample: Counterexample | None
 
     @property
     def passed(self) -> bool:

@@ -15,9 +15,12 @@ import math
 import operator
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+
+    Scalar = int | Fraction
 
 
 class Polynomial:

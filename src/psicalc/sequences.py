@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Optional
 
 from .errors import AdmissibilityError, DomainError, ParseError
 from .poly import _rational
+from .record import Record
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
 
@@ -39,13 +39,14 @@ def parse_rational(text: str, offset: int = 0) -> Fraction:
         raise ParseError(f"zero denominator in {text!r}", offset + text.index("/") + 1) from None
 
 
-@dataclass(frozen=True)
-class AdmissibleSequence:
+class AdmissibleSequence(Record):
     """Provider of the raw factors n_psi, n >= 1."""
 
+    __slots__ = ("kind", "q", "factors")
+    _defaults = {"q": None, "factors": None}
     kind: str  # "classical" | "gauss_q" | "fibonomial" | "custom"
-    q: Optional[Fraction] = None
-    factors: Optional[tuple[Fraction, ...]] = None
+    q: Fraction | None
+    factors: tuple[Fraction, ...] | None
 
     @classmethod
     def classical(cls) -> "AdmissibleSequence":
@@ -98,7 +99,7 @@ class AdmissibleSequence:
         return "custom:" + ",".join(str(f) for f in self.factors)
 
 
-class PsiRows(NamedTuple):
+class PsiRows(namedtuple("PsiRows", "num den num_lcm den_lcm num_prod den_prod")):
     """1_psi ... m_psi as integers: k_psi = num[k-1] / den[k-1] in lowest
     terms with den[k-1] > 0, num_lcm[k-1] = lcm(|num[0]|, ..., |num[k-1]|)
     and den_lcm[k-1] = lcm(den[0], ..., den[k-1]).  The prefix products
@@ -106,12 +107,7 @@ class PsiRows(NamedTuple):
     k_psi! = num_prod[k] / den_prod[k], and a run of factors as one quotient:
     (m+k)_psi! / m_psi! = (num_prod[m+k] // num_prod[m]) / (den_prod[m+k] // den_prod[m])."""
 
-    num: tuple[int, ...]
-    den: tuple[int, ...]
-    num_lcm: tuple[int, ...]
-    den_lcm: tuple[int, ...]
-    num_prod: tuple[int, ...]
-    den_prod: tuple[int, ...]
+    __slots__ = ()
 
 
 class PsiContext:
@@ -206,11 +202,11 @@ class PsiContext:
         return acc
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
+    __slots__ = ("label", "limit", "first_zero")
     label: str
     limit: int
-    first_zero: Optional[int]
+    first_zero: int | None
 
     @property
     def ok(self) -> bool:

@@ -1,8 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from psicalc.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -159,6 +167,23 @@ class TestTable:
         assert code == 2
         assert "at offset 4" in err
 
+    def test_results_past_the_int_digit_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)  # this caller's own limit
+        try:
+            code, out, err = run(capsys, "table", "--psi", "fib", "--n", "210", "--format", "json")
+            assert sys.get_int_max_str_digits() == 4321
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert (code, err) == (0, "")
+        fib = [1, 1]
+        while len(fib) < 210:
+            fib.append(fib[-1] + fib[-2])
+        last = json.loads(out)["rows"][-1]
+        assert last["n"] == 210 and len(last["n_psi_factorial"]) > 4300
+        # Decimal reads the digits without the int conversion limit
+        assert Decimal(last["n_psi_factorial"]) == math.prod(fib)
+
 
 @pytest.mark.parametrize("argv", [
     ["expand", "--f", "1/0", "--order", "1"],
@@ -170,3 +195,14 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
+
+
+def test_import_leaves_out_dataclasses_inspect_and_typing():
+    """A CLI start pays for these modules only if psicalc imports them."""
+    probe = "import sys, psicalc.cli; print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from psicalc import (
     Polynomial,
     derivative_pair,
     falling_factorial_value,
+    jackson_integral_numeric,
     parse_psi_spec,
     psi_bernoulli_taylor,
     psi_exp,
@@ -128,6 +129,8 @@ class TestStructure:
         lambda: verify_per_partes(parse_psi_spec("fib"), X, X, 0, 1.5),
         lambda: falling_factorial_value(0.5, 2),
         lambda: LatticeFunction.from_table([1, 0.1]),
+        lambda: jackson_integral_numeric(abs, 0.5, F(1, 10), 1e-13),
+        lambda: jackson_integral_numeric(abs, F(1, 2), 0.1, 1e-13),
     ])
     def test_floats_are_refused(self, make):
         with pytest.raises(TypeError):
