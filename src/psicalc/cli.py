@@ -369,6 +369,7 @@ def _run_table(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
     ctx = parse_psi_spec(args.psi)
+    ctx.rows(args.n)  # grown once, not one index per n_psi!
     rows = []
     for n in range(1, args.n + 1):
         rows.append(

@@ -15,11 +15,10 @@ a failed identity.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .errors import DomainError
-from .poly import Polynomial, _perms, _rational
+from .poly import Polynomial, _canonical, _digits, _perms, _rational
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
@@ -37,75 +36,65 @@ if TYPE_CHECKING:
 def psi_derivative(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial:
     """x^n -> n_psi x^(n-1), extended linearly; constants map to 0.  The
     k-th power is one pass too: x^n -> (n_psi!/(n-k)_psi!) x^(n-k)."""
-    if k != 1:
-        return _psi_power(ctx, f, k, raising=False)
-    n = max(f.degree, 0)
-    rows = ctx.rows(n)
-    lcm = rows.den_lcm[n - 1] if n else 1
-    if lcm == 1:
-        return f._diagonal(rows.num, 1, -1)
-    return f._diagonal([a * (lcm // b) for a, b in zip(rows.num[:n], rows.den)], lcm, -1)
+    return _psi_power(ctx, f, k, raising=False)
 
 
 def x_hat_psi(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial:
     """x^n -> ((n+1)/(n+1)_psi) x^(n+1); images have zero constant term.
-    With k_psi = a/b the weight of x^(k-1) is k b / a, over the lcm of
-    the a's.  The k-th power is one pass too:
+    The k-th power is one pass too:
     x^n -> ((n+k)!/n!) (n_psi!/(n+k)_psi!) x^(n+k)."""
-    if k != 1:
-        return _psi_power(ctx, f, k, raising=True, falling=True)
-    n = f.degree + 1
-    rows = ctx.rows(n)
-    lcm = rows.num_lcm[n - 1] if n else 1
-    ws = [i * b * (lcm // a) for i, a, b in zip(range(1, n + 1), rows.num, rows.den)]
-    return f._diagonal(ws, lcm, 1)
+    return _psi_power(ctx, f, k, raising=True, falling=True)
 
 
 def psi_antiderivative(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial:
     """x^n -> x^(n+1)/(n+1)_psi; the right inverse of the psi-derivative.
     The k-th power is one pass too: x^n -> (n_psi!/(n+k)_psi!) x^(n+k)."""
-    if k != 1:
-        return _psi_power(ctx, f, k, raising=True)
-    n = f.degree + 1
-    rows = ctx.rows(n)
-    lcm = rows.num_lcm[n - 1] if n else 1
-    return f._diagonal([b * (lcm // a) for a, b in zip(rows.num[:n], rows.den)], lcm, 1)
+    return _psi_power(ctx, f, k, raising=True)
 
 
 def _psi_power(
     ctx: PsiContext, f: Polynomial, k: int, raising: bool, falling: bool = False
 ) -> Polynomial:
     """The k-th power of the psi-derivative (raising=False), of the
-    psi-antiderivative, or of x_hat (falling=True) in one integer pass.
+    psi-antiderivative, or of x_hat (falling=True) in one integer pass;
+    the one body of all three operators.
 
-    The run r_m = (m+1)_psi ... (m+k)_psi = (m+k)_psi!/m_psi! is a
-    quotient of the prefix-product rows; the derivative power maps
+    The run r_m = (m+1)_psi ... (m+k)_psi = (m+k)_psi!/m_psi! is one row
+    for k = 1, with its cached running lcm, and a quotient of the
+    prefix-product rows beyond; the derivative power maps
     x^(m+k) -> r_m x^m, the antiderivative power x^m -> x^(m+k) / r_m,
     and the x_hat power that times (m+k)!/m!.  The rows are grown to the
     top index the k single steps would reach, so a bad factor raises the
-    same error.  A single step (k = 1) reads the per-index rows and their
-    cached lcms instead: no quotient and no lcm per call.
+    same error.
     """
     if k < 0:
         raise ValueError("operator power must be nonnegative")
-    d = f.degree
-    if not k or (raising and d < 0):
+    if not k:
         return f
-    if not raising and d < k:
+    d = f.degree
+    top = d + k if raising else d
+    count = top - k + 1  # the coefficients kept
+    if count < 1:
         ctx.rows(max(d, 0))
         return Polynomial()
-    count = d + 1 if raising else d - k + 1
-    rows = ctx.rows(count + k - 1)
-    a, b = rows.num_prod, rows.den_prod
-    num = [a[m + k] // a[m] for m in range(count)]
-    den = [b[m + k] // b[m] for m in range(count)]
-    if raising:
-        num, den = den, num
-    lcm = math.lcm(*den)
-    ws = num if lcm == 1 else [x * (lcm // y) for x, y in zip(num, den)]
-    if falling:
-        ws = map(operator.mul, ws, _perms(count + k, k))
-    return f._diagonal(ws, lcm, k if raising else -k)
+    rows = ctx.rows(top)
+    if k == 1:
+        num, den = rows.num, rows.den
+        lcm = (rows.num_lcm if raising else rows.den_lcm)[top - 1]
+    else:
+        a, b = rows.num_prod, rows.den_prod
+        num = [a[m + k] // a[m] for m in range(count)]
+        den = [b[m + k] // b[m] for m in range(count)]
+        lcm = math.lcm(*(num if raising else den))
+    if not raising:
+        ws = num if lcm == 1 else [x * (lcm // y) for x, y in zip(num[:count], den)]
+        return f._diagonal(ws, lcm, -k)
+    # no shortcut for lcm = 1 here: a divisor num[m] may still be -1
+    if falling:  # times (m+k)!/m!
+        ws = [i * y * (lcm // x) for i, x, y in zip(_perms(top + 1, k), num, den)]
+    else:
+        ws = [y * (lcm // x) for x, y in zip(num[:count], den)]
+    return f._diagonal(ws, lcm, k)
 
 
 def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) -> Fraction:
@@ -147,11 +136,18 @@ def umbral_tilde(ctx: PsiContext, g: Polynomial) -> Polynomial:
 
 
 def psi_exp(ctx: PsiContext, alpha: Scalar, N: int) -> Polynomial:
-    """Degree-N truncation of the psi-exponential: sum a^n x^n / n_psi!."""
+    """Degree-N truncation of the psi-exponential: sum a^n x^n / n_psi!.
+    With a = p/s and n_psi! = A_n / B_n from the prefix-product rows, the
+    x^n coefficient is p^n s^(N-n) B_n (A_N / A_n) over s^N A_N."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     alpha = Fraction(_rational(alpha))
-    return Polynomial([alpha**n / ctx.factorial(n) for n in range(N + 1)])
+    p, s = alpha.numerator, alpha.denominator
+    rows = ctx.rows(N)
+    a, b = rows.num_prod, rows.den_prod
+    return _canonical(
+        [p**n * s ** (N - n) * b[n] * (a[N] // a[n]) for n in range(N + 1)], s**N * a[N]
+    )
 
 
 def exp_poly(alpha: Scalar, N: int) -> Polynomial:
@@ -239,8 +235,7 @@ def _report(identity: str, params: str, cases: int, failures) -> VerificationRep
     """failures: list of (inputs, lhs, rhs) tuples; first one is kept."""
     ce = None
     if failures:
-        inputs, lhs, rhs = failures[0]
-        ce = Counterexample(str(inputs), str(lhs), str(rhs))
+        ce = Counterexample(*map(_digits, failures[0]))
     return VerificationReport(identity, params, cases, ce)
 
 

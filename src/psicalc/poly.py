@@ -261,7 +261,7 @@ class Polynomial:
             # coefficient explicit on a negative leading term
             mag = c if c < 0 and not pieces else abs(c)
             power = "x" if d == 1 else f"x^{d}"
-            body = str(mag) if d == 0 else (power if mag == 1 else f"{mag}*{power}")
+            body = _digits(mag) if d == 0 else (power if mag == 1 else f"{_digits(mag)}*{power}")
             pieces.append(f"{'-' if c < 0 else '+'} {body}" if pieces else body)
         return " ".join(pieces) or "0"
 
@@ -279,6 +279,21 @@ def _canonical(num: list[int], den: int) -> Polynomial:
 def _perms(stop: int, k: int) -> Iterable[int]:
     """The falling factorials i!/(i-k)! for k <= i < stop."""
     return range(1, stop) if k == 1 else map(math.perm, range(k, stop), repeat(k))
+
+
+def _digits(v: object) -> str:
+    """str(v), also for an int or Fraction past the interpreter's limit on
+    int-to-str digits, where str raises ValueError: those digits come from
+    `decimal`, and the limit itself is left as the caller set it."""
+    try:
+        return str(v)
+    except ValueError:
+        if isinstance(v, Fraction):
+            num = _digits(v.numerator)
+            return num if v.denominator == 1 else f"{num}/{_digits(v.denominator)}"
+        from decimal import Decimal
+
+        return str(Decimal(v))
 
 
 def _rational(v: Scalar) -> Scalar:

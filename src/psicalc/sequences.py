@@ -4,9 +4,9 @@ falling psi-factorials.
 An admissible sequence supplies one nonzero rational factor n_psi per
 positive integer n.  Three built-in families are provided (the classical
 integers, the Gauss q-integers, and the Fibonacci numbers) plus custom
-factor lists.  A PsiContext wraps a sequence with memoized factor and
-factorial tables and with the integer rows the operators weigh
-coefficients by; it is the parameter every psi-operator takes.  On the
+factor lists.  A PsiContext wraps a sequence with one memo, the integer
+rows of n_psi that the operators weigh coefficients by and n_psi! is
+read from; it is the parameter every psi-operator takes.  On the
 Gauss q-integers the psi-calculus is the Jackson q-calculus of `hahn`.
 """
 
@@ -111,20 +111,18 @@ class PsiRows(namedtuple("PsiRows", "num den num_lcm den_lcm num_prod den_prod")
 
 
 class PsiContext:
-    """An admissible sequence plus memoized n_psi and n_psi! tables and
-    the integer rows of n_psi (see `rows`).
+    """An admissible sequence plus its one memo, the integer rows of n_psi
+    (see `rows`): n_psi! is read from their prefix products, and n_psi
+    itself straight from the sequence.
 
-    Memo growth is guarded by a lock so contexts can be shared between
-    threads; all returned values are immutable.  The rows are one
-    immutable `PsiRows` snapshot, replaced whole under the lock when it
-    grows, so a reader never sees a half-grown row; they hold O(m) ints
-    for the largest index m asked for.
+    Contexts can be shared between threads; all returned values are
+    immutable.  The rows are one immutable `PsiRows` snapshot, replaced
+    whole under the lock when it grows, so a reader never sees a
+    half-grown row; they hold O(m) ints for the largest index m asked for.
     """
 
     def __init__(self, sequence: AdmissibleSequence):
         self.sequence = sequence
-        self._factors: dict[int, Fraction] = {}
-        self._factorials: dict[int, Fraction] = {0: Fraction(1)}
         self._rows = PsiRows((), (), (), (), (1,), (1,))
         self._lock = threading.Lock()
 
@@ -136,11 +134,7 @@ class PsiContext:
         """n_psi; raises AdmissibilityError when the sequence value is zero."""
         if n < 1:
             raise DomainError(f"n_psi requires n >= 1, got {n}")
-        with self._lock:
-            v = self._factors.get(n)
-            if v is None:
-                v = self.sequence.raw_factor(n)
-                self._factors[n] = v
+        v = self.sequence.raw_factor(n)
         if v == 0:
             raise AdmissibilityError(f"{self.label}: {n}_psi = 0")
         return v
@@ -176,20 +170,12 @@ class PsiContext:
         """n_psi! = n_psi * (n-1)_psi!, with 0_psi! = 1."""
         if n < 0:
             raise DomainError(f"n_psi! requires n >= 0, got {n}")
-        with self._lock:
-            cached = self._factorials.get(n)
-            if cached is not None:
-                return cached
-            top = max(self._factorials)
-            acc = self._factorials[top]
-        for k in range(top + 1, n + 1):
-            acc = acc * self.factor(k)
-            with self._lock:
-                self._factorials[k] = acc
-        return acc
+        rows = self.rows(n)
+        return Fraction(rows.num_prod[n], rows.den_prod[n])
 
     def falling_factorial(self, x: int, k: int) -> Fraction:
-        """x_psi (x-1)_psi ... (x-k+1)_psi; the empty product (k = 0) is 1."""
+        """x_psi (x-1)_psi ... (x-k+1)_psi; the empty product (k = 0) is 1.
+        A product of `factor` calls, so it needs no factor below x-k+1."""
         if k < 0:
             raise DomainError(f"falling factorial length must be >= 0, got {k}")
         if k > 0 and x - k + 1 < 1:

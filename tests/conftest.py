@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -15,3 +17,12 @@ rationals = st.fractions(
 
 def polynomials(max_degree=8):
     return st.lists(rationals, max_size=max_degree + 1).map(Polynomial)
+
+
+@pytest.fixture
+def digit_limit():
+    """A caller's own int-to-str digit limit, restored after the test."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    yield 4321
+    sys.set_int_max_str_digits(before)

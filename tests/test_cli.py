@@ -184,6 +184,16 @@ class TestTable:
         # Decimal reads the digits without the int conversion limit
         assert Decimal(last["n_psi_factorial"]) == math.prod(fib)
 
+    def test_rows_grown_once(self, capsys, monkeypatch):
+        from psicalc import PsiContext
+
+        asked = []
+        rows = PsiContext.rows
+        monkeypatch.setattr(PsiContext, "rows", lambda ctx, n: asked.append(n) or rows(ctx, n))
+        code, out, _ = run(capsys, "table", "--psi", "q:3/2", "--n", "40", "--format", "json")
+        assert code == 0 and len(json.loads(out)["rows"]) == 40
+        assert asked[0] == 40 and max(asked) == 40
+
 
 @pytest.mark.parametrize("argv", [
     ["expand", "--f", "1/0", "--order", "1"],

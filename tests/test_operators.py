@@ -5,7 +5,7 @@ import threading
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
@@ -40,7 +40,9 @@ from psicalc import (
     verify_telescoping,
     x_hat_psi,
     GhwPair,
+    PsiContext,
 )
+from psicalc.operators import _report
 
 X = Polynomial.x()
 CLASSICAL = parse_psi_spec("classical")
@@ -546,7 +548,9 @@ def _repeated(op, f, k):
 
 
 class TestOperatorPowers:
-    """Each k-th power, made in one pass, against k single applications."""
+    """Each k-th power, made in one pass, against k single applications.
+    Both are the same `_psi_power` body, so this pins consistency only;
+    `TestPowersAndExpOracle` checks the values."""
 
     @pytest.mark.parametrize(
         "spec", BUILTIN_SPECS + (CUSTOM_SPEC,), ids=[*BUILTIN_SPECS, "custom"]
@@ -590,3 +594,86 @@ class TestOperatorPowers:
         assert x_hat_psi(FIB, X**5, 2) == F(42, 104) * X**7
         assert (X**5).derivative(3) == 60 * X**2
         assert (X**2).derivative(3) == Polynomial()
+
+
+# unit numerators, some negative: a raising power divides by runs of lcm 1
+# that may still be -1
+RECIPROCAL_SPEC = "custom:1,-1/2,1/3,-1,1/5,-1/6,-1/7,1/8,1,-1/10,1/11,-1/12,1/13,-1/14"
+ORACLE_SPECS = BUILTIN_SPECS + (CUSTOM_SPEC, RECIPROCAL_SPEC)
+ORACLE_IDS = [*BUILTIN_SPECS, "custom", "reciprocal"]
+
+
+class TestPowersAndExpOracle:
+    """The k-th operator powers and psi_exp against products of the
+    definition factors, never against the `PsiRows` they are read from."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+    @given(f=polynomials(max_degree=10), k=st.integers(min_value=0, max_value=4))
+    def test_powers(self, spec, f, k):
+        ctx = parse_psi_spec(spec)
+        w = lambda n: _definition_factor(spec, n)
+        # r(m) = (m+1)_psi ... (m+k)_psi
+        run = lambda m: math.prod((w(j) for j in range(m + 1, m + k + 1)), start=F(1))
+        cs = f.coeffs
+        cases = [
+            (psi_derivative, [c * run(n - k) for n, c in enumerate(cs) if n >= k]),
+            (psi_antiderivative, [0] * k + [c / run(n) for n, c in enumerate(cs)]),
+            (x_hat_psi, [0] * k + [c * math.perm(n + k, k) / run(n) for n, c in enumerate(cs)]),
+        ]
+        for op, coeffs in cases:
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            assert op(ctx, f, k).coeffs == tuple(map(F, coeffs)), (op.__name__, k)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+    @given(alpha=rationals, N=st.integers(min_value=0, max_value=14))
+    @example(alpha=F(0), N=0)
+    @example(alpha=F(0), N=9)
+    @example(alpha=F(-5, 3), N=0)
+    def test_psi_exp(self, spec, alpha, N):
+        w = lambda n: _definition_factor(spec, n)
+        coeffs = [alpha**n / math.prod((w(j) for j in range(1, n + 1)), start=F(1))
+                  for n in range(N + 1)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        assert psi_exp(parse_psi_spec(spec), alpha, N).coeffs == tuple(coeffs)
+
+    def test_psi_exp_errors_are_those_of_the_factors(self):
+        with pytest.raises(AdmissibilityError) as exc:
+            psi_exp(parse_psi_spec("q:-1"), 1, 3)
+        assert str(exc.value) == "q:-1: 2_psi = 0"
+        with pytest.raises(DomainError) as exc:
+            psi_exp(parse_psi_spec("custom:1,2"), 1, 3)
+        assert str(exc.value) == "custom sequence has 2 factors, index 3 requested"
+        assert psi_exp(parse_psi_spec("custom:1,2"), 1, 2) == 1 + X + X**2 / 2
+
+    def test_psi_exp_grows_the_rows_once(self, monkeypatch):
+        asked = []
+        rows = PsiContext.rows
+        monkeypatch.setattr(PsiContext, "rows", lambda ctx, n: asked.append(n) or rows(ctx, n))
+        psi_exp(parse_psi_spec("q:3/2"), F(2, 3), 30)
+        assert asked[0] == 30 and max(asked) == 30
+
+
+class TestReportsPastTheDigitLimit:
+    DIGITS = "1" + "0" * 4998 + "7"  # those of BIG
+    BIG = 10**4999 + 7
+
+    def test_failed_report_keeps_every_digit(self, digit_limit):
+        # [c D, x] = c, so the commutator fails at x^0 with lhs = c
+        c = F(self.BIG, 3)
+        pair = GhwPair("scaled", lambda f: f.derivative() * c, lambda f: X * f)
+        report = verify_commutator(pair, 4)
+        text = str(report)
+        assert sys.get_int_max_str_digits() == digit_limit
+        assert not report.passed and report.cases == 5
+        ce = report.counterexample
+        assert (ce.inputs, ce.lhs, ce.rhs) == ("m=0", self.DIGITS + "/3", "1")
+        assert ce.lhs in text
+
+    def test_rational_sides_keep_every_digit(self, digit_limit):
+        # per-partes compares two numbers, not polynomials
+        report = _report("per-partes", "psi=fib", 1, [("a=0", F(-self.BIG, 3), self.BIG)])
+        assert sys.get_int_max_str_digits() == digit_limit
+        ce = report.counterexample
+        assert (ce.lhs, ce.rhs) == ("-" + self.DIGITS + "/3", self.DIGITS)

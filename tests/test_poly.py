@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -98,6 +99,13 @@ class TestStructure:
         q, r = divmod(f, X - 1)
         assert r == Polynomial.zero()
         assert q == X**2 + X + 1
+
+    def test_str_past_the_int_digit_limit(self, digit_limit):
+        big = 10**4999 + 7  # 5000 digits
+        text = str(Polynomial([F(-1, big), 0, big]))
+        assert sys.get_int_max_str_digits() == digit_limit
+        digits = "1" + "0" * 4998 + "7"
+        assert text == f"{digits}*x^2 - 1/{digits}"
 
     @given(polynomials(), polynomials(max_degree=4))
     def test_divmod_reconstructs(self, f, g):

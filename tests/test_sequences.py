@@ -74,6 +74,32 @@ class TestFactorial:
             assert c.factorial(n) == c.factor(n) * c.factorial(n - 1)
 
 
+class TestOneMemo:
+    """What a context answers, now that its only memo is the rows."""
+
+    def test_factor_past_a_zero_factor(self):
+        # q = -1: 2_psi = 0 but 3_psi = (1 - (-1)^3) / 2 = 1; n_psi is read
+        # from the sequence, so a zero below it does not get in the way
+        c = ctx("q:-1")
+        assert c.factor(3) == 1
+        assert c.falling_factorial(5, 1) == 1
+        with pytest.raises(AdmissibilityError) as exc:
+            c.factorial(3)
+        assert str(exc.value) == "q:-1: 2_psi = 0"
+        assert c.factor(3) == 1
+
+    def test_factorial_past_the_last_custom_factor(self):
+        with pytest.raises(DomainError) as exc:
+            ctx("custom:1,2,3").factorial(5)
+        assert str(exc.value) == "custom sequence has 3 factors, index 4 requested"
+
+    def test_factorial_is_a_reduced_fraction(self):
+        # 2/3 * 3/2 = 1: the prefix products 6 and 6 share a factor
+        c = ctx("custom:2/3,3/2,-5/4")
+        assert [c.factorial(n) for n in range(4)] == [1, F(2, 3), 1, F(-5, 4)]
+        assert c.factorial(2).denominator == 1
+
+
 class TestFallingFactorial:
     def test_classical(self):
         assert ctx("classical").falling_factorial(5, 3) == 60
