@@ -52,9 +52,13 @@ def hahn_derivative(f: Polynomial, p: HahnParams) -> Polynomial:
     """(f(x) - f(qx+h)) / ((1-q)x - h), by exact polynomial division."""
     if p.q == 1 and p.h == 0:
         raise DegenerateParamsError("(q, h) = (1, 0) makes the quotient 0/0")
-    numerator = f - f.compose_affine(p.q, p.h)
-    denominator = Polynomial([-p.h, 1 - p.q])
-    quotient, rem = divmod(numerator, denominator)
+    return _hahn_quotient(f - f.compose_affine(p.q, p.h), Polynomial([-p.h, 1 - p.q]))
+
+
+def _hahn_quotient(numerator: Polynomial, divisor: Polynomial) -> Polynomial:
+    """numerator / divisor for the Hahn difference f(x) - f(qx+h) and the
+    divisor (1-q)x - h, which divides it exactly."""
+    quotient, rem = divmod(numerator, divisor)
     if rem:
         raise InternalError(
             f"Hahn quotient left remainder {rem}; divisibility is a theorem"
@@ -64,17 +68,28 @@ def hahn_derivative(f: Polynomial, p: HahnParams) -> Polynomial:
 
 def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     """The Hahn derivative is the q-derivative conjugated by the shift
-    x -> x + h/(1-q), checked on monomials up to degree N."""
+    x -> x + h/(1-q), checked on monomials up to degree N.
+
+    x^n, (qx+h)^n and (x+s)^n, s = h/(1-q), are running powers, each
+    made from the one before by one multiplication by its linear factor.
+    Monomial n then costs those three O(n) multiplications, the exact
+    division of x^n - (qx+h)^n by (1-q)x - h on the left and, on the
+    right, the q-derivative of (x+s)^n and one Taylor shift back by -s,
+    the only O(n^2) step."""
     if p.q == 1:
         raise DomainError("the reduction's conjugating shift needs q != 1")
     s = p.h / (1 - p.q)
     ctx = PsiContext(AdmissibleSequence.gauss_q(p.q))
     ctx.rows(N)  # grown once to N_q, not one index per monomial
+    x, qx_h, x_s = Polynomial.x(), Polynomial([p.h, p.q]), Polynomial([s, 1])
+    divisor = Polynomial([-p.h, 1 - p.q])
+    xn = qx_hn = x_sn = Polynomial.constant(1)
     failures = []
     for n in range(N + 1):
-        xn = Polynomial.monomial(n)
-        lhs = hahn_derivative(xn, p)
-        rhs = psi_derivative(ctx, xn.compose_affine(1, s)).compose_affine(1, -s)
+        if n:
+            xn, qx_hn, x_sn = xn * x, qx_hn * qx_h, x_sn * x_s
+        lhs = _hahn_quotient(xn - qx_hn, divisor)
+        rhs = psi_derivative(ctx, x_sn).compose_affine(1, -s)
         if lhs != rhs:
             failures.append((f"n={n}", lhs, rhs))
             break

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -166,17 +166,19 @@ class Polynomial:
         d, e, m = len(f) - 1, len(g) - 1, g[-1]
         if d < e:
             return Polynomial(), self
-        rem = [c * m ** (d - i) for i, c in enumerate(f)]
-        monic = [c * m ** (e - 1 - j) for j, c in enumerate(g[:-1])]
+        pw = list(accumulate(repeat(m, d + 1), operator.mul, initial=1))  # m^0 ... m^(d+1)
+        rem = list(map(operator.mul, f, pw[d::-1]))
+        monic = [c * pw[e - 1 - j] for j, c in enumerate(g[:-1])]
         quot = [0] * (d - e + 1)
         for i in range(d, e - 1, -1):
             c = quot[i - e] = rem[i]
             for j, b in enumerate(monic, i - e):
                 rem[j] -= c * b
-        q_num = [c * m**k * other._den for k, c in enumerate(quot)]
-        r_num = [c * m**k for k, c in enumerate(rem[:e])]
-        return (_canonical(q_num, self._den * m ** (d - e + 1)),
-                _canonical(r_num, self._den * m**d))
+        g_den = other._den
+        q_num = [c * p * g_den for c, p in zip(quot, pw)]
+        r_num = list(map(operator.mul, rem[:e], pw))
+        return (_canonical(q_num, self._den * pw[d - e + 1]),
+                _canonical(r_num, self._den * pw[d]))
 
     # -- calculus and evaluation ------------------------------------------
 
@@ -266,7 +268,10 @@ class Polynomial:
         return " ".join(pieces) or "0"
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
+        """Polynomial([Fraction(n, d), ...]), the digits through `_digits`."""
+        cs = ", ".join(f"Fraction({_digits(c.numerator)}, {_digits(c.denominator)})"
+                       for c in self.coeffs)
+        return f"Polynomial([{cs}])"
 
 
 def _canonical(num: list[int], den: int) -> Polynomial:

@@ -71,10 +71,11 @@ class AdmissibleSequence(Record):
         if self.kind == "classical":
             return Fraction(n)
         if self.kind == "gauss_q":
-            q = self.q
-            if q == 1:
+            a, b = self.q.numerator, self.q.denominator
+            if a == b:
                 return Fraction(n)
-            return (1 - q**n) / (1 - q)
+            # (1 - q^n) / (1 - q) with q = a/b, as one Fraction
+            return Fraction(b**n - a**n, b ** (n - 1) * (b - a))
         if self.kind == "fibonomial":
             a, b = 1, 1  # F_1, F_2
             for _ in range(n - 1):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
+from psicalc import hahn
 from psicalc import (
     AdmissibilityError,
     ConvergenceError,
@@ -109,6 +110,55 @@ class TestHahnReduction:
         monkeypatch.setattr(PsiContext, "rows", lambda ctx, n: asked.append(n) or rows(ctx, n))
         assert verify_hahn_reduction(HahnParams(F(3, 2), 1), 12).passed
         assert asked[0] == 12 and max(asked) == 12
+
+
+HAHN_GRID = [(q, h) for q in (F(2), F(1, 2), F(3, 2), F(-2)) for h in (F(0), F(1), F(-3), F(7, 5))]
+
+
+class TestHahnSweepPath:
+    """The sweep builds its powers by multiplication; what it still checks."""
+
+    def test_one_shift_per_monomial(self, monkeypatch):
+        shifts = []
+        compose = Polynomial.compose_affine
+        monkeypatch.setattr(
+            Polynomial, "compose_affine", lambda f, q, h: shifts.append((q, h)) or compose(f, q, h)
+        )
+        p, N = HahnParams(F(3, 2), F(7, 5)), 12
+        assert verify_hahn_reduction(p, N).passed
+        assert shifts == [(1, -p.h / (1 - p.q))] * (N + 1)  # only the shift back
+
+    def test_left_side_against_sympy(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        quotients, quotient = [], hahn._hahn_quotient
+
+        def recorded(numerator, divisor):
+            quotients.append(quotient(numerator, divisor))
+            return quotients[-1]
+
+        monkeypatch.setattr(hahn, "_hahn_quotient", recorded)
+        N = 10
+        for q, h in HAHN_GRID:
+            quotients.clear()
+            assert verify_hahn_reduction(HahnParams(q, h), N).passed
+            sq, sh = sympy.Rational(q.numerator, q.denominator), sympy.Rational(h.numerator, h.denominator)
+            assert len(quotients) == N + 1
+            for n, lhs in enumerate(quotients):
+                want = sympy.cancel((x**n - (sq * x + sh) ** n) / ((1 - sq) * x - sh))
+                coeffs = sympy.Poly(want, x).all_coeffs()[::-1]
+                assert lhs == Polynomial([F(int(c.p), int(c.q)) for c in coeffs]), (q, h, n)
+
+    @pytest.mark.parametrize("wrong, first", [
+        (lambda ctx, f: f.derivative(), 2),  # the classical derivative: 2_q != 2
+        (lambda ctx, f: psi_derivative(ctx, f) + (1 if f.degree >= 5 else 0), 5),
+    ])
+    def test_wrong_q_derivative_fails_at_the_first_wrong_n(self, monkeypatch, wrong, first):
+        monkeypatch.setattr(hahn, "psi_derivative", wrong)
+        report = verify_hahn_reduction(HahnParams(F(3, 2), F(7, 5)), 8)
+        assert not report.passed
+        assert report.cases == 9
+        assert report.counterexample.inputs == f"n={first}"
 
 
 class TestJacksonExact:

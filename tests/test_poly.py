@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,6 +26,7 @@ from psicalc import (
 )
 
 X = Polynomial.x()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestEval:
@@ -106,6 +110,32 @@ class TestStructure:
         assert sys.get_int_max_str_digits() == digit_limit
         digits = "1" + "0" * 4998 + "7"
         assert text == f"{digits}*x^2 - 1/{digits}"
+
+    def test_repr_past_the_int_digit_limit(self, digit_limit):
+        big = 10**4999 + 7
+        text = repr(Polynomial([F(-1, big), 0, big]))
+        assert sys.get_int_max_str_digits() == digit_limit
+        digits = "1" + "0" * 4998 + "7"
+        assert text == f"Polynomial([Fraction(-1, {digits}), Fraction(0, 1), Fraction({digits}, 1)])"
+
+    def test_repr_unchanged_below_the_limit(self):
+        for f in (Polynomial(), X, Polynomial([F(1, 2), -3, 0, F(-7, 5)])):
+            assert repr(f) == f"Polynomial({list(f.coeffs)!r})"
+
+    def test_reprs_past_the_limit_in_a_plain_interpreter(self):
+        probe = (
+            "from psicalc import Polynomial, taylor_classical\n"
+            "big = Polynomial([10**5000])\n"
+            "print(len(repr(big)), len(repr(taylor_classical(big * Polynomial.x(), 0, 1))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        repr_len, report_len = map(int, proc.stdout.split())
+        assert repr_len == len("Polynomial([Fraction(, 1)])") + 5001
+        assert report_len > 2 * 5001
 
     @given(polynomials(), polynomials(max_degree=4))
     def test_divmod_reconstructs(self, f, g):

@@ -5,6 +5,8 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from psicalc import (
     AdmissibilityError,
@@ -48,6 +50,25 @@ class TestFactor:
     def test_nonpositive_index_rejected(self):
         with pytest.raises(DomainError):
             ctx("classical").factor(0)
+
+
+class TestGaussQFactor:
+    """n_q as the one Fraction (b^n - a^n) / (b^(n-1) (b - a)), q = a/b."""
+
+    @given(
+        st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(lambda q: q != 1)
+        | st.sampled_from([F(0), F(-1), F(-1, 2), F(2), F(3, 2), F(-7, 3)]),
+        st.integers(1, 40),
+    )
+    def test_matches_the_geometric_sum(self, q, n):
+        v = AdmissibleSequence.gauss_q(q).raw_factor(n)
+        assert type(v) is F and v == (1 - q**n) / (1 - q)
+
+    def test_zero_factor_error_unchanged(self):
+        assert AdmissibleSequence.gauss_q(-1).raw_factor(2) == 0
+        with pytest.raises(AdmissibilityError) as exc:
+            ctx("q:-1").rows(4)
+        assert str(exc.value) == "q:-1: 2_psi = 0"
 
 
 class TestFactorial:
