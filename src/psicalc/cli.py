@@ -8,10 +8,15 @@ Subcommands:
     jackson  Exact and numeric Jackson q-integrals side by side.
     table    n_psi, n_psi!, and psi-power coefficients for n up to a bound.
 
-All exact values appear in I/O as rational strings ("p" or "p/q"); the
-only decimal output is the intrinsically approximate numeric Jackson
-value.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error, 3 admissibility error.
+The JSON and text outputs of expand, verify and jackson are the fields
+of the report the library returns, in a fixed order, plus the few values
+no report carries (the polynomial f, its value at --x-eval, the Newton
+remainder at each checked point).  All exact values appear in I/O as
+rational strings ("p" or "p/q"); the only decimal output is the
+intrinsically approximate numeric Jackson value.  expand refuses a
+--psi other than classical, or an --x-eval, unless --kind is psi.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 admissibility error.
 """
 
 from __future__ import annotations
@@ -34,25 +39,13 @@ from .errors import (
 )
 from .parsing import parse_poly
 from .poly import Polynomial
+from .record import Record
 from .sequences import PsiContext, parse_psi_spec, parse_rational
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ADMISSIBILITY = 3
-
-SUITES = (
-    "commutator",
-    "telescoping",
-    "bernoulli",
-    "leibniz",
-    "exp-addition",
-    "per-partes",
-    "fundamental",
-    "historical",
-    "hahn-reduction",
-    "jackson-inverse",
-)
 
 VERIFY_SWEEPS_HELP = (
     "Fixed sweeps: commutator checks monomials up to --max-degree for the "
@@ -154,171 +147,101 @@ def _run_expand(args) -> int:
     kind = args.kind or ("psi" if args.x_eval is not None else "taylor")
     if args.order < 0:
         raise DomainError("--order must be nonnegative")
+    if kind == "psi" and args.x_eval is None:
+        raise DomainError("--x-eval is required for the psi expansion")
+    ctx = parse_psi_spec(args.psi)
+    if kind != "psi" and ctx.label != "classical":
+        raise DomainError(f"--psi {ctx.label} applies only to --kind psi, not {kind}")
+    if kind != "psi" and args.x_eval is not None:
+        raise DomainError(f"--x-eval applies only to --kind psi, not {kind}")
+    extra = {"kind": kind, "f": f}
 
     if kind == "taylor":
         report = expansions.taylor_classical(f, args.alpha, args.order)
-        payload = {
-            "kind": "taylor",
-            "psi": "classical",
-            "f": str(f),
-            "alpha": str(report.alpha),
-            "order": report.order,
-            "terms": [str(t) for t in report.terms],
-            "partial_sum": str(report.partial_sum),
-            "remainder": str(report.cauchy_remainder),
-            "oracle_remainder": str(report.oracle_remainder),
-            "exact": report.exact,
-        }
+        keys = ("kind psi=psi_label f alpha order terms partial_sum "
+                "remainder=cauchy_remainder oracle_remainder exact")
     elif kind == "psi":
-        if args.x_eval is None:
-            raise DomainError("--x-eval is required for the psi expansion")
-        ctx = parse_psi_spec(args.psi)
-        report = expansions.psi_bernoulli_taylor(
-            ctx, f, args.alpha, args.x_eval, args.order
-        )
-        payload = {
-            "kind": "psi",
-            "psi": ctx.label,
-            "f": str(f),
-            "alpha": str(report.alpha),
-            "x_eval": str(report.x_eval),
-            "order": report.order,
-            "terms": [str(t) for t in report.terms],
-            "remainder": str(report.cauchy_remainder),
-            "oracle_remainder": str(report.oracle_remainder),
-            "value": str(f(args.x_eval)),
-            "exact": report.exact,
-        }
+        report = expansions.psi_bernoulli_taylor(ctx, f, args.alpha, args.x_eval, args.order)
+        extra["value"] = f(args.x_eval)
+        keys = ("kind psi=psi_label f alpha x_eval order terms "
+                "remainder=cauchy_remainder oracle_remainder value exact")
     elif kind == "newton":
         lattice = discrete.LatticeFunction.from_polynomial(f)
         report = discrete.newton_expansion(lattice, args.order)
-        payload = {
-            "kind": "newton",
-            "f": str(f),
-            "order": report.order,
-            "terms": [str(t) for t in report.terms],
-            "partial_sum": str(report.partial_sum),
-            "remainder_at": {
-                str(x): str(report.remainder_at(x)) for x in report.checked_points
-            },
-            "checked_points": list(report.checked_points),
-            "exact": report.exact,
+        extra["remainder_at"] = {
+            str(x): str(report.remainder_at(x)) for x in report.checked_points
         }
+        keys = "kind f order terms partial_sum remainder_at checked_points exact"
     else:  # maclaurin
         if args.alpha.denominator != 1 or args.alpha < 1:
             raise DomainError("--alpha must be a positive integer for maclaurin")
         lattice = discrete.LatticeFunction.from_polynomial(f)
         report = discrete.bernoulli_maclaurin(lattice, int(args.alpha), args.order)
-        payload = {
-            "kind": "maclaurin",
-            "f": str(f),
-            "alpha": report.alpha,
-            "order": report.order,
-            "terms": [str(t) for t in report.terms],
-            "remainder": str(report.remainder),
-            "total": str(report.total),
-            "target": str(report.target),
-            "exact": report.exact,
-        }
+        keys = "kind f alpha order terms remainder total target exact"
 
-    _emit(payload, args.format)
+    _emit(_fields(report, keys, extra), args.format)
     return EXIT_OK
 
 
 # -- verify -------------------------------------------------------------------
 
 
-def _verify_reports(suite: str, ctx: PsiContext, max_degree: int):
-    corpus = _corpus(max_degree)
-    reports = []
+def _pairs(ctx: PsiContext):
+    return (
+        operators.derivative_pair(0),
+        operators.derivative_pair(1),
+        operators.derivative_pair(-2),
+        operators.delta_pair(),
+        operators.psi_pair(ctx),
+    )
 
-    def pairs():
-        return [
-            operators.derivative_pair(0),
-            operators.derivative_pair(1),
-            operators.derivative_pair(-2),
-            operators.delta_pair(),
-            operators.psi_pair(ctx),
-        ]
 
-    if suite == "commutator":
-        for pair in pairs():
-            reports.append(operators.verify_commutator(pair, max_degree))
-    elif suite == "telescoping":
-        for n in range(7):
-            for f in corpus[:3]:
-                reports.append(operators.verify_telescoping(ctx, n, f))
-    elif suite == "bernoulli":
-        for pair in pairs():
-            reports.append(
-                operators.bernoulli_identity_sweep(pair, min(max_degree, 16), 8)
-            )
-    elif suite == "leibniz":
-        for f in corpus[:3]:
-            for g in corpus[3:]:
-                reports.append(operators.verify_leibniz(ctx, f, g))
-    elif suite == "exp-addition":
-        for alpha in (Fraction(1), Fraction(1, 2), Fraction(-2, 3)):
-            for beta in (Fraction(1), Fraction(1, 3)):
-                reports.append(
-                    operators.verify_exp_addition(ctx, alpha, beta, max_degree)
-                )
-    elif suite == "per-partes":
-        endpoints = [(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(3, 2))]
-        for f in corpus[:2]:
-            for g in corpus[2:4]:
-                for a, b in endpoints:
-                    reports.append(operators.verify_per_partes(ctx, f, g, a, b))
-    elif suite == "fundamental":
-        for f in corpus:
-            reports.append(operators.verify_fundamental_theorem(ctx, f))
-    elif suite == "historical":
-        for f in corpus:
-            reports.append(operators.verify_historical_series(f.truncate(12)))
-    elif suite == "hahn-reduction":
-        for q in (Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(-2)):
-            for h in (Fraction(0), Fraction(1), Fraction(-3), Fraction(7, 5)):
-                reports.append(
-                    hahn.verify_hahn_reduction(hahn.HahnParams(q, h), max_degree)
-                )
-    elif suite == "jackson-inverse":
-        for q in (Fraction(2), Fraction(1, 2), Fraction(3, 5)):
-            for f in corpus[:3]:
-                reports.append(hahn.verify_jackson_inverse(f, q))
-    else:
-        raise DomainError(f"unknown suite {suite!r}")
-    return reports
+# suite name -> (ctx, max_degree, corpus) -> reports, in the order `--suite all` runs them
+_SUITES = {
+    "commutator": lambda ctx, d, corpus: [
+        operators.verify_commutator(pair, d) for pair in _pairs(ctx)],
+    "telescoping": lambda ctx, d, corpus: [
+        operators.verify_telescoping(ctx, n, f) for n in range(7) for f in corpus[:3]],
+    "bernoulli": lambda ctx, d, corpus: [
+        operators.bernoulli_identity_sweep(pair, min(d, 16), 8) for pair in _pairs(ctx)],
+    "leibniz": lambda ctx, d, corpus: [
+        operators.verify_leibniz(ctx, f, g) for f in corpus[:3] for g in corpus[3:]],
+    "exp-addition": lambda ctx, d, corpus: [
+        operators.verify_exp_addition(ctx, alpha, beta, d)
+        for alpha in (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
+        for beta in (Fraction(1), Fraction(1, 3))],
+    "per-partes": lambda ctx, d, corpus: [
+        operators.verify_per_partes(ctx, f, g, a, b)
+        for f in corpus[:2] for g in corpus[2:4]
+        for a, b in ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(3, 2)))],
+    "fundamental": lambda ctx, d, corpus: [
+        operators.verify_fundamental_theorem(ctx, f) for f in corpus],
+    "historical": lambda ctx, d, corpus: [
+        operators.verify_historical_series(f.truncate(12)) for f in corpus],
+    "hahn-reduction": lambda ctx, d, corpus: [
+        hahn.verify_hahn_reduction(hahn.HahnParams(q, h), d)
+        for q in (Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(-2))
+        for h in (Fraction(0), Fraction(1), Fraction(-3), Fraction(7, 5))],
+    "jackson-inverse": lambda ctx, d, corpus: [
+        hahn.verify_jackson_inverse(f, q)
+        for q in (Fraction(2), Fraction(1, 2), Fraction(3, 5)) for f in corpus[:3]],
+}
+SUITES = tuple(_SUITES)
 
 
 def _run_verify(args) -> int:
     if args.max_degree < 0:
         raise DomainError("--max-degree must be nonnegative")
     ctx = parse_psi_spec(args.psi)
+    corpus = _corpus(args.max_degree)
     suites = SUITES if args.suite == "all" else (args.suite,)
-    results = []
-    for suite in suites:
-        for report in _verify_reports(suite, ctx, args.max_degree):
-            results.append((suite, report))
+    results = [(suite, report) for suite in suites
+               for report in _SUITES[suite](ctx, args.max_degree, corpus)]
 
     if args.format == "json":
-        payload = [
-            {
-                "suite": suite,
-                "identity": r.identity,
-                "params": r.params,
-                "cases": r.cases,
-                "passed": r.passed,
-                "counterexample": None
-                if r.counterexample is None
-                else {
-                    "inputs": r.counterexample.inputs,
-                    "lhs": r.counterexample.lhs,
-                    "rhs": r.counterexample.rhs,
-                },
-            }
-            for suite, r in results
-        ]
-        print(json.dumps(payload, indent=2))
+        rows = [{"suite": suite, **_fields(r, "identity params cases passed counterexample")}
+                for suite, r in results]
+        print(json.dumps(rows, indent=2))
     else:
         for suite, r in results:
             print(f"{suite}: {r}")
@@ -349,16 +272,8 @@ def _run_jackson(args) -> int:
         return acc
 
     numeric = hahn.jackson_integral_numeric(fn, args.q, args.z, args.tol)
-    payload = {
-        "f": str(f),
-        "q": str(args.q),
-        "z": str(args.z),
-        "exact": str(exact),
-        "numeric": numeric.value,
-        "terms_used": numeric.terms_used,
-        "tail_tol": numeric.tail_tol,
-    }
-    _emit(payload, args.format)
+    extra = {"f": f, "q": args.q, "z": args.z, "exact": exact}
+    _emit(_fields(numeric, "f q z exact numeric=value terms_used tail_tol", extra), args.format)
     return EXIT_OK
 
 
@@ -391,6 +306,30 @@ def _run_table(args) -> int:
                 f"{row['n_psi_factorial']:>16} {row['psi_power_coeff']:>14}"
             )
     return EXIT_OK
+
+
+def _plain(v):
+    """v as a JSON value: an exact number or polynomial as its string, a
+    tuple as a list and a nested record as the dict of its fields."""
+    if isinstance(v, (Fraction, Polynomial)):
+        return str(v)
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    if isinstance(v, Record):
+        return {name: _plain(getattr(v, name)) for name in v.__slots__}
+    return v
+
+
+def _fields(report, keys: str, extra: dict | None = None) -> dict:
+    """The output of a report: for each of the space-separated `keys` in
+    order, `extra[key]` if given, else the report's attribute `key`; a key
+    written `out=attr` reads the attribute `attr` under the name `out`."""
+    extra = extra or {}
+    fields = {}
+    for spec in keys.split():
+        key, _, attr = spec.partition("=")
+        fields[key] = _plain(extra[key] if key in extra else getattr(report, attr or key))
+    return fields
 
 
 def _emit(payload: dict, fmt: str) -> None:

@@ -5,9 +5,28 @@ the defaults of trailing fields in `_defaults`.  An instance takes its
 fields positionally or by keyword, refuses assignment and deletion,
 compares equal only to an instance of the same class with equal fields
 (never to a tuple), hashes as its field tuple and prints as
-`Name(field=value, ...)`.  No code is generated per class, so defining
-one costs next to nothing at import time.
+`Name(field=value, ...)`, with the digits of int and Fraction values
+written in full past the interpreter's int-to-str limit.  No code is
+generated per class, so defining one costs next to nothing at import
+time.
 """
+
+from fractions import Fraction
+
+from .poly import _digits
+
+
+def _field_repr(v) -> str:
+    """repr(v), the digits of an int or Fraction, also in a tuple, through
+    `poly._digits`, as `Polynomial.__repr__` writes its coefficients."""
+    if type(v) is int:
+        return _digits(v)
+    if type(v) is Fraction:
+        return f"Fraction({_digits(v.numerator)}, {_digits(v.denominator)})"
+    if type(v) is tuple:
+        items = ", ".join(map(_field_repr, v))
+        return f"({items},)" if len(v) == 1 else f"({items})"
+    return repr(v)
 
 
 class Record:
@@ -58,7 +77,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

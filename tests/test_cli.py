@@ -67,6 +67,19 @@ class TestExpand:
         assert code == 2
         assert "offset" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--psi", "nonsense"], "unrecognized psi-spec 'nonsense'"),
+        (["--psi", "q:2"], "--psi q:2"),
+        (["--kind", "maclaurin", "--alpha", "2", "--psi", "fib"], "--psi fib"),
+        (["--kind", "newton", "--x-eval", "1"], "--x-eval"),
+        (["--kind", "taylor", "--x-eval", "1"], "--x-eval"),
+    ], ids=["malformed-psi", "psi-without-x-eval", "psi-with-maclaurin",
+            "x-eval-with-newton", "x-eval-with-taylor"])
+    def test_flags_the_kind_does_not_use_are_refused(self, capsys, argv, flag):
+        code, out, err = run(capsys, "expand", "--f", "x", "--order", "1", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and flag in err
+
     def test_deep_nesting_is_a_parse_error(self, capsys):
         code, _, err = run(
             capsys, "expand", "--f", "(" * 2000 + "x" + ")" * 2000, "--order", "1"
@@ -216,3 +229,115 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _json_text(value) -> str:
+    """The exact bytes the CLI prints for a JSON value, key order included."""
+    return json.dumps(value, indent=2) + "\n"
+
+
+TAYLOR = ["expand", "--f", "x^3", "--alpha", "1", "--order", "2"]
+PSI = ["expand", "--psi", "q:2", "--f", "(1+x)^3", "--alpha", "0", "--x-eval", "1", "--order", "2"]
+NEWTON = ["expand", "--kind", "newton", "--f", "x^2 - x", "--order", "1"]
+MACLAURIN = ["expand", "--kind", "maclaurin", "--f", "x^2", "--alpha", "3", "--order", "2"]
+NEWTON_REMAINDER = {str(x): str(x * (x - 1)) for x in range(17)}
+
+EXPAND_GOLDEN = [
+    (TAYLOR, {
+        "kind": "taylor", "psi": "classical", "f": "x^3", "alpha": "1", "order": 2,
+        "terms": ["1", "3*x - 3", "3*x^2 - 6*x + 3"], "partial_sum": "3*x^2 - 3*x + 1",
+        "remainder": "x^3 - 3*x^2 + 3*x - 1", "oracle_remainder": "x^3 - 3*x^2 + 3*x - 1",
+        "exact": True,
+    }, """kind: taylor
+psi: classical
+f: x^3
+alpha: 1
+order: 2
+terms: ['1', '3*x - 3', '3*x^2 - 6*x + 3']
+partial_sum: 3*x^2 - 3*x + 1
+remainder: x^3 - 3*x^2 + 3*x - 1
+oracle_remainder: x^3 - 3*x^2 + 3*x - 1
+exact: True
+"""),
+    (PSI, {
+        "kind": "psi", "psi": "q:2", "f": "x^3 + 3*x^2 + 3*x + 1", "alpha": "0", "x_eval": "1",
+        "order": 2, "terms": ["1", "3", "3"], "remainder": "1", "oracle_remainder": "1",
+        "value": "8", "exact": True,
+    }, """kind: psi
+psi: q:2
+f: x^3 + 3*x^2 + 3*x + 1
+alpha: 0
+x_eval: 1
+order: 2
+terms: ['1', '3', '3']
+remainder: 1
+oracle_remainder: 1
+value: 8
+exact: True
+"""),
+    (NEWTON, {
+        "kind": "newton", "f": "x^2 - x", "order": 1, "terms": ["0", "0"], "partial_sum": "0",
+        "remainder_at": NEWTON_REMAINDER, "checked_points": list(range(17)), "exact": True,
+    }, f"""kind: newton
+f: x^2 - x
+order: 1
+terms: ['0', '0']
+partial_sum: 0
+remainder_at: {NEWTON_REMAINDER}
+checked_points: {list(range(17))}
+exact: True
+"""),
+    (MACLAURIN, {
+        "kind": "maclaurin", "f": "x^2", "alpha": 3, "order": 2, "terms": ["9", "-15", "6"],
+        "remainder": "0", "total": "0", "target": "0", "exact": True,
+    }, """kind: maclaurin
+f: x^2
+alpha: 3
+order: 2
+terms: ['9', '-15', '6']
+remainder: 0
+total: 0
+target: 0
+exact: True
+"""),
+]
+
+
+class TestGoldenBytes:
+    """The full stdout of each report, key order included."""
+
+    @pytest.mark.parametrize("argv,payload,text", EXPAND_GOLDEN,
+                             ids=["taylor", "psi", "newton", "maclaurin"])
+    def test_expand(self, capsys, argv, payload, text):
+        assert run(capsys, *argv) == (0, text, "")
+        assert run(capsys, *argv, "--format", "json") == (0, _json_text(payload), "")
+
+    def test_jackson_json(self, capsys):
+        payload = {"f": "x^2", "q": "1/2", "z": "1", "exact": "4/7",
+                   "numeric": 0.5714285714285714, "terms_used": 18, "tail_tol": 1e-13}
+        argv = ["jackson", "--f", "x^2", "--q", "1/2", "--z", "1", "--format", "json"]
+        assert run(capsys, *argv) == (0, _json_text(payload), "")
+
+    def test_verify_json(self, capsys):
+        pairs = ["D, x-(0)", "D, x-(1)", "D, x-(-2)", "Delta, x*E^-1", "psi-derivative, x_hat (fib)"]
+        rows = [{"suite": "commutator", "identity": "commutator", "params": f"pair={pair}, N=4",
+                 "cases": 5, "passed": True, "counterexample": None} for pair in pairs]
+        argv = ["verify", "--suite", "commutator", "--psi", "fib", "--max-degree", "4",
+                "--format", "json"]
+        assert run(capsys, *argv) == (0, _json_text(rows), "")
+
+    def test_failed_verify_json(self, capsys, monkeypatch):
+        from psicalc import operators
+
+        # the classical derivative in place of the q-derivative
+        monkeypatch.setattr(operators, "psi_derivative", lambda ctx, f, k=1: f.derivative(k))
+        cases = [("1/3*x + 2", "2/9*x + 2"), ("2*x - 2", "4/3*x - 2"),
+                 ("1/3*x - 5/2", "2/9*x - 5/2"), ("x - 3", "2/3*x - 3"),
+                 ("4*x + 3/4", "8/3*x + 3/4"), ("4/3*x + 1", "8/9*x + 1")]
+        rows = [{"suite": "fundamental", "identity": "fundamental", "params": "psi=q:2",
+                 "cases": 1, "passed": False,
+                 "counterexample": {"inputs": f"f={f}", "lhs": lhs, "rhs": f}}
+                for f, lhs in cases]
+        argv = ["verify", "--suite", "fundamental", "--psi", "q:2", "--max-degree", "1",
+                "--format", "json"]
+        assert run(capsys, *argv) == (1, _json_text(rows), "6 verification case(s) failed\n")

@@ -3,6 +3,7 @@ position or keyword with the documented defaults, equality only within
 one class, the hash of the field tuple, a fixed repr, and immutability."""
 
 import pickle
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,9 +17,12 @@ from psicalc import (
     GhwPair,
     HahnParams,
     JacksonQuadrature,
+    LatticeFunction,
     MaclaurinReport,
     Polynomial,
     VerificationReport,
+    bernoulli_maclaurin,
+    taylor_classical,
 )
 
 P = Polynomial
@@ -131,6 +135,21 @@ def test_hash_is_the_hash_of_the_field_tuple(cls, names, values, text):
 @cases
 def test_repr(cls, names, values, text):
     assert repr(cls(*values)) == text
+
+
+def test_repr_past_the_int_digit_limit(digit_limit):
+    big = 10**4999 + 7  # 5000 digits
+    digits = "1" + "0" * 4998 + "7"
+    report = MaclaurinReport(big, 1, (F(1, big),), F(-big, 3), big, F(0), False)
+    assert repr(report) == (
+        f"MaclaurinReport(alpha={digits}, order=1, terms=(Fraction(1, {digits}),), "
+        f"remainder=Fraction(-{digits}, 3), total={digits}, target=Fraction(0, 1), exact=False)")
+    # a big expansion point, and big scalar terms from a big constant
+    alpha = f"alpha=Fraction(1{'0' * 5000}, 1)"
+    assert alpha in repr(taylor_classical(Polynomial.x(), 10**5000, 1))
+    lattice = LatticeFunction.from_polynomial(Polynomial([10**5000]))
+    assert f"terms=(Fraction(1{'0' * 5000}, 1), " in repr(bernoulli_maclaurin(lattice, 2, 1))
+    assert sys.get_int_max_str_digits() == digit_limit
 
 
 @cases
