@@ -15,8 +15,9 @@ remainder at each checked point).  All exact values appear in I/O as
 rational strings ("p" or "p/q"); the only decimal output is the
 intrinsically approximate numeric Jackson value.  expand refuses a
 --psi other than classical, or an --x-eval, unless --kind is psi.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 admissibility error.
+expand accepts an --order up to MAX_ORDER = 10 000; a larger one is a
+domain error.  Exit codes: 0 success, 1 verification failure, 2 usage or
+parse error, 3 admissibility error.
 """
 
 from __future__ import annotations
@@ -24,19 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
 from . import discrete, expansions, hahn, operators
-from .errors import (
-    AdmissibilityError,
-    ConvergenceError,
-    DegenerateParamsError,
-    DomainError,
-    ParseError,
-    PsiCalcError,
-    RangeError,
-)
+from .errors import AdmissibilityError, DomainError, InternalError, ParseError, PsiCalcError
 from .parsing import parse_poly
 from .poly import Polynomial
 from .record import Record
@@ -46,6 +40,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ADMISSIBILITY = 3
+
+# the largest --order expand accepts; order 10 000 takes well under a
+# second for every kind on a small polynomial, while an order past the
+# machine's index range would end in an OverflowError or run for ever
+MAX_ORDER = 10_000
 
 VERIFY_SWEEPS_HELP = (
     "Fixed sweeps: commutator checks monomials up to --max-degree for the "
@@ -58,6 +57,11 @@ VERIFY_SWEEPS_HELP = (
     "{0, 1, -3, 7/5}; jackson-inverse runs q in {2, 1/2, 3/5}. The corpus "
     "seed is fixed, so runs are reproducible."
 )
+
+# argparse takes a token that starts with "-" for a value, not an unknown
+# option, only if it reads as a negative number: "-1" or "-1.5" on Python
+# 3.10-3.12.  The rational flags of expand and jackson add "-1/2".
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 _CORPUS_SEED = 20260826
 
@@ -103,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_expand = sub.add_parser("expand", help="expansion reports")
+    p_expand._negative_number_matcher = _NEGATIVE_NUMBER
     p_expand.add_argument("--psi", default="classical", help="psi-spec string")
     p_expand.add_argument("--f", required=True, help="polynomial expression")
     p_expand.add_argument("--alpha", type=_rat, default=Fraction(0))
@@ -115,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="defaults to 'psi' when --x-eval is given, else 'taylor'",
     )
     p_expand.add_argument("--format", choices=("text", "json"), default="text")
+    p_expand.set_defaults(run=_run_expand)
 
     p_verify = sub.add_parser(
         "verify", help="run exact identity suites", epilog=VERIFY_SWEEPS_HELP
@@ -123,18 +129,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--psi", default="classical")
     p_verify.add_argument("--max-degree", type=int, default=16, dest="max_degree")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    p_verify.set_defaults(run=_run_verify)
 
     p_jackson = sub.add_parser("jackson", help="Jackson q-integrals")
+    p_jackson._negative_number_matcher = _NEGATIVE_NUMBER
     p_jackson.add_argument("--f", required=True)
     p_jackson.add_argument("--q", type=_rat, required=True)
     p_jackson.add_argument("--z", type=_rat, required=True)
     p_jackson.add_argument("--tol", type=_tol, default=1e-13)
     p_jackson.add_argument("--format", choices=("text", "json"), default="text")
+    p_jackson.set_defaults(run=_run_jackson)
 
     p_table = sub.add_parser("table", help="psi-sequence tables")
     p_table.add_argument("--psi", default="classical")
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--format", choices=("text", "json"), default="text")
+    p_table.set_defaults(run=_run_table)
 
     return parser
 
@@ -147,6 +157,8 @@ def _run_expand(args) -> int:
     kind = args.kind or ("psi" if args.x_eval is not None else "taylor")
     if args.order < 0:
         raise DomainError("--order must be nonnegative")
+    if args.order > MAX_ORDER:
+        raise DomainError(f"--order must be at most {MAX_ORDER}")
     if kind == "psi" and args.x_eval is None:
         raise DomainError("--x-eval is required for the psi expansion")
     ctx = parse_psi_spec(args.psi)
@@ -341,34 +353,21 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # once argv is parsed, exact results are printed in full, past CPython's
+    # limit on int-to-str conversion; the caller's limit is restored on exit
+    digit_limit = sys.get_int_max_str_digits()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        sys.set_int_max_str_digits(0)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # exact results are printed in full, past CPython's default limit on
-    # int-to-str conversion; the caller's limit is restored on the way out
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        if args.command == "expand":
-            return _run_expand(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "jackson":
-            return _run_jackson(args)
-        if args.command == "table":
-            return _run_table(args)
-        raise DomainError(f"unknown command {args.command!r}")
     except AdmissibilityError as exc:
         print(f"admissibility error: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
-    except (ParseError, DomainError, RangeError, DegenerateParamsError,
-            ConvergenceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PsiCalcError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except (PsiCalcError, ValueError) as exc:
+        label = "internal error" if isinstance(exc, InternalError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         sys.set_int_max_str_digits(digit_limit)

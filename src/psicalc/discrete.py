@@ -101,10 +101,7 @@ def definite_sum(f: LatticeFunction, x: int) -> Fraction:
     """Sum of f(k) for 0 <= k < x; the empty sum is 0."""
     if x < 0:
         raise RangeError(f"definite sum upper index must be >= 0, got {x}")
-    acc = Fraction(0)
-    for k in range(x):
-        acc += f(k)
-    return acc
+    return iterated_sum(f, 1, x)
 
 
 def falling_factorial_poly(k: int) -> Polynomial:

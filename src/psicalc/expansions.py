@@ -152,11 +152,11 @@ def psi_bernoulli_taylor(
 
 def verify_expansion(report: ExpansionReport) -> VerificationReport:
     """Recompute the exactness verdict from the report's raw fields."""
-    failures = []
+    failure = None
     total = sum(report.terms, Polynomial())
     if total != report.partial_sum:
-        failures.append(("partial_sum", report.partial_sum, total))
-    if report.cauchy_remainder != report.oracle_remainder and not failures:
-        failures.append(("remainder", report.cauchy_remainder, report.oracle_remainder))
+        failure = ("partial_sum", report.partial_sum, total)
+    elif report.cauchy_remainder != report.oracle_remainder:
+        failure = ("remainder", report.cauchy_remainder, report.oracle_remainder)
     params = f"psi={report.psi_label}, alpha={report.alpha}, n={report.order}"
-    return _report("expansion", params, 2, failures)
+    return _report("expansion", params, 2, failure)

@@ -20,7 +20,8 @@ from .errors import (
     DomainError,
     InternalError,
 )
-from .operators import VerificationReport, _report, psi_antiderivative, psi_derivative
+from .operators import (VerificationReport, _report, psi_antiderivative, psi_derivative,
+                        verify_fundamental_theorem)
 from .poly import Polynomial, _rational
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
@@ -84,16 +85,16 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     x, qx_h, x_s = Polynomial.x(), Polynomial([p.h, p.q]), Polynomial([s, 1])
     divisor = Polynomial([-p.h, 1 - p.q])
     xn = qx_hn = x_sn = Polynomial.constant(1)
-    failures = []
+    failure = None
     for n in range(N + 1):
         if n:
             xn, qx_hn, x_sn = xn * x, qx_hn * qx_h, x_sn * x_s
         lhs = _hahn_quotient(xn - qx_hn, divisor)
         rhs = psi_derivative(ctx, x_sn).compose_affine(1, -s)
         if lhs != rhs:
-            failures.append((f"n={n}", lhs, rhs))
+            failure = (f"n={n}", lhs, rhs)
             break
-    return _report("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", N + 1, failures)
+    return _report("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", N + 1, failure)
 
 
 def jackson_antiderivative(f: Polynomial, q: Scalar) -> Polynomial:
@@ -174,6 +175,5 @@ def jackson_integral_numeric(
 def verify_jackson_inverse(f: Polynomial, q: Scalar) -> VerificationReport:
     """The q-derivative of the Jackson antiderivative returns f."""
     ctx = PsiContext(AdmissibleSequence.gauss_q(q))
-    lhs = psi_derivative(ctx, psi_antiderivative(ctx, f))
-    failures = [] if lhs == f else [(f"f={f}", lhs, f)]
-    return _report("jackson-inverse", f"q={Fraction(q)}", 1, failures)
+    ce = verify_fundamental_theorem(ctx, f).counterexample
+    return VerificationReport("jackson-inverse", f"q={ctx.sequence.q}", 1, ce)

@@ -231,11 +231,9 @@ class VerificationReport(Record):
         return line
 
 
-def _report(identity: str, params: str, cases: int, failures) -> VerificationReport:
-    """failures: list of (inputs, lhs, rhs) tuples; first one is kept."""
-    ce = None
-    if failures:
-        ce = Counterexample(*map(_digits, failures[0]))
+def _report(identity: str, params: str, cases: int, failure=None) -> VerificationReport:
+    """failure: the (inputs, lhs, rhs) of the counterexample, if any."""
+    ce = None if failure is None else Counterexample(*map(_digits, failure))
     return VerificationReport(identity, params, cases, ce)
 
 
@@ -243,14 +241,14 @@ def _report(identity: str, params: str, cases: int, failures) -> VerificationRep
 
 def verify_commutator(pair: GhwPair, N: int) -> VerificationReport:
     """Check (lower raiser - raiser lower) x^m = x^m for all 0 <= m <= N."""
-    failures = []
+    failure = None
     for m in range(N + 1):
         xm = Polynomial.monomial(m)
         lhs = pair.lower(pair.raiser(xm)) - pair.raiser(pair.lower(xm))
         if lhs != xm:
-            failures.append((f"m={m}", lhs, xm))
+            failure = (f"m={m}", lhs, xm)
             break
-    return _report("commutator", f"pair={pair.name}, N={N}", N + 1, failures)
+    return _report("commutator", f"pair={pair.name}, N={N}", N + 1, failure)
 
 
 def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationReport:
@@ -264,8 +262,8 @@ def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationRe
         bk = nxt
     # bk is now b^(n+1) f
     rhs = f - psi_antiderivative(ctx, bk, n + 1)
-    failures = [] if lhs == rhs else [(f"n={n}, f={f}", lhs, rhs)]
-    return _report("telescoping", f"psi={ctx.label}, n={n}", 1, failures)
+    failure = None if lhs == rhs else (f"n={n}, f={f}", lhs, rhs)
+    return _report("telescoping", f"psi={ctx.label}, n={n}", 1, failure)
 
 
 def verify_bernoulli_identity(pair: GhwPair, n: int, f: Polynomial) -> VerificationReport:
@@ -285,8 +283,8 @@ def verify_bernoulli_identity(pair: GhwPair, n: int, f: Polynomial) -> Verificat
     for _ in range(n):
         rhs = pair.raiser(rhs)
     rhs = rhs * Fraction((-1) ** n, math.factorial(n))
-    failures = [] if lhs == rhs else [(f"n={n}, f={f}", lhs, rhs)]
-    return _report("bernoulli", f"pair={pair.name}, n={n}", 1, failures)
+    failure = None if lhs == rhs else (f"n={n}, f={f}", lhs, rhs)
+    return _report("bernoulli", f"pair={pair.name}, n={n}", 1, failure)
 
 
 def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> VerificationReport:
@@ -336,9 +334,9 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
             terms = [-pair.raiser(rhs) for rhs in rhss]
     params = f"pair={pair.name}, m<={max_m}, n<={max_n}"
     if first is None:
-        return _report("bernoulli", params, (max_m + 1) * (max_n + 1), [])
+        return _report("bernoulli", params, (max_m + 1) * (max_n + 1))
     m, n, lhs, rhs = first
-    return _report("bernoulli", params, m * (max_n + 1) + n + 1, [(f"m={m}, n={n}", lhs, rhs)])
+    return _report("bernoulli", params, m * (max_n + 1) + n + 1, (f"m={m}, n={n}", lhs, rhs))
 
 
 def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> VerificationReport:
@@ -346,8 +344,8 @@ def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Verificatio
     with * the star product and D the classical derivative."""
     lhs = psi_derivative(ctx, star_psi(ctx, f, g))
     rhs = star_psi(ctx, f.derivative(), g) + star_psi(ctx, f, psi_derivative(ctx, g))
-    failures = [] if lhs == rhs else [(f"f={f}, g={g}", lhs, rhs)]
-    return _report("leibniz", f"psi={ctx.label}", 1, failures)
+    failure = None if lhs == rhs else (f"f={f}, g={g}", lhs, rhs)
+    return _report("leibniz", f"psi={ctx.label}", 1, failure)
 
 
 def verify_exp_addition(ctx: PsiContext, alpha: Scalar, beta: Scalar, N: int) -> VerificationReport:
@@ -355,9 +353,9 @@ def verify_exp_addition(ctx: PsiContext, alpha: Scalar, beta: Scalar, N: int) ->
     alpha, beta = Fraction(_rational(alpha)), Fraction(_rational(beta))
     lhs = star_psi(ctx, exp_poly(alpha, N), psi_exp(ctx, beta, N)).truncate(N)
     rhs = psi_exp(ctx, alpha + beta, N)
-    failures = [] if lhs == rhs else [(f"alpha={alpha}, beta={beta}, N={N}", lhs, rhs)]
+    failure = None if lhs == rhs else (f"alpha={alpha}, beta={beta}, N={N}", lhs, rhs)
     return _report(
-        "exp-addition", f"psi={ctx.label}, alpha={alpha}, beta={beta}, N={N}", N + 1, failures
+        "exp-addition", f"psi={ctx.label}, alpha={alpha}, beta={beta}, N={N}", N + 1, failure
     )
 
 
@@ -371,15 +369,15 @@ def verify_per_partes(
     rhs = (boundary(b) - boundary(a)) - psi_definite_integral(
         ctx, star_psi(ctx, f.derivative(), g), a, b
     )
-    failures = [] if lhs == rhs else [(f"f={f}, g={g}, a={a}, b={b}", lhs, rhs)]
-    return _report("per-partes", f"psi={ctx.label}, a={a}, b={b}", 1, failures)
+    failure = None if lhs == rhs else (f"f={f}, g={g}, a={a}, b={b}", lhs, rhs)
+    return _report("per-partes", f"psi={ctx.label}, a={a}, b={b}", 1, failure)
 
 
 def verify_fundamental_theorem(ctx: PsiContext, f: Polynomial) -> VerificationReport:
     """psi-derivative of the psi-antiderivative is the identity."""
     lhs = psi_derivative(ctx, psi_antiderivative(ctx, f))
-    failures = [] if lhs == f else [(f"f={f}", lhs, f)]
-    return _report("fundamental", f"psi={ctx.label}", 1, failures)
+    failure = None if lhs == f else (f"f={f}", lhs, f)
+    return _report("fundamental", f"psi={ctx.label}", 1, failure)
 
 
 def historical_divided_difference_sum(f: Polynomial, signed: bool = True) -> Polynomial:
@@ -406,13 +404,13 @@ def historical_evaluation_sum(f: Polynomial) -> Polynomial:
 def verify_historical_series(f: Polynomial) -> VerificationReport:
     """The two classical series: the divided-difference expansion (with
     the alternating sign) and the zero-point evaluation expansion."""
-    failures = []
+    failure = None
     lhs1 = divided_difference_zero(f)
     rhs1 = historical_divided_difference_sum(f)
-    if lhs1 != rhs1:
-        failures.append((f"divided-difference, f={f}", lhs1, rhs1))
     lhs2 = Polynomial.constant(f(0))
     rhs2 = historical_evaluation_sum(f)
-    if lhs2 != rhs2 and not failures:
-        failures.append((f"evaluation, f={f}", lhs2, rhs2))
-    return _report("historical", f"f={f}", 2, failures)
+    if lhs1 != rhs1:
+        failure = (f"divided-difference, f={f}", lhs1, rhs1)
+    elif lhs2 != rhs2:
+        failure = (f"evaluation, f={f}", lhs2, rhs2)
+    return _report("historical", f"f={f}", 2, failure)

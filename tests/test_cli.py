@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from psicalc.cli import main
+from psicalc.errors import AdmissibilityError, InternalError, RangeError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -341,3 +342,86 @@ class TestGoldenBytes:
         argv = ["verify", "--suite", "fundamental", "--psi", "q:2", "--max-degree", "1",
                 "--format", "json"]
         assert run(capsys, *argv) == (1, _json_text(rows), "6 verification case(s) failed\n")
+
+
+class TestNegativeRationalFlags:
+    """`--flag -p/q` reads the value as `--flag=-p/q` does, not as an option."""
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["expand", "--f", "x", "--order", "1", "--x-eval", "2"], "--alpha", "-1/2"),
+        (["expand", "--f", "x", "--order", "1", "--alpha", "1"], "--x-eval", "-3/4"),
+        (["jackson", "--f", "x", "--z", "1"], "--q", "-1/2"),
+        (["jackson", "--f", "x", "--q", "1/2"], "--z", "-1/3"),
+    ], ids=["alpha", "x-eval", "q", "z"])
+    def test_written_apart_as_with_equals(self, capsys, argv, flag, value):
+        apart = run(capsys, *argv, flag, value)
+        assert apart == run(capsys, *argv, f"{flag}={value}")
+        code, out, err = apart
+        assert value in out + err and f"argument {flag}" not in err
+        # q = -1/2 is read, then refused by the numeric quadrature
+        assert code == (2 if flag == "--q" else 0)
+
+
+class TestOrderLimit:
+    LIMIT = 10_000  # psicalc.cli.MAX_ORDER
+    KINDS = {"taylor": [], "psi": ["--x-eval", "1"], "newton": [], "maclaurin": ["--alpha", "2"]}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_huge_order_is_a_domain_error(self, kind):
+        # a fresh interpreter under a timeout: an unchecked order runs away
+        proc = subprocess.run(
+            [sys.executable, "-m", "psicalc.cli", "expand", "--f", "x", "--kind", kind,
+             "--order", str(10**30), *self.KINDS[kind]],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: --order must be at most {self.LIMIT}\n"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_order_at_the_limit_runs(self, capsys, kind):
+        code, out, err = run(capsys, "expand", "--f", "(1+x)^3", "--kind", kind,
+                             "--order", str(self.LIMIT), *self.KINDS[kind])
+        assert (code, err) == (0, "")
+        assert f"order: {self.LIMIT}" in out and "exact: True" in out
+
+
+class TestValidationMessages:
+    """Each refused input exits 2 (3 for admissibility) with one error line."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["expand", "--f", "x", "--order", "-1"], "--order must be nonnegative"),
+        (["expand", "--f", "x", "--order", "1", "--kind", "psi"],
+         "--x-eval is required for the psi expansion"),
+        (["expand", "--f", "x", "--order", "1", "--kind", "maclaurin", "--alpha", "1/2"],
+         "--alpha must be a positive integer for maclaurin"),
+        (["expand", "--f", "x", "--order", "1", "--kind", "maclaurin", "--alpha", "0"],
+         "--alpha must be a positive integer for maclaurin"),
+        (["table", "--n", "0"], "--n must be >= 1"),
+    ], ids=["negative-order", "psi-without-x-eval", "maclaurin-alpha-1/2",
+            "maclaurin-alpha-0", "table-n-0"])
+    def test_domain_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_tolerance_that_is_not_a_number(self, capsys):
+        code, out, err = run(capsys, "jackson", "--f", "x", "--q", "1/2", "--z", "1",
+                             "--tol", "abc")
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "argument --tol: tolerance must be a finite number > 0, got 'abc'\n")
+
+    @pytest.mark.parametrize("exc,code,prefix", [
+        (InternalError, 2, "internal error"),
+        (RangeError, 2, "error"),
+        (ValueError, 2, "error"),
+        (AdmissibilityError, 3, "admissibility error"),
+    ], ids=["internal", "range", "value", "admissibility"])
+    def test_error_rule(self, capsys, monkeypatch, exc, code, prefix):
+        from psicalc import cli
+
+        def broken(ctx, d, corpus):
+            raise exc("broken suite")
+
+        monkeypatch.setitem(cli._SUITES, "fundamental", broken)
+        assert run(capsys, "verify", "--suite", "fundamental") == (
+            code, "", f"{prefix}: broken suite\n")

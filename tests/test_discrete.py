@@ -90,9 +90,11 @@ class TestDefiniteSum:
 
 class TestIteratedSum:
     def test_depth_one_is_definite_sum(self):
-        f = lat(X**2 + 1)
-        for x in range(8):
-            assert iterated_sum(f, 1, x) == definite_sum(f, x)
+        # definite_sum is the depth-1 iterated sum; both against a plain sum
+        for f in (lat(X**2 + 1), LatticeFunction.from_table([F(v, 3) for v in range(-3, 5)])):
+            for x in range(8):
+                assert iterated_sum(f, 1, x) == definite_sum(f, x) == sum(map(f, range(x)))
+                assert type(definite_sum(f, x)) is F
 
     def test_ones_depth_two(self):
         f = lat(Polynomial.constant(1))

@@ -248,3 +248,18 @@ class TestJacksonInverse:
 
     def test_zero(self):
         assert verify_jackson_inverse(Polynomial.zero(), F(5, 3)).passed
+
+    def test_counterexample_is_labelled_jackson_inverse(self, monkeypatch):
+        from psicalc import operators
+
+        # the classical derivative in place of the q-derivative
+        power = operators._psi_power
+        monkeypatch.setattr(
+            operators, "_psi_power",
+            lambda ctx, f, k, raising, falling=False:
+                power(ctx, f, k, raising, falling) if raising else f.derivative(k),
+        )
+        report = verify_jackson_inverse(X**2, 2)
+        assert (report.identity, report.params, report.cases) == ("jackson-inverse", "q=2", 1)
+        ce = report.counterexample
+        assert (ce.inputs, ce.lhs, ce.rhs) == ("f=x^2", "3/7*x^2", "x^2")

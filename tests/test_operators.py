@@ -673,7 +673,7 @@ class TestReportsPastTheDigitLimit:
 
     def test_rational_sides_keep_every_digit(self, digit_limit):
         # per-partes compares two numbers, not polynomials
-        report = _report("per-partes", "psi=fib", 1, [("a=0", F(-self.BIG, 3), self.BIG)])
+        report = _report("per-partes", "psi=fib", 1, ("a=0", F(-self.BIG, 3), self.BIG))
         assert sys.get_int_max_str_digits() == digit_limit
         ce = report.counterexample
         assert (ce.lhs, ce.rhs) == ("-" + self.DIGITS + "/3", self.DIGITS)

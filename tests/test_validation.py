@@ -1,0 +1,81 @@
+"""Every argument check in the library raises its documented error type
+with its own message."""
+
+import pytest
+
+from psicalc import (
+    AdmissibleSequence,
+    LatticeFunction,
+    Polynomial,
+    bernoulli_maclaurin,
+    definite_sum,
+    iterated_sum,
+    newton_expansion,
+    psi_bernoulli_taylor,
+    taylor_classical,
+)
+from psicalc.errors import DomainError, ParseError, RangeError
+from psicalc.operators import psi_exp, psi_power
+from psicalc.sequences import admissibility_check, parse_psi_spec
+
+X = Polynomial.x()
+LAT = LatticeFunction.from_polynomial(X)
+TABLE = LatticeFunction.from_table([1, 2, 3])
+CTX = parse_psi_spec("q:2")
+ORDER = "expansion order must be nonnegative"
+BACKING = "exactly one of polynomial/table must be given"
+
+CASES = {
+    # discrete
+    "definite-sum-below-0": (lambda: definite_sum(LAT, -1), RangeError,
+                             "definite sum upper index must be >= 0, got -1"),
+    "iterated-sum-depth-0": (lambda: iterated_sum(LAT, 0, 3), RangeError,
+                             "iterated sum depth must be >= 1, got 0"),
+    "empty-table": (lambda: LatticeFunction.from_table([]), RangeError,
+                    "table-backed function needs at least one value"),
+    "both-backings": (lambda: LatticeFunction(polynomial=X, table=[1]), ValueError, BACKING),
+    "no-backing": (lambda: LatticeFunction(), ValueError, BACKING),
+    "newton-of-a-table": (lambda: newton_expansion(TABLE, 1), RangeError,
+                          "newton_expansion requires a polynomial-backed function"),
+    "maclaurin-of-a-table": (lambda: bernoulli_maclaurin(TABLE, 1, 1), RangeError,
+                             "bernoulli_maclaurin requires a polynomial-backed function"),
+    "maclaurin-about-0": (lambda: bernoulli_maclaurin(LAT, 0, 1), RangeError,
+                          "expansion point must be a positive integer, got 0"),
+    # a negative order in each expansion
+    "taylor-order": (lambda: taylor_classical(X, 0, -1), ValueError, ORDER),
+    "psi-order": (lambda: psi_bernoulli_taylor(CTX, X, 0, 1, -1), ValueError, ORDER),
+    "newton-order": (lambda: newton_expansion(LAT, -1), ValueError, ORDER),
+    "maclaurin-order": (lambda: bernoulli_maclaurin(LAT, 1, -1), ValueError, ORDER),
+    # operators
+    "psi-power": (lambda: psi_power(CTX, -1), ValueError, "psi_power index must be nonnegative"),
+    "psi-exp": (lambda: psi_exp(CTX, 1, -1), ValueError, "truncation order must be nonnegative"),
+    # sequences
+    "factorial": (lambda: CTX.factorial(-1), DomainError, "n_psi! requires n >= 0, got -1"),
+    "falling-factorial": (lambda: CTX.falling_factorial(3, -1), DomainError,
+                          "falling factorial length must be >= 0, got -1"),
+    "admissibility-bound": (lambda: admissibility_check(CTX, 0), DomainError,
+                            "admissibility bound must be >= 1, got 0"),
+    "custom-without-factors": (lambda: parse_psi_spec("custom:"), ParseError,
+                               "custom psi-spec needs at least one factor (at offset 7)"),
+    "raw-factor-0": (lambda: AdmissibleSequence.classical().raw_factor(0), DomainError,
+                     "sequence index must be a positive integer, got 0"),
+    # poly
+    "negative-monomial": (lambda: Polynomial.monomial(-1), ValueError,
+                          "monomial degree must be nonnegative"),
+    "negative-power": (lambda: X ** -1, ValueError, "negative polynomial power"),
+    "division-by-zero": (lambda: divmod(X, Polynomial()), ZeroDivisionError,
+                         "polynomial division by zero"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", CASES.values(), ids=CASES)
+def test_refused_with_its_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_polynomial_equals_only_numbers_and_polynomials():
+    assert Polynomial.constant(3) == 3 and X != 3
+    assert X.__eq__("x") is NotImplemented and (X == "x") is False
