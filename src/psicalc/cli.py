@@ -15,9 +15,10 @@ remainder at each checked point).  All exact values appear in I/O as
 rational strings ("p" or "p/q"); the only decimal output is the
 intrinsically approximate numeric Jackson value.  expand refuses a
 --psi other than classical, or an --x-eval, unless --kind is psi.
-expand accepts an --order up to MAX_ORDER = 10 000; a larger one is a
-domain error.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse error, 3 admissibility error.
+expand accepts an --order up to MAX_ORDER = 10 000, the library's
+`expansions.MAX_ORDER`; a larger one is a domain error.  Exit codes:
+0 success, 1 verification failure, 2 usage or parse error,
+3 admissibility error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from fractions import Fraction
 
 from . import discrete, expansions, hahn, operators
 from .errors import AdmissibilityError, DomainError, InternalError, ParseError, PsiCalcError
+from .expansions import MAX_ORDER
 from .parsing import parse_poly
 from .poly import Polynomial
 from .record import Record
@@ -40,11 +42,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ADMISSIBILITY = 3
-
-# the largest --order expand accepts; order 10 000 takes well under a
-# second for every kind on a small polynomial, while an order past the
-# machine's index range would end in an OverflowError or run for ever
-MAX_ORDER = 10_000
 
 VERIFY_SWEEPS_HELP = (
     "Fixed sweeps: commutator checks monomials up to --max-degree for the "
@@ -155,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_expand(args) -> int:
     f = parse_poly(args.f)
     kind = args.kind or ("psi" if args.x_eval is not None else "taylor")
+    # the expansions check the same bounds; this check only names the
+    # flag, and refuses the order before the psi-spec is parsed
     if args.order < 0:
         raise DomainError("--order must be nonnegative")
     if args.order > MAX_ORDER:

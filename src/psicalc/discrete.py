@@ -14,6 +14,7 @@ import operator
 from fractions import Fraction
 
 from .errors import RangeError
+from .expansions import _check_order
 from .poly import Polynomial, _rational
 from .record import Record
 
@@ -156,8 +157,7 @@ def newton_expansion(
     summed Cauchy-type remainder, checked for exactness on `sweep`."""
     if not f.is_polynomial:
         raise RangeError("newton_expansion requires a polynomial-backed function")
-    if n < 0:
-        raise ValueError("expansion order must be nonnegative")
+    _check_order(n)
     terms = []
     dk = f
     falling = Polynomial.constant(1)  # x^(falling k)
@@ -175,14 +175,7 @@ def newton_expansion(
 
     points = tuple(sweep)
     exact = all(partial(x) + remainder_at(x) == f(x) for x in points)
-    return DeltaExpansionReport(
-        order=n,
-        terms=tuple(terms),
-        partial_sum=partial,
-        remainder_at=remainder_at,
-        checked_points=points,
-        exact=exact,
-    )
+    return DeltaExpansionReport(n, tuple(terms), partial, remainder_at, points, exact)
 
 
 class MaclaurinReport(Record):
@@ -215,8 +208,7 @@ def bernoulli_maclaurin(
         raise RangeError("bernoulli_maclaurin requires a polynomial-backed function")
     if alpha < 1:
         raise RangeError(f"expansion point must be a positive integer, got {alpha}")
-    if n < 0:
-        raise ValueError("expansion order must be nonnegative")
+    _check_order(n)
     flip = 1 if legacy_signs else 0
     terms = []
     dk = f
@@ -232,12 +224,4 @@ def bernoulli_maclaurin(
 
     total = sum(terms, Fraction(0)) + remainder
     target = f(0)
-    return MaclaurinReport(
-        alpha=alpha,
-        order=n,
-        terms=tuple(terms),
-        remainder=remainder,
-        total=total,
-        target=target,
-        exact=total == target,
-    )
+    return MaclaurinReport(alpha, n, tuple(terms), remainder, total, target, total == target)

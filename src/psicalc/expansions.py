@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import DomainError
 from .operators import (
     VerificationReport,
     _report,
@@ -37,6 +38,21 @@ from .sequences import PsiContext
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .poly import Scalar
+
+
+# The largest order an expansion accepts.  Order 10 000 takes well under a
+# second for every kind on a small polynomial, while an order past the
+# machine's index range would end in an OverflowError, and a huge one
+# would run for ever.
+MAX_ORDER = 10_000
+
+
+def _check_order(n: int) -> None:
+    """Refuse an expansion order outside 0..MAX_ORDER before any work."""
+    if n < 0:
+        raise ValueError("expansion order must be nonnegative")
+    if n > MAX_ORDER:
+        raise DomainError(f"expansion order must be at most {MAX_ORDER}")
 
 
 class ExpansionReport(Record):
@@ -70,8 +86,7 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
     makes it one weight pass u^j -> j!/(n+j+1)! s^(n+j+1) on h, shifted
     back by -alpha.
     """
-    if n < 0:
-        raise ValueError("expansion order must be nonnegative")
+    _check_order(n)
     alpha = Fraction(_rational(alpha))
     g = f.compose_affine(1, alpha)
     step = Polynomial([-alpha, 1])  # x - alpha
@@ -91,16 +106,8 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
     remainder = h._diagonal([lcm // w for w in beta], lcm, n + 1).compose_affine(1, -alpha)
 
     oracle = f - partial
-    return ExpansionReport(
-        psi_label="classical",
-        alpha=alpha,
-        order=n,
-        terms=tuple(terms),
-        partial_sum=partial,
-        cauchy_remainder=remainder,
-        oracle_remainder=oracle,
-        exact=remainder == oracle,
-    )
+    return ExpansionReport("classical", alpha, n, tuple(terms), partial, remainder, oracle,
+                           remainder == oracle, None)
 
 
 def psi_bernoulli_taylor(
@@ -116,8 +123,7 @@ def psi_bernoulli_taylor(
     Their total equals f(x_eval) exactly.  Terms and remainder are stored
     as constant polynomials.
     """
-    if n < 0:
-        raise ValueError("expansion order must be nonnegative")
+    _check_order(n)
     alpha, x_eval = Fraction(_rational(alpha)), Fraction(_rational(x_eval))
     phi = f.compose_affine(1, x_eval)  # phi(w) = f(x_eval + w)
     w0 = alpha - x_eval
@@ -137,17 +143,8 @@ def psi_bernoulli_taylor(
     partial = Polynomial.constant(sum(values))
     remainder = Polynomial.constant(rem_value)
     oracle = f(x_eval) - partial
-    return ExpansionReport(
-        psi_label=ctx.label,
-        alpha=alpha,
-        order=n,
-        terms=tuple(terms),
-        partial_sum=partial,
-        cauchy_remainder=remainder,
-        oracle_remainder=oracle,
-        exact=remainder == oracle,
-        x_eval=x_eval,
-    )
+    return ExpansionReport(ctx.label, alpha, n, tuple(terms), partial, remainder, oracle,
+                           remainder == oracle, x_eval)
 
 
 def verify_expansion(report: ExpansionReport) -> VerificationReport:

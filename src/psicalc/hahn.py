@@ -159,13 +159,7 @@ def jackson_integral_numeric(
         # a run of them before trusting the geometric tail bound
         small_streak = small_streak + 1 if abs(term) < cutoff else 0
         if small_streak >= streak:
-            return JacksonQuadrature(
-                value=math.fsum(terms),
-                terms_used=k + 1,
-                tail_tol=tail_tol,
-                q=qf,
-                z=zf,
-            )
+            return JacksonQuadrature(math.fsum(terms), k + 1, tail_tol, qf, zf)
         qk *= qf
     raise ConvergenceError(
         f"Jackson series did not meet the tail criterion within {max_terms} terms"

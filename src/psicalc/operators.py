@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .poly import Polynomial, _canonical, _digits, _perms, _rational
+from .poly import Polynomial, _canonical, _combine, _digits, _perms, _rational
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
@@ -103,19 +103,21 @@ def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) 
 
 
 def star_psi(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Polynomial:
-    """The noncommutative product f(x_hat) g.
+    """The noncommutative product f(x_hat) g = sum_k c_k x_hat^k g.
 
     Operator powers of x_hat are built by repeated application, so
-    degree-raising never truncates.
+    degree-raising never truncates.  With f = sum_k n_k x^k / den, the
+    images x_hat^k g are combined once, as the integer combination
+    sum_k n_k x_hat^k g over den: one lcm and one gcd in all.
     """
-    acc = Polynomial()
+    pairs = []
     image = g
-    for k, c in enumerate(f.coeffs):
-        if k > 0:
+    for k, c in enumerate(f._num):
+        if k:
             image = x_hat_psi(ctx, image)
         if c:
-            acc = acc + c * image
-    return acc
+            pairs.append((c, image))
+    return _combine(pairs, f._den)
 
 
 def psi_power(ctx: PsiContext, n: int) -> Polynomial:
@@ -300,38 +302,42 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     p x^m = sum_j c_j x^j (j <= m, since p lowers the degree),
     rhs(m, n) = sum_j c_j T(j, n), and the next term is one raiser
     application away from it: T(m, n+1) = -q rhs(m, n).  So each case
-    costs one lower and at most one raiser call.  The cases run order by
-    order, so only the column T(., n) is kept; it is complete before any
-    rhs(m, n) needs it, which covers c_m != 0 as well.  The report is
-    that of the (m, n) order: its first counterexample and the cases up
-    to it.  A lower operator that raises the degree of some x^m is a
-    DomainError.
+    costs one lower and at most one raiser call; the sign of
+    T(., n) = -(q rhs(., n-1)) rides as a coefficient of the integer
+    combinations that build S_n and rhs(m, n), each one pass with one
+    gcd.  The cases run order by order, so only the column T(., n) is
+    kept; it is complete before any rhs(m, n) needs it, which covers
+    c_m != 0 as well.  The report is that of the (m, n) order: its first
+    counterexample and the cases up to it.  A lower operator that raises
+    the degree of some x^m is a DomainError.
     """
-    terms = [Polynomial.monomial(m) for m in range(max_m + 1)]  # T(m, n)
-    parts = []  # p x^m as [(c_j, j)]
-    for m, xm in enumerate(terms):
+    images = [Polynomial.monomial(m) for m in range(max_m + 1)]  # T(m, n) up to its sign
+    parts = []  # p x^m as ([(numerator of c_j, j)], denominator)
+    for m, xm in enumerate(images):
         image = pair.lower(xm)
         if image.degree > m:
             raise DomainError(
                 f"pair {pair.name}: the lower operator maps x^{m} to degree "
                 f"{image.degree}; it must not raise the degree"
             )
-        parts.append([(c, j) for j, c in enumerate(image.coeffs) if c])
+        parts.append(([(c, j) for j, c in enumerate(image._num) if c], image._den))
     partials = [Polynomial()] * (max_m + 1)  # S_(n-1) for each x^m
     first = None  # the counterexample first in (m, n) order so far
     top = max_m  # only a counterexample below x^(top+1) can come before it
     for n in range(max_n + 1):
+        sign = -1 if n else 1  # T(., n) = sign * images
         rhss = []
         for m in range(top + 1):
-            partials[m] = partials[m] * n + terms[m]
+            partials[m] = _combine(((n, partials[m]), (sign, images[m])))
             lhs = pair.lower(partials[m])
-            rhs = sum([terms[j] * c for c, j in parts[m]], Polynomial())
+            nums, den = parts[m]
+            rhs = _combine([(sign * c, images[j]) for c, j in nums], den)
             if lhs != rhs:
                 first, top = (m, n, lhs, rhs), m - 1
                 break
             rhss.append(rhs)
         if n < max_n:
-            terms = [-pair.raiser(rhs) for rhs in rhss]
+            images = [pair.raiser(rhs) for rhs in rhss]
     params = f"pair={pair.name}, m<={max_m}, n<={max_n}"
     if first is None:
         return _report("bernoulli", params, (max_m + 1) * (max_n + 1))

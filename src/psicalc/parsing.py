@@ -2,14 +2,15 @@
 
     expr     := term (('+'|'-') term)*
     term     := factor ('*' factor)*
-    factor   := base ('^' uint)?
+    factor   := '-' factor | base ('^' uint)?
     base     := rational | 'x' | '(' expr ')'
-    rational := int ('/' uint)?
+    rational := uint ('/' uint)?
 
-Whitespace is insignificant.  Printing a Polynomial with str() produces
-text this grammar accepts, so parse/print round-trips exactly.  Parentheses
-nest at most MAX_NESTING deep, so the recursion stays far from Python's
-limit.
+A unary minus binds looser than '^' and tighter than '*', so -x^2 is
+-(x^2) and -3^2 is -9.  Whitespace is insignificant.  Printing a
+Polynomial with str() produces text this grammar accepts, so parse/print
+round-trips exactly.  Parentheses nest at most MAX_NESTING deep, so the
+recursion stays far from Python's limit.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ class _Parser:
         return int(self.src[start:self.pos])
 
     def rational(self) -> Fraction:
-        self.skip_ws()
-        negative = False
-        if self.peek() == "-":
-            negative = True
-            self.pos += 1
         num = self.uint()
         den = 1
         if self.peek() == "/":
@@ -64,8 +60,7 @@ class _Parser:
             den = self.uint()
             if den == 0:
                 raise ParseError("zero denominator", start)
-        value = Fraction(num, den)
-        return -value if negative else value
+        return Fraction(num, den)
 
     def base(self) -> Polynomial:
         ch = self.peek()
@@ -81,16 +76,21 @@ class _Parser:
         if ch == "x":
             self.pos += 1
             return Polynomial.x()
-        if ch.isdigit() or ch == "-":
+        if ch.isdigit():
             return Polynomial.constant(self.rational())
         raise ParseError("expected rational, 'x', or '('", self.pos)
 
     def factor(self) -> Polynomial:
+        # a run of unary minuses is counted, not recursed into
+        negative = False
+        while self.peek() == "-":
+            self.pos += 1
+            negative = not negative
         b = self.base()
         if self.peek() == "^":
             self.pos += 1
-            return b ** self.uint()
-        return b
+            b = b ** self.uint()
+        return -b if negative else b
 
     def term(self) -> Polynomial:
         acc = self.factor()

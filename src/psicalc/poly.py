@@ -232,20 +232,19 @@ class Polynomial:
 
     def compose_affine(self, q: Scalar, h: Scalar) -> "Polynomial":
         """The polynomial x -> f(qx + h).  With h = r/s and q = a/b,
-        s^d f((r/s) t) has the integer coefficients n_i r^i s^(d-i), and
-        t -> t + 1 shifts them with additions only (von zur Gathen &
-        Gerhard, ISSAC 1997); t = a s x / (b r) then scales them back."""
+        s^d f((r/s) t) has the integer coefficients n_i r^i s^(d-i), their
+        shift t -> t + 1 on one packed integer (von zur Gathen & Gerhard,
+        ISSAC 1997) gives s^d f((r/s)(t + 1)), and t = a s x / (b r)
+        scales them back; q = 1 skips the a^i b^(d-i) scaling."""
         q, h = _rational(q), _rational(h)
         a, b, r, s = q.numerator, q.denominator, h.numerator, h.denominator
         cs, d = list(self._num), self.degree
-        if r:
+        if r and d > 0:
             cs = [c * r**i * s ** (d - i) for i, c in enumerate(cs)]
-            for k in range(d):
-                for j in range(d - 1, k - 1, -1):
-                    cs[j] += cs[j + 1]
-            cs = [c // r**i * s**i for i, c in enumerate(cs)]
-        out = [c * a**i * b ** (d - i) for i, c in enumerate(cs)]
-        return _canonical(out, self._den * (b * s) ** max(d, 0))
+            cs = [c // r**i * s**i for i, c in enumerate(_shift_by_one(cs))]
+        if a != 1 or b != 1:
+            cs = [c * a**i * b ** (d - i) for i, c in enumerate(cs)]
+        return _canonical(cs, self._den * (b * s) ** max(d, 0))
 
     def truncate(self, n: int) -> "Polynomial":
         """Drop all terms of degree > n."""
@@ -279,6 +278,50 @@ def _canonical(num: list[int], den: int) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p._set(num, den)
     return p
+
+
+def _combine(pairs: Iterable[tuple[int, Polynomial]], den: int = 1) -> Polynomial:
+    """The integer linear combination sum(c * f for c, f in pairs) / den
+    in one pass: every f is brought to the one lcm of their denominators,
+    and the sum is made canonical once.  den is a nonzero int."""
+    pairs = [(c, f) for c, f in pairs if c and f._num]
+    if not pairs:
+        return Polynomial()
+    lcm = math.lcm(*[f._den for _, f in pairs])
+    out = [0] * max([len(f._num) for _, f in pairs])
+    for c, f in pairs:
+        num = f._num
+        if f._den != lcm:
+            c *= lcm // f._den
+        out[: len(num)] = map(operator.add, out, [c * v for v in num])
+    return _canonical(out, lcm * den)
+
+
+def _shift_by_one(cs: list[int]) -> list[int]:
+    """The coefficients of f(t + 1) for the integer coefficients cs of f,
+    index i holding that of t^i, d = len(cs) - 1 >= 1.
+
+    Horner on one packed integer: at X = 2^b, G = f(X + 1) is built as
+    G <- (G << b) + G + c, d big-integer steps, and its signed base-X
+    digits are the coefficients.  Each coefficient of f(t + 1) is at most
+    sum_i C(i, k) |c_i| <= C(d+1, k+1) max|c_i| < 2^(B+d) in size, for B
+    the largest coefficient bit length, so b = B + d + 1 bits hold it
+    with its sign.
+    """
+    d = len(cs) - 1
+    b = max(map(int.bit_length, cs)) + d + 1
+    g = 0
+    for c in reversed(cs):
+        g = (g << b) + g + c
+    mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
+    out = []
+    for _ in range(d + 1):
+        digit = g & mask
+        if digit >= half:
+            digit -= full
+        out.append(digit)
+        g = (g - digit) >> b
+    return out
 
 
 def _perms(stop: int, k: int) -> Iterable[int]:

@@ -34,6 +34,11 @@ class TestExpand:
         assert payload["exact"] is True
         assert payload["value"] == "8"
 
+    def test_negated_polynomial_joined_with_equals(self, capsys):
+        code, out, err = run(capsys, "expand", "--f=-x^2", "--order", "1")
+        assert (code, err) == (0, "")
+        assert "f: -1*x^2\n" in out and "exact: True" in out
+
     def test_taylor_text(self, capsys):
         code, out, _ = run(
             capsys, "expand", "--f", "x^3", "--alpha", "1", "--order", "2"
@@ -363,7 +368,7 @@ class TestNegativeRationalFlags:
 
 
 class TestOrderLimit:
-    LIMIT = 10_000  # psicalc.cli.MAX_ORDER
+    LIMIT = 10_000  # psicalc.expansions.MAX_ORDER, imported as psicalc.cli.MAX_ORDER
     KINDS = {"taylor": [], "psi": ["--x-eval", "1"], "newton": [], "maclaurin": ["--alpha", "2"]}
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -377,6 +382,11 @@ class TestOrderLimit:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: --order must be at most {self.LIMIT}\n"
+
+    def test_limit_is_the_library_constant(self):
+        from psicalc import cli, expansions
+
+        assert cli.MAX_ORDER is expansions.MAX_ORDER == self.LIMIT
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_order_at_the_limit_runs(self, capsys, kind):

@@ -29,6 +29,27 @@ class TestGrammar:
         assert parse_poly("-1*x^2 + 1") == -(X**2) + 1
         assert parse_poly("-3/4") == Polynomial.constant(F(-3, 4))
 
+    def test_unary_minus_binds_looser_than_power(self):
+        assert parse_poly("-x^2") == -(X**2)
+        assert parse_poly("-3^2") == Polynomial.constant(-9)
+        assert parse_poly("-(x+1)") == -X - 1
+        assert parse_poly("-(x+1)^2 + 3") == -((X + 1) ** 2) + 3
+
+    def test_unary_minus_inside_terms(self):
+        assert parse_poly("2*-x") == -2 * X
+        assert parse_poly("x - -1") == X + 1
+        assert parse_poly("- - x") == X
+
+    def test_long_run_of_unary_minuses(self):
+        # counted in a loop, so no run reaches the recursion limit
+        assert parse_poly("-" * 5001 + "x") == -X
+
+    def test_minus_without_operand(self):
+        for src, position in (("-", 1), ("x^-2", 2), ("1/-2", 2)):
+            with pytest.raises(ParseError) as exc:
+                parse_poly(src)
+            assert exc.value.position == position
+
     def test_whitespace_insignificant(self):
         assert parse_poly("  3/2 * x ^ 3-x+ 1 ") == parse_poly("3/2*x^3-x+1")
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from psicalc import (
     verify_exp_addition,
     verify_per_partes,
 )
+from psicalc import poly
 
 X = Polynomial.x()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,6 +56,76 @@ class TestAffineCompose:
     @given(polynomials(), rationals.filter(lambda q: q != 0), rationals)
     def test_affine_inverse(self, f, q, h):
         assert f.compose_affine(q, h).compose_affine(1 / q, -h / q) == f
+
+
+def shift_loop(cs, h):
+    """The coefficients of f(t + h) by the d(d+1)/2 additions
+    a_j += h a_(j+1), the reference for the packed Taylor shift."""
+    cs, d = list(cs), len(cs) - 1
+    for k in range(d):
+        for j in range(d - 1, k - 1, -1):
+            cs[j] += h * cs[j + 1]
+    return cs
+
+
+class TestTaylorShift:
+    """The packed shift against the reference loop above and against
+    composition by ring arithmetic (test_poly_oracle.py adds sympy)."""
+
+    @given(st.lists(st.integers(-2**70, 2**70), max_size=40), st.sampled_from([1, -1]))
+    def test_unit_shift_against_the_loop(self, cs, h):
+        got = Polynomial(cs).compose_affine(1, h)
+        assert got == Polynomial(shift_loop(cs, h))
+
+    @pytest.mark.parametrize("h", [1, -1])
+    @pytest.mark.parametrize("bits", [1, 5, 64])
+    @pytest.mark.parametrize("d", [0, 1, 2, 8, 33])
+    def test_coefficients_at_the_bit_bound(self, d, bits, h):
+        # c_i = +-h^i (2^B - 1), all of the largest size B and signed so
+        # that every term adds up: f(t + h) then reaches the most the
+        # packing must hold, C(d+1, k+1) (2^B - 1) at its middle k
+        top = 2**bits - 1
+        for sign in (1, -1):
+            cs = [sign * h**i * top for i in range(d + 1)]
+            got = Polynomial(cs).compose_affine(1, h)
+            assert got == Polynomial(shift_loop(cs, h))
+            assert max(map(abs, got._num)) == top * math.comb(d + 1, (d + 2) // 2)
+
+    @given(polynomials(max_degree=20), st.just(1) | rationals,
+           st.sampled_from([1, -1]) | rationals)
+    def test_rational_map_against_ring_arithmetic(self, f, q, h):
+        inner = Polynomial([h, q])
+        want = sum((inner**i * c for i, c in enumerate(f.coeffs)), Polynomial())
+        assert f.compose_affine(q, h) == want
+
+
+class TestCombine:
+    """The one-pass integer combination against a sum of scalar multiples."""
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), polynomials()), max_size=6),
+           st.integers(1, 30) | st.integers(-30, -1))
+    def test_against_a_sum_of_multiples(self, pairs, den):
+        want = sum((f * c for c, f in pairs), Polynomial()) / den
+        assert poly._combine(pairs, den) == want
+
+    def test_empty(self):
+        assert poly._combine([]) == poly._combine([], 7) == Polynomial()
+
+    def test_full_cancellation_to_zero(self):
+        f = X / 3 + F(1, 2)
+        zero = poly._combine([(2, f), (-1, 2 * f), (3, X), (-1, 3 * X)], 5)
+        assert (zero._num, zero._den) == ((), 1)
+
+    def test_one_canonical_over_the_lcm(self, monkeypatch):
+        fs = [X / 4 + 1, X**2 / 6, X / 4, Polynomial.constant(5)]
+        want = sum(fs, Polynomial()) / 5
+        made = []
+        canonical = poly._canonical
+        monkeypatch.setattr(poly, "_canonical",
+                            lambda num, den: made.append(den) or canonical(num, den))
+        assert poly._combine([(1, f) for f in fs], 5) == want
+        # one result, over lcm(4, 6, 4, 1) * 5 and not the product 96 * 5
+        assert made == [12 * 5]
 
 
 class TestEvalDifference:

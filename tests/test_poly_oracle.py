@@ -58,6 +58,13 @@ def test_compose_affine(f, q, h):
     assert agrees(f.compose_affine(q, h), to_sympy(f).compose(inner))
 
 
+@given(big, st.just(1) | rationals, st.sampled_from([1, -1]))
+def test_compose_affine_unit_shift(f, q, h):
+    """h = +-1, with q = 1 (no scaling) or a general rational."""
+    inner = sympy.Poly(sympy.Rational(q.numerator, q.denominator) * X + h, X)
+    assert agrees(f.compose_affine(q, h), to_sympy(f).compose(inner))
+
+
 @given(big, polynomials(max_degree=24).filter(bool))
 def test_divmod(f, g):
     quot, rem = divmod(f, g)

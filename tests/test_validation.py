@@ -1,6 +1,11 @@
 """Every argument check in the library raises its documented error type
 with its own message."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from psicalc import (
@@ -79,3 +84,28 @@ def test_refused_with_its_message(call, error, message):
 def test_polynomial_equals_only_numbers_and_polynomials():
     assert Polynomial.constant(3) == 3 and X != 3
     assert X.__eq__("x") is NotImplemented and (X == "x") is False
+
+
+def test_order_past_the_limit_before_any_work():
+    # a fresh interpreter under a timeout: an unchecked order of 10^30
+    # overflows padding the terms list, or sums for ever in maclaurin
+    probe = (
+        "from psicalc import *\n"
+        "from psicalc.expansions import MAX_ORDER\n"
+        "X, n = Polynomial.x(), 10**30\n"
+        "LAT = LatticeFunction.from_polynomial(X)\n"
+        "for call in (lambda: taylor_classical(X, 0, n),\n"
+        "             lambda: psi_bernoulli_taylor(parse_psi_spec('q:2'), X, 0, 1, n),\n"
+        "             lambda: newton_expansion(LAT, n),\n"
+        "             lambda: bernoulli_maclaurin(LAT, 2, n),\n"
+        "             lambda: taylor_classical(X, 0, MAX_ORDER + 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except DomainError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "expansion order must be at most 10000\n" * 5
