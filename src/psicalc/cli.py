@@ -80,10 +80,17 @@ def _corpus(max_degree: int, count: int = 6) -> list[Polynomial]:
 
 
 def _rat(text: str) -> Fraction:
+    # argparse calls this before main lifts the int-to-str digit limit, so
+    # it lifts the limit for its own parse: a long rational reads like the
+    # same digits in --f, while the int flags keep the limit
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return parse_rational(text)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def _tol(text: str) -> float:

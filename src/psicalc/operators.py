@@ -15,7 +15,9 @@ a failed identity.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError
 from .poly import Polynomial, _canonical, _combine, _digits, _perms, _rational
@@ -103,21 +105,35 @@ def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) 
 
 
 def star_psi(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Polynomial:
-    """The noncommutative product f(x_hat) g = sum_k c_k x_hat^k g.
+    """The noncommutative product f(x_hat) g.
 
-    Operator powers of x_hat are built by repeated application, so
-    degree-raising never truncates.  With f = sum_k n_k x^k / den, the
-    images x_hat^k g are combined once, as the integer combination
-    sum_k n_k x_hat^k g over den: one lcm and one gcd in all.
+    x_hat is x conjugated by the umbral map T: x^n -> (n!/n_psi!) x^n
+    (`umbral_tilde`), so f(x_hat) = T f T^-1 and the product is
+    T(f * T^-1 g), one integer pass.  With n_psi! = A_n / B_n from the
+    prefix-product rows, d = deg g and t = deg f + d: T^-1 g has the
+    numerators g_n A_n (B_d / B_n) (d!/n!) over B_d d!, their schoolbook
+    product with f's numerators maps forward by x^j -> j! B_j (A_t / A_j)
+    over A_t, and the result is made canonical once.  The rows are grown
+    to t, the top index deg f single x_hat steps would reach, so a bad
+    factor raises the same error; a constant f or a zero g needs none.
     """
-    pairs = []
-    image = g
-    for k, c in enumerate(f._num):
-        if k:
-            image = x_hat_psi(ctx, image)
+    if len(f._num) < 2 or not g:
+        return _combine([(c, g) for c in f._num], f._den)
+    d = g.degree
+    t = f.degree + d
+    rows = ctx.rows(t)
+    a, b = rows.num_prod, rows.den_prod
+    fact = list(accumulate(range(1, t + 1), operator.mul, initial=1))
+    bd, fd = b[d], fact[d]
+    h = [c * a[n] * (bd // b[n]) * (fd // fact[n]) for n, c in enumerate(g._num)]
+    out = [0] * (t + 1)
+    for i, c in enumerate(f._num):
         if c:
-            pairs.append((c, image))
-    return _combine(pairs, f._den)
+            for j, v in enumerate(h, i):
+                out[j] += c * v
+    at = a[t]
+    out = [v * fact[j] * b[j] * (at // a[j]) for j, v in enumerate(out)]
+    return _canonical(out, f._den * g._den * bd * fd * at)
 
 
 def psi_power(ctx: PsiContext, n: int) -> Polynomial:
@@ -185,12 +201,17 @@ def derivative_pair(y: Scalar = 0) -> GhwPair:
 
 
 def delta_pair() -> GhwPair:
-    """The forward difference with x_hat composed with the backward shift."""
-    x = Polynomial.x()
+    """The forward difference with x_hat composed with the backward shift.
+    The raiser x E^-1 f is one shift of the numerators of f(x - 1)."""
+
+    def raiser(f: Polynomial) -> Polynomial:
+        h = f.compose_affine(1, -1)
+        return _canonical([0, *h._num], h._den)
+
     return GhwPair(
         name="Delta, x*E^-1",
         lower=lambda f: f.compose_affine(1, 1) - f,
-        raiser=lambda f: x * f.compose_affine(1, -1),
+        raiser=raiser,
     )
 
 

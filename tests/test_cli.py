@@ -367,6 +367,44 @@ class TestNegativeRationalFlags:
         assert code == (2 if flag == "--q" else 0)
 
 
+class TestLongRationalFlags:
+    """A rational flag past the int-to-str digit limit parses like the
+    same digits in --f; the int flags keep the limit."""
+
+    BIG = "1" + "0" * 5000
+
+    @pytest.mark.parametrize("argv,line", [
+        (["expand", "--f", "x", "--order", "1", "--alpha", BIG], "alpha: " + BIG),
+        (["expand", "--psi", "q:2", "--f", "x", "--order", "1", "--x-eval", BIG],
+         "value: " + BIG),
+    ], ids=["alpha", "x-eval"])
+    def test_expand_reads_every_digit(self, capsys, digit_limit, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == digit_limit
+        assert (code, err) == (0, "")
+        assert line + "\n" in out and "exact: True" in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["jackson", "--f", "x", "--q", "1/2", "--z", BIG], "z is too large for a float"),
+        (["jackson", "--f", "x", "--q", "1/" + BIG, "--z", "1"],
+         "q is too close to 0 for a float quadrature"),
+    ], ids=["z", "q"])
+    def test_jackson_refuses_with_its_own_message(self, capsys, digit_limit, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert sys.get_int_max_str_digits() == digit_limit
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["table", "--n", BIG], "--n"),
+        (["verify", "--suite", "fundamental", "--max-degree", BIG], "--max-degree"),
+        (["expand", "--f", "x", "--order", BIG], "--order"),
+    ], ids=["n", "max-degree", "order"])
+    def test_int_flags_keep_the_limit(self, capsys, digit_limit, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: invalid int value" in err
+        assert sys.get_int_max_str_digits() == digit_limit
+
+
 class TestOrderLimit:
     LIMIT = 10_000  # psicalc.expansions.MAX_ORDER, imported as psicalc.cli.MAX_ORDER
     KINDS = {"taylor": [], "psi": ["--x-eval", "1"], "newton": [], "maclaurin": ["--alpha", "2"]}

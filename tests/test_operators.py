@@ -203,6 +203,10 @@ class TestCommutator:
     def test_delta_pair(self):
         assert verify_commutator(delta_pair(), 32).passed
 
+    @given(polynomials(max_degree=20))
+    def test_delta_raiser_is_x_times_the_backward_shift(self, f):
+        assert delta_pair().raiser(f) == X * f.compose_affine(1, -1)
+
     def test_wrong_pair_fails(self):
         bad = GhwPair("D, 2x", lambda f: f.derivative(), lambda f: 2 * X * f)
         report = verify_commutator(bad, 2)
@@ -653,6 +657,67 @@ class TestPowersAndExpOracle:
         monkeypatch.setattr(PsiContext, "rows", lambda ctx, n: asked.append(n) or rows(ctx, n))
         psi_exp(parse_psi_spec("q:3/2"), F(2, 3), 30)
         assert asked[0] == 30 and max(asked) == 30
+
+
+def star_loop(ctx, f, g):
+    """f(x_hat) g = sum_k c_k x_hat^k g by deg f single x_hat steps, the
+    reference for the one-pass star product."""
+    out, image = Polynomial(), g
+    for k, c in enumerate(f.coeffs):
+        if k:
+            image = x_hat_psi(ctx, image)
+        out = out + c * image
+    return out
+
+
+STAR_SPECS = ("classical", "q:2", "q:3/2", "q:-2/3", "fib", CUSTOM_SPEC)
+
+
+class TestStarProductOracle:
+    """The one-pass star product against its per-coefficient closed form,
+    built from the sequence's raw factors, never from `PsiRows`, and
+    against the repeated x_hat steps above on values and errors."""
+
+    @pytest.mark.parametrize("spec", STAR_SPECS, ids=[*STAR_SPECS[:-1], "custom"])
+    @given(f=polynomials(max_degree=8), g=polynomials(max_degree=8))
+    @example(f=X**8 - F(1, 3), g=Polynomial([F(-2, 5), 0, 0, 0, 0, 0, 0, 0, 7]))
+    def test_coefficients(self, spec, f, g):
+        ctx = parse_psi_spec(spec)
+        w = ctx.sequence.raw_factor
+        # x^k * x^n = w(n, k) x^(n+k), w(n, k) = ((n+k)!/n!) prod 1/i_psi, n < i <= n+k
+        want = [F(0)] * max(f.degree + g.degree + 1, 0)
+        for k, a in enumerate(f.coeffs):
+            for n, b in enumerate(g.coeffs):
+                run = math.prod((w(i) for i in range(n + 1, n + k + 1)), start=F(1))
+                want[n + k] += a * b * math.perm(n + k, k) / run
+        while want and want[-1] == 0:
+            want.pop()
+        got = star_psi(ctx, f, g)
+        assert got.coeffs == tuple(want)
+        assert got == star_loop(ctx, f, g)
+
+    @pytest.mark.parametrize("spec", ["q:-1", "custom:3/2,-1/2", "custom:2,0,1"])
+    def test_errors_and_rows_match_the_steps(self, spec):
+        # a zero factor at index 2 (q:-1, custom:2,0,1) or a missing one at 3:
+        # the one pass raises what the first bad x_hat step raises and keeps
+        # the same rows
+        polys = (Polynomial(), Polynomial.constant(F(5, 2)), X, X**2 + 1, X**3 - X, X**4)
+        for f in polys:
+            for g in polys:
+                ctxs = parse_psi_spec(spec), parse_psi_spec(spec)
+                one = _outcome(lambda: star_psi(ctxs[0], f, g))
+                steps = _outcome(lambda: star_loop(ctxs[1], f, g))
+                assert one == steps, (str(f), str(g))
+                assert len(ctxs[0].rows(0).num) == len(ctxs[1].rows(0).num), (str(f), str(g))
+
+    def test_constant_f_or_zero_g_grows_no_rows(self):
+        ctx = parse_psi_spec("q:3/2")
+        ctx.rows(3)
+        g = Polynomial([1, F(-2, 3)] + [0] * 18 + [5])
+        assert star_psi(ctx, Polynomial.constant(F(-4, 7)), g) == F(-4, 7) * g
+        assert star_psi(ctx, Polynomial(), g) == Polynomial()
+        assert star_psi(ctx, X**30 + 1, Polynomial()) == Polynomial()
+        assert len(ctx.rows(0).num) == 3
 
 
 class TestReportsPastTheDigitLimit:
