@@ -16,7 +16,11 @@ rational strings ("p" or "p/q"); the only decimal output is the
 intrinsically approximate numeric Jackson value.  expand refuses a
 --psi other than classical, or an --x-eval, unless --kind is psi.
 expand accepts an --order up to MAX_ORDER = 10 000, the library's
-`expansions.MAX_ORDER`; a larger one is a domain error.  Exit codes:
+`expansions.MAX_ORDER`, verify a --max-degree up to MAX_DEGREE = 64 and
+table an --n up to MAX_TABLE_N = 256; a larger one is a domain error,
+raised before any work.  n_psi! has order n^2 bits on a sequence like
+q:3/2, so the work grows much faster than the size asked for: doubling
+either limit makes a q:3/2 run ten or more times slower.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility error.
 """
@@ -42,6 +46,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ADMISSIBILITY = 3
+
+MAX_DEGREE = 64  # the largest verify --max-degree
+MAX_TABLE_N = 256  # the largest table --n
 
 VERIFY_SWEEPS_HELP = (
     "Fixed sweeps: commutator checks monomials up to --max-degree for the "
@@ -250,6 +257,8 @@ SUITES = tuple(_SUITES)
 def _run_verify(args) -> int:
     if args.max_degree < 0:
         raise DomainError("--max-degree must be nonnegative")
+    if args.max_degree > MAX_DEGREE:
+        raise DomainError(f"--max-degree must be at most {MAX_DEGREE}")
     ctx = parse_psi_spec(args.psi)
     corpus = _corpus(args.max_degree)
     suites = SUITES if args.suite == "all" else (args.suite,)
@@ -301,6 +310,8 @@ def _run_jackson(args) -> int:
 def _run_table(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
+    if args.n > MAX_TABLE_N:
+        raise DomainError(f"--n must be at most {MAX_TABLE_N}")
     ctx = parse_psi_spec(args.psi)
     ctx.rows(args.n)  # grown once, not one index per n_psi!
     rows = []

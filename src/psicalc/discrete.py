@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import RangeError
 from .expansions import _check_order
-from .poly import Polynomial, _rational
+from .poly import Polynomial, _difference, _rational
 from .record import Record
 
 TYPE_CHECKING = False
@@ -74,18 +74,18 @@ class LatticeFunction:
 
 
 def forward_difference(f: LatticeFunction) -> LatticeFunction:
-    """Delta f: x -> f(x+1) - f(x)."""
+    """Delta f: x -> f(x+1) - f(x).  A polynomial takes
+    `poly._difference`, the kernel of the Delta pair's lower operator."""
     if f.is_polynomial:
-        p = f.polynomial
-        return LatticeFunction.from_polynomial(p.compose_affine(1, 1) - p)
+        return LatticeFunction.from_polynomial(_difference(f.polynomial, 1))
     return _table_difference(f, f.start)
 
 
 def backward_nabla(f: LatticeFunction) -> LatticeFunction:
-    """nabla f: x -> f(x) - f(x-1); table ranges shift up by one."""
+    """nabla f: x -> f(x) - f(x-1); table ranges shift up by one.  A
+    polynomial takes `poly._difference`, as in `forward_difference`."""
     if f.is_polynomial:
-        p = f.polynomial
-        return LatticeFunction.from_polynomial(p - p.compose_affine(1, -1))
+        return LatticeFunction.from_polynomial(_difference(f.polynomial, -1))
     return _table_difference(f, f.start + 1)
 
 

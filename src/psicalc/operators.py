@@ -20,7 +20,9 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError
-from .poly import Polynomial, _canonical, _combine, _digits, _perms, _rational
+from .poly import (
+    Polynomial, _canonical, _combine, _difference, _digits, _perms, _rational, _x_shift_back,
+)
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
@@ -192,26 +194,24 @@ class GhwPair(Record):
 def derivative_pair(y: Scalar = 0) -> GhwPair:
     """The classical pair: d/dx with multiplication by (x - y)."""
     y = _rational(y)
-    x = Polynomial.x()
+    x_y = Polynomial([-y, 1])  # built once per pair
     return GhwPair(
         name=f"D, x-({y})",
         lower=lambda f: f.derivative(),
-        raiser=lambda f: (x - y) * f,
+        raiser=lambda f: x_y * f,
     )
 
 
 def delta_pair() -> GhwPair:
-    """The forward difference with x_hat composed with the backward shift.
-    The raiser x E^-1 f is one shift of the numerators of f(x - 1)."""
-
-    def raiser(f: Polynomial) -> Polynomial:
-        h = f.compose_affine(1, -1)
-        return _canonical([0, *h._num], h._den)
-
+    """The forward difference with x_hat composed with the backward shift,
+    both on `poly`'s packed unit shift: the lower f(x+1) - f(x) is
+    `poly._difference`, one shift and one subtraction of the numerators,
+    and the raiser x E^-1 f is `poly._x_shift_back`, the numerators of
+    f(x - 1) one place up; each makes one gcd."""
     return GhwPair(
         name="Delta, x*E^-1",
-        lower=lambda f: f.compose_affine(1, 1) - f,
-        raiser=raiser,
+        lower=lambda f: _difference(f, 1),
+        raiser=_x_shift_back,
     )
 
 

@@ -4,7 +4,14 @@ A polynomial is stored in one canonical form, FLINT's `fmpq_poly` layout:
 a tuple of `int` numerators (index i for x^i) over one positive `int`
 denominator, with gcd(den, *num) = 1 and no trailing zero; the zero
 polynomial has no numerators, denominator 1 and degree -1.  All arithmetic
-runs on the integers and pays one gcd per result, not one per coefficient.
+runs on the integers and pays one gcd per result, not one per coefficient:
+each of +, -, *, a scalar multiple, `monomial`, divmod (one per quotient
+and remainder), compose_affine, the diagonal maps (derivatives,
+antiderivatives, operator weights), the integer combinations of
+`_combine`, and the two unit-shift kernels of the difference calculus,
+`_difference` (f(x+1) - f(x) or f(x) - f(x-1)) and `_x_shift_back`
+(x f(x-1)), makes its result with one `_canonical`, its one reduction
+to lowest terms; a scalar operand of + or - is first made a constant.
 `.coeffs` is a read-only `Fraction` tuple built on first use.  Floats are
 refused: nothing in this module touches floating point.
 """
@@ -61,7 +68,8 @@ class Polynomial:
     def monomial(cls, n: int, c: Scalar = 1) -> "Polynomial":
         if n < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls([0] * n + [c])
+        c = _rational(c)
+        return _canonical([0] * n + [c.numerator], c.denominator)
 
     @classmethod
     def x(cls) -> "Polynomial":
@@ -102,12 +110,7 @@ class Polynomial:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        other = _coerce(other)
-        a, b, den = self._num, other._num, self._den
-        if den != other._den:
-            den = math.lcm(den, other._den)
-            a = [c * (den // self._den) for c in a]
-            b = [c * (den // other._den) for c in b]
+        a, b, den = _aligned(self, _coerce(other))
         if len(a) < len(b):
             a, b = b, a
         return _canonical([*map(operator.add, a, b), *a[len(b):]], den)
@@ -118,7 +121,9 @@ class Polynomial:
         return _canonical([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        return self + (-_coerce(other))
+        a, b, den = _aligned(self, _coerce(other))
+        tail = a[len(b):] if len(a) >= len(b) else [-c for c in b[len(a):]]
+        return _canonical([*map(operator.sub, a, b), *tail], den)
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
         return _coerce(other) - self
@@ -166,7 +171,7 @@ class Polynomial:
         d, e, m = len(f) - 1, len(g) - 1, g[-1]
         if d < e:
             return Polynomial(), self
-        pw = list(accumulate(repeat(m, d + 1), operator.mul, initial=1))  # m^0 ... m^(d+1)
+        pw = _powers(m, d + 1)
         rem = list(map(operator.mul, f, pw[d::-1]))
         monic = [c * pw[e - 1 - j] for j, c in enumerate(g[:-1])]
         quot = [0] * (d - e + 1)
@@ -240,10 +245,11 @@ class Polynomial:
         a, b, r, s = q.numerator, q.denominator, h.numerator, h.denominator
         cs, d = list(self._num), self.degree
         if r and d > 0:
-            cs = [c * r**i * s ** (d - i) for i, c in enumerate(cs)]
-            cs = [c // r**i * s**i for i, c in enumerate(_shift_by_one(cs))]
+            rp, sp = _powers(r, d), _powers(s, d)
+            cs = [c * x * y for c, x, y in zip(cs, rp, reversed(sp))]
+            cs = [c // x * y for c, x, y in zip(_shift_by_one(cs), rp, sp)]
         if a != 1 or b != 1:
-            cs = [c * a**i * b ** (d - i) for i, c in enumerate(cs)]
+            cs = [c * x * y for c, x, y in zip(cs, _powers(a, d), reversed(_powers(b, d)))]
         return _canonical(cs, self._den * (b * s) ** max(d, 0))
 
     def truncate(self, n: int) -> "Polynomial":
@@ -280,20 +286,31 @@ def _canonical(num: list[int], den: int) -> Polynomial:
     return p
 
 
+def _aligned(f: Polynomial, g: Polynomial) -> tuple:
+    """The numerators of f and of g over the lcm of their denominators,
+    and that lcm."""
+    a, b, den = f._num, g._num, f._den
+    if den != g._den:
+        den = math.lcm(den, g._den)
+        a = [c * (den // f._den) for c in a]
+        b = [c * (den // g._den) for c in b]
+    return a, b, den
+
+
 def _combine(pairs: Iterable[tuple[int, Polynomial]], den: int = 1) -> Polynomial:
     """The integer linear combination sum(c * f for c, f in pairs) / den
     in one pass: every f is brought to the one lcm of their denominators,
     and the sum is made canonical once.  den is a nonzero int."""
     pairs = [(c, f) for c, f in pairs if c and f._num]
-    if not pairs:
-        return Polynomial()
     lcm = math.lcm(*[f._den for _, f in pairs])
-    out = [0] * max([len(f._num) for _, f in pairs])
+    out = []  # the first scaled row, then the running sum
     for c, f in pairs:
-        num = f._num
         if f._den != lcm:
             c *= lcm // f._den
-        out[: len(num)] = map(operator.add, out, [c * v for v in num])
+        row = [c * v for v in f._num]
+        if len(row) > len(out):
+            out, row = row, out
+        out[: len(row)] = map(operator.add, out, row)
     return _canonical(out, lcm * den)
 
 
@@ -322,6 +339,45 @@ def _shift_by_one(cs: list[int]) -> list[int]:
         out.append(digit)
         g = (g - digit) >> b
     return out
+
+
+def _unit_shift(num: tuple[int, ...], h: int) -> list[int]:
+    """The integer coefficients of f(t + h), h = 1 or -1, for those of f
+    in num, of degree >= 1.  f(t - 1) is the shift by +1 of f(-t), read
+    back at -t: the odd coefficients are negated before and after the
+    one packed shift."""
+    if h > 0:
+        return _shift_by_one(num)
+    cs = list(num)
+    cs[1::2] = [-c for c in cs[1::2]]
+    cs = _shift_by_one(cs)
+    cs[1::2] = [-c for c in cs[1::2]]
+    return cs
+
+
+def _difference(f: Polynomial, h: int) -> Polynomial:
+    """The forward difference f(x + 1) - f(x) for h = 1, the backward
+    difference f(x) - f(x - 1) for h = -1: one packed shift of the
+    numerators, one subtraction and one _canonical.  The Delta pair's
+    lower operator and `discrete`'s two differences."""
+    num = f._num
+    if len(num) < 2:
+        return Polynomial()
+    shifted = _unit_shift(num, h)
+    a, b = (shifted, num) if h > 0 else (num, shifted)
+    return _canonical(list(map(operator.sub, a, b)), f._den)  # the leading terms cancel
+
+
+def _x_shift_back(f: Polynomial) -> Polynomial:
+    """x f(x - 1), the Delta pair's raiser: the numerators of f(x - 1),
+    one place up, and one _canonical."""
+    num = f._num
+    return _canonical([0, *(_unit_shift(num, -1) if len(num) > 1 else num)], f._den)
+
+
+def _powers(v: int, d: int) -> list[int]:
+    """v^0, v^1, ..., v^d as running products."""
+    return list(accumulate(repeat(v, d), operator.mul, initial=1))
 
 
 def _perms(stop: int, k: int) -> Iterable[int]:

@@ -434,6 +434,50 @@ class TestOrderLimit:
         assert f"order: {self.LIMIT}" in out and "exact: True" in out
 
 
+class TestSizeLimits:
+    """verify --max-degree and table --n are capped, checked before any work."""
+
+    LIMITS = {"--max-degree": 64, "--n": 256}  # psicalc.cli.MAX_DEGREE, MAX_TABLE_N
+    ARGV = {"--max-degree": ["verify", "--suite", "commutator", "--psi", "q:3/2"],
+            "--n": ["table", "--psi", "q:3/2"]}
+
+    def test_limits_are_the_module_constants(self):
+        from psicalc import cli
+
+        assert (cli.MAX_DEGREE, cli.MAX_TABLE_N) == tuple(self.LIMITS.values())
+
+    @pytest.mark.parametrize("flag", LIMITS)
+    @pytest.mark.parametrize("excess", [1, 10**30])
+    def test_past_the_limit_is_a_domain_error(self, flag, excess):
+        # a fresh interpreter under a timeout: an unchecked size runs away
+        limit = self.LIMITS[flag]
+        proc = subprocess.run(
+            [sys.executable, "-m", "psicalc.cli", *self.ARGV[flag], flag, str(limit + excess)],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {flag} must be at most {limit}\n"
+
+    def test_checked_before_the_psi_spec(self, capsys):
+        # a bad spec past the limit reports the limit, not the spec
+        assert run(capsys, "table", "--psi", "q:1/0", "--n", "257") == (
+            2, "", "error: --n must be at most 256\n")
+        assert run(capsys, "verify", "--psi", "q:-1", "--max-degree", "65") == (
+            2, "", "error: --max-degree must be at most 64\n")
+
+    def test_verify_at_the_limit_runs(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "commutator", "--max-degree", "64")
+        assert (code, err) == (0, "")
+        assert out.count("N=64] cases=65 PASS") == 5
+
+    def test_table_at_the_limit_runs(self, capsys):
+        code, out, err = run(capsys, "table", "--psi", "q:2", "--n", "256", "--format", "json")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 256 and rows[-1]["n_psi"] == str(2**256 - 1)
+
+
 class TestValidationMessages:
     """Each refused input exits 2 (3 for admissibility) with one error line."""
 

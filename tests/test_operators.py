@@ -12,6 +12,7 @@ from conftest import polynomials, rationals
 from psicalc import (
     AdmissibilityError,
     DomainError,
+    LatticeFunction,
     Polynomial,
     bernoulli_identity_sweep,
     delta_pair,
@@ -41,6 +42,8 @@ from psicalc import (
     x_hat_psi,
     GhwPair,
     PsiContext,
+    backward_nabla,
+    forward_difference,
 )
 from psicalc.operators import _report
 
@@ -657,6 +660,96 @@ class TestPowersAndExpOracle:
         monkeypatch.setattr(PsiContext, "rows", lambda ctx, n: asked.append(n) or rows(ctx, n))
         psi_exp(parse_psi_spec("q:3/2"), F(2, 3), 30)
         assert asked[0] == 30 and max(asked) == 30
+
+
+def delta_lower_loop(f):
+    """f(x + 1) - f(x) by a Taylor shift and a subtraction, the Delta
+    lower before it had its own kernel: the reference for `_difference`."""
+    return f.compose_affine(1, 1) - f
+
+
+def delta_raiser_loop(f):
+    """x f(x - 1) by a Taylor shift and one place up, the Delta raiser
+    before it had its own kernel: the reference for `_x_shift_back`."""
+    h = f.compose_affine(1, -1)
+    return Polynomial([0, *h.coeffs])
+
+
+def horner(cs, x):
+    acc = F(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+class TestDeltaKernelOracle:
+    """The Delta pair and `discrete`'s differences on the packed unit
+    shift, against Fraction Horner values at d + 2 integer points (which
+    fix any polynomial of degree <= d + 1) and against the old bodies."""
+
+    CASES = [[], [F(5, 3)], [0, 1], [1, -2, 3], [F(1, 2), 0, F(-7, 4), 0, 9],
+             [2**70, -(2**69), 3, 1, -(2**65), F(1, 11)]]
+
+    @staticmethod
+    def points(cs):
+        return range(-1, len(cs) + 1)
+
+    def check_lower(self, cs):
+        f = Polynomial(cs)
+        image = delta_pair().lower(f)
+        assert image.degree == max(f.degree - 1, -1)
+        for x in self.points(cs):
+            assert horner(image.coeffs, x) == horner(cs, x + 1) - horner(cs, x)
+
+    def check_raiser(self, cs):
+        f = Polynomial(cs)
+        image = delta_pair().raiser(f)
+        assert image.degree == (f.degree + 1 if f else -1)
+        for x in self.points(cs):
+            assert horner(image.coeffs, x) == x * horner(cs, x - 1)
+
+    def check_nabla(self, cs):
+        f = Polynomial(cs)
+        image = backward_nabla(LatticeFunction.from_polynomial(f)).polynomial
+        assert image.degree == max(f.degree - 1, -1)
+        for x in self.points(cs):
+            assert horner(image.coeffs, x) == horner(cs, x) - horner(cs, x - 1)
+
+    @pytest.mark.parametrize("cs", CASES)
+    def test_cases_against_horner(self, cs):
+        self.check_lower(cs)
+        self.check_raiser(cs)
+        self.check_nabla(cs)
+
+    @given(st.lists(rationals, max_size=24))
+    def test_against_horner(self, cs):
+        self.check_lower(cs)
+        self.check_raiser(cs)
+        self.check_nabla(cs)
+
+    @given(polynomials(max_degree=24) | st.lists(st.integers(-2**80, 2**80), max_size=24).map(
+        Polynomial))
+    def test_against_the_old_bodies(self, f):
+        pair = delta_pair()
+        assert pair.lower(f) == delta_lower_loop(f)
+        assert pair.raiser(f) == delta_raiser_loop(f)
+        lattice = LatticeFunction.from_polynomial(f)
+        assert forward_difference(lattice).polynomial == delta_lower_loop(f)
+        assert backward_nabla(lattice).polynomial == f - f.compose_affine(1, -1)
+
+    def test_one_canonical_per_result(self, monkeypatch):
+        from psicalc import poly
+
+        made = []
+        canonical = poly._canonical
+        monkeypatch.setattr(poly, "_canonical",
+                            lambda num, den: made.append(den) or canonical(num, den))
+        f, pair = Polynomial([F(1, 2), F(-3, 4), 5, F(7, 6)]), delta_pair()
+        for apply in (pair.lower, pair.raiser, lambda f: f - X, lambda f: X - f,
+                      lambda f: Polynomial.monomial(64, F(-2, 3))):
+            made.clear()
+            apply(f)
+            assert len(made) == 1
 
 
 def star_loop(ctx, f, g):

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -126,6 +127,100 @@ class TestCombine:
         assert poly._combine([(1, f) for f in fs], 5) == want
         # one result, over lcm(4, 6, 4, 1) * 5 and not the product 96 * 5
         assert made == [12 * 5]
+
+
+    def test_later_row_longer_than_the_first(self):
+        rows = [(3, X / 2 + 1), (-2, X**4 / 3 - X), (1, Polynomial.constant(F(5, 6))),
+                (5, X**7 + X**2)]
+        want = [0] * 8
+        for c, f in rows:
+            for i, v in enumerate(f.coeffs):
+                want[i] += c * v
+        assert poly._combine(rows, 7).coeffs == tuple(F(v) / 7 for v in want)
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), polynomials()), min_size=2, max_size=5))
+    def test_rows_in_increasing_length(self, pairs):
+        pairs.sort(key=lambda pair: len(pair[1].coeffs))
+        want = sum((f * c for c, f in pairs), Polynomial())
+        assert poly._combine(pairs) == want
+
+
+def _fraction_coeffs(cs):
+    """A coefficient list as Fractions with its trailing zeros dropped."""
+    cs = [F(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+coefficient_lists = st.lists(rationals, max_size=10)
+scalars = st.integers(-30, 30) | rationals
+
+
+class TestSubtraction:
+    """The one-pass difference against coefficientwise Fraction subtraction."""
+
+    @staticmethod
+    def want(a, b):
+        pad = max(len(a), len(b))
+        a, b = list(a) + [0] * (pad - len(a)), list(b) + [0] * (pad - len(b))
+        return _fraction_coeffs(map(operator.sub, a, b))
+
+    @given(coefficient_lists, coefficient_lists)
+    def test_against_coefficientwise_fractions(self, a, b):
+        f, g = Polynomial(a), Polynomial(b)
+        assert (f - g).coeffs == self.want(a, b)
+        assert (g - f).coeffs == self.want(b, a)
+
+    @pytest.mark.parametrize("a,b", [
+        ([1, F(1, 2)], [F(1, 3), 0, F(-2, 5), 7]),  # longer right operand
+        ([F(-3, 4), 2, 0, 0, F(1, 6)], [F(5, 6)]),  # longer left operand
+        ([], [F(1, 7), 0, -3]),  # zero on the left
+    ])
+    def test_unequal_lengths_both_ways(self, a, b):
+        f, g = Polynomial(a), Polynomial(b)
+        assert (f - g).coeffs == self.want(a, b)
+        assert (g - f).coeffs == self.want(b, a)
+
+    @given(coefficient_lists, coefficient_lists)
+    def test_full_cancellation(self, a, b):
+        f, g = Polynomial(a), Polynomial(b)
+        zero = f - f
+        assert (zero._num, zero._den) == ((), 1)
+        assert (f + g) - g == f
+
+    def test_mixed_denominators_cancel_to_lowest_terms(self):
+        d = (X**2 / 6 + X / 4 + F(1, 3)) - (X**2 / 6 - X / 4)
+        assert (d._num, d._den) == ((2, 3), 6)  # (2 + 3x)/6 in lowest terms, not over 12
+
+    @given(coefficient_lists, scalars)
+    def test_scalar_on_either_side(self, a, c):
+        f = Polynomial(a)
+        assert (f - c).coeffs == self.want(a, [c])
+        assert (c - f).coeffs == self.want([c], a)
+
+
+class TestMonomial:
+    """The one-pass monomial against the general constructor."""
+
+    @given(st.integers(0, 70), scalars)
+    def test_against_the_constructor(self, n, c):
+        got = Polynomial.monomial(n, c)
+        assert got == Polynomial([0] * n + [c])
+        assert got.coeffs == _fraction_coeffs([0] * n + [c])
+
+    @pytest.mark.parametrize("c", [0, F(0), F(-7, 3), -5, F(22, 4)])
+    def test_zero_and_negative_fractions(self, c):
+        got = Polynomial.monomial(4, c)
+        assert got.coeffs == _fraction_coeffs([0, 0, 0, 0, c])
+        assert got.degree == (4 if c else -1)
+
+    def test_default_coefficient(self):
+        assert Polynomial.monomial(3) == X**3
+
+    def test_float_refused(self):
+        with pytest.raises(TypeError):
+            Polynomial.monomial(3, 0.5)
 
 
 class TestEvalDifference:
