@@ -20,7 +20,9 @@ expand accepts an --order up to MAX_ORDER = 10 000, the library's
 table an --n up to MAX_TABLE_N = 256; a larger one is a domain error,
 raised before any work.  n_psi! has order n^2 bits on a sequence like
 q:3/2, so the work grows much faster than the size asked for: doubling
-either limit makes a q:3/2 run ten or more times slower.  Exit codes:
+either limit makes a q:3/2 run ten or more times slower.  A power or
+product in --f above degree `parsing.MAX_DEGREE` = 128 is a parse error,
+raised before it is computed.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility error.
 """
@@ -316,12 +318,13 @@ def _run_table(args) -> int:
     ctx.rows(args.n)  # grown once, not one index per n_psi!
     rows = []
     for n in range(1, args.n + 1):
+        fact = ctx.factorial(n)  # n_psi! reduced once; the power coefficient is n!/n_psi!
         rows.append(
             {
                 "n": n,
                 "n_psi": str(ctx.factor(n)),
-                "n_psi_factorial": str(ctx.factorial(n)),
-                "psi_power_coeff": str(operators.psi_power(ctx, n).coeff(n)),
+                "n_psi_factorial": str(fact),
+                "psi_power_coeff": str(math.factorial(n) / fact),
             }
         )
     if args.format == "json":

@@ -4,6 +4,12 @@ The Jackson q-calculus is the psi-calculus of the Gauss q-integers
 n_q = 1 + q + ... + q^(n-1): q_derivative and jackson_antiderivative are
 the psi-derivative and psi-antiderivative on a gauss_q PsiContext.
 
+The Hahn derivative (f(x) - f(qx+h)) / ((1-q)x - h) and the reduction
+sweep share one kernel, `_hahn_quotient`: it divides integer numerators
+by the primitive integer multiple of the fixed linear divisor, in exact
+integer steps from the top, and makes the quotient canonical once; no
+general polynomial division runs here.
+
 Everything is exact on polynomials; the only floating-point code in the
 package is the numeric Jackson quadrature, which sums the geometric
 sampling series for a black-box integrand.
@@ -22,13 +28,13 @@ from .errors import (
 )
 from .operators import (VerificationReport, _report, psi_antiderivative, psi_derivative,
                         verify_fundamental_theorem)
-from .poly import Polynomial, _rational
+from .poly import Polynomial, _canonical, _rational
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Sequence
 
     from .poly import Scalar
 
@@ -50,47 +56,80 @@ def q_derivative(f: Polynomial, q: Scalar) -> Polynomial:
 
 
 def hahn_derivative(f: Polynomial, p: HahnParams) -> Polynomial:
-    """(f(x) - f(qx+h)) / ((1-q)x - h), by exact polynomial division."""
+    """(f(x) - f(qx+h)) / ((1-q)x - h), by exact division of the
+    numerators in `_hahn_quotient`."""
     if p.q == 1 and p.h == 0:
         raise DegenerateParamsError("(q, h) = (1, 0) makes the quotient 0/0")
-    return _hahn_quotient(f - f.compose_affine(p.q, p.h), Polynomial([-p.h, 1 - p.q]))
+    diff = f - f.compose_affine(p.q, p.h)
+    return _hahn_quotient(diff._num, diff._den, p)
 
 
-def _hahn_quotient(numerator: Polynomial, divisor: Polynomial) -> Polynomial:
-    """numerator / divisor for the Hahn difference f(x) - f(qx+h) and the
-    divisor (1-q)x - h, which divides it exactly."""
-    quotient, rem = divmod(numerator, divisor)
-    if rem:
-        raise InternalError(
-            f"Hahn quotient left remainder {rem}; divisibility is a theorem"
-        )
-    return quotient
+def _hahn_quotient(num: Sequence[int], den: int, p: HahnParams) -> Polynomial:
+    """(sum(num[i] x^i) / den) / ((1-q)x - h) for the integer numerators
+    num of a Hahn difference, which the divisor divides exactly.
+
+    With q = a/b, h = c/e and D = be, D((1-q)x - h) is L x + M with
+    L = e(b-a) and M = -cb.  Divided by g = gcd(L, M) it is primitive, so
+    by Gauss's lemma the quotient of num by it has integer coefficients
+    and synthetic division from the top takes exact integer steps; the
+    result is that quotient times D / (g den).  q = 1 leaves the constant
+    divisor -h, and M / g = +-1 is one scalar step.  A step that does not
+    divide, or a nonzero remainder, raises InternalError.  (q, h) = (1, 0)
+    is for the caller to refuse."""
+    a, b, c, e = p.q.numerator, p.q.denominator, p.h.numerator, p.h.denominator
+    lead, const = e * (b - a), -c * b
+    g = math.gcd(lead, const)
+    lead, const = lead // g, const // g
+    if not lead:
+        quot = [v * const for v in num]
+    else:
+        quot, qi = [], 0  # quot[i - 1] = (num[i] - const quot[i]) / lead, i = d..1
+        for v in reversed(num[1:]):
+            qi, r = divmod(v - const * qi, lead)
+            if r:
+                raise InternalError(f"Hahn quotient step left remainder {r} mod {lead}; "
+                                    "divisibility is a theorem")
+            quot.append(qi)
+        if num and num[0] != const * qi:
+            raise InternalError(f"Hahn quotient left remainder {num[0] - const * qi}; "
+                                "divisibility is a theorem")
+        quot.reverse()
+    D = b * e
+    return _canonical([v * D for v in quot], g * den)
 
 
 def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     """The Hahn derivative is the q-derivative conjugated by the shift
     x -> x + h/(1-q), checked on monomials up to degree N.
 
-    x^n, (qx+h)^n and (x+s)^n, s = h/(1-q), are running powers, each
-    made from the one before by one multiplication by its linear factor.
-    Monomial n then costs those three O(n) multiplications, the exact
-    division of x^n - (qx+h)^n by (1-q)x - h on the left and, on the
-    right, the q-derivative of (x+s)^n and one Taylor shift back by -s,
+    With q = a/b, h = c/e and D = be, qx + h is (alpha x + beta) / D for
+    alpha = ae and beta = cb, and s = h/(1-q) is sigma/tau in lowest terms.
+    The integer numerators of (alpha x + beta)^n and (tau x + sigma)^n are
+    running lists, each made from the one before in one O(n) pass.
+    Monomial n then costs, on the left, the exact division of
+    D^n x^n - (alpha x + beta)^n, over D^n, by (1-q)x - h in
+    `_hahn_quotient` and, on the right, the q-derivative of
+    (x + s)^n = (tau x + sigma)^n / tau^n and one Taylor shift back by -s,
     the only O(n^2) step."""
     if p.q == 1:
         raise DomainError("the reduction's conjugating shift needs q != 1")
     s = p.h / (1 - p.q)
     ctx = PsiContext(AdmissibleSequence.gauss_q(p.q))
     ctx.rows(N)  # grown once to N_q, not one index per monomial
-    x, qx_h, x_s = Polynomial.x(), Polynomial([p.h, p.q]), Polynomial([s, 1])
-    divisor = Polynomial([-p.h, 1 - p.q])
-    xn = qx_hn = x_sn = Polynomial.constant(1)
+    D = p.q.denominator * p.h.denominator
+    alpha, beta = p.q.numerator * p.h.denominator, p.h.numerator * p.q.denominator
+    tau, sigma = s.denominator, s.numerator
+    qx_hn, x_sn, Dn, taun = [1], [1], 1, 1
     failure = None
     for n in range(N + 1):
         if n:
-            xn, qx_hn, x_sn = xn * x, qx_hn * qx_h, x_sn * x_s
-        lhs = _hahn_quotient(xn - qx_hn, divisor)
-        rhs = psi_derivative(ctx, x_sn).compose_affine(1, -s)
+            qx_hn = [alpha * u + beta * v for u, v in zip([0, *qx_hn], [*qx_hn, 0])]
+            x_sn = [tau * u + sigma * v for u, v in zip([0, *x_sn], [*x_sn, 0])]
+            Dn, taun = Dn * D, taun * tau
+        diff = [-v for v in qx_hn]
+        diff[n] += Dn
+        lhs = _hahn_quotient(diff, Dn, p)
+        rhs = psi_derivative(ctx, _canonical(x_sn, taun)).compose_affine(1, -s)
         if lhs != rhs:
             failure = (f"n={n}", lhs, rhs)
             break

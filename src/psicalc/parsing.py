@@ -10,7 +10,9 @@ A unary minus binds looser than '^' and tighter than '*', so -x^2 is
 -(x^2) and -3^2 is -9.  Whitespace is insignificant.  Printing a
 Polynomial with str() produces text this grammar accepts, so parse/print
 round-trips exactly.  Parentheses nest at most MAX_NESTING deep, so the
-recursion stays far from Python's limit.
+recursion stays far from Python's limit, and no power or product may have
+a degree above MAX_DEGREE: each '^' and '*' is checked before the power
+or product is computed, so x^99999999 is refused at once, not computed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import ParseError
 from .poly import Polynomial
 
 MAX_NESTING = 100
+MAX_DEGREE = 128
 
 
 class _Parser:
@@ -88,15 +91,21 @@ class _Parser:
             negative = not negative
         b = self.base()
         if self.peek() == "^":
+            at = self.pos
             self.pos += 1
-            b = b ** self.uint()
+            n = self.uint()
+            _check_degree(b.degree * n, at)
+            b = b**n
         return -b if negative else b
 
     def term(self) -> Polynomial:
         acc = self.factor()
         while self.peek() == "*":
+            at = self.pos
             self.pos += 1
-            acc = acc * self.factor()
+            rhs = self.factor()
+            _check_degree(acc.degree + rhs.degree, at)
+            acc = acc * rhs
         return acc
 
     def expr(self) -> Polynomial:
@@ -111,6 +120,11 @@ class _Parser:
                 acc = acc - self.term()
             else:
                 return acc
+
+
+def _check_degree(degree: int, position: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree above the limit of {MAX_DEGREE}", position)
 
 
 def parse_poly(src: str) -> Polynomial:

@@ -181,6 +181,18 @@ class TestTable:
         assert code == 0
         assert "psi = fib" in out
 
+    @pytest.mark.parametrize("spec", ["classical", "q:2", "q:3/2", "q:-2/3", "fib"])
+    def test_power_coefficient_is_that_of_psi_power(self, capsys, spec):
+        from psicalc import operators, parse_psi_spec
+
+        code, out, _ = run(capsys, "table", "--psi", spec, "--n", "40", "--format", "json")
+        assert code == 0
+        ctx = parse_psi_spec(spec)
+        for row in json.loads(out)["rows"]:
+            n = row["n"]
+            assert row["psi_power_coeff"] == str(operators.psi_power(ctx, n).coeff(n)), n
+            assert row["n_psi_factorial"] == str(ctx.factorial(n)), n
+
     def test_psi_spec_error_offset(self, capsys):
         code, _, err = run(capsys, "table", "--psi", "q:1/0", "--n", "3")
         assert code == 2
@@ -435,7 +447,8 @@ class TestOrderLimit:
 
 
 class TestSizeLimits:
-    """verify --max-degree and table --n are capped, checked before any work."""
+    """verify --max-degree and table --n are capped, checked before any work,
+    and so is the degree of every power and product in --f."""
 
     LIMITS = {"--max-degree": 64, "--n": 256}  # psicalc.cli.MAX_DEGREE, MAX_TABLE_N
     ARGV = {"--max-degree": ["verify", "--suite", "commutator", "--psi", "q:3/2"],
@@ -465,6 +478,22 @@ class TestSizeLimits:
             2, "", "error: --n must be at most 256\n")
         assert run(capsys, "verify", "--psi", "q:-1", "--max-degree", "65") == (
             2, "", "error: --max-degree must be at most 64\n")
+
+    @pytest.mark.parametrize("f, offset", [("x^99999999", 1), ("(1+x)^129", 5), ("x^100*x^29", 5)])
+    def test_polynomial_past_the_degree_limit_is_a_parse_error(self, f, offset):
+        # a fresh interpreter under a timeout: an unchecked power runs away
+        proc = subprocess.run(
+            [sys.executable, "-m", "psicalc.cli", "expand", "--f", f, "--order", "1"],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: degree above the limit of 128 (at offset {offset})\n"
+
+    def test_polynomial_at_the_degree_limit_runs(self, capsys):
+        code, out, err = run(capsys, "expand", "--f", "(1+x)^64*(1-x)^64", "--order", "1")
+        assert (code, err) == (0, "")
+        assert "exact: True" in out
 
     def test_verify_at_the_limit_runs(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "commutator", "--max-degree", "64")

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
@@ -12,6 +13,7 @@ from psicalc import (
     DegenerateParamsError,
     DomainError,
     HahnParams,
+    InternalError,
     Polynomial,
     forward_difference,
     hahn_derivative,
@@ -82,6 +84,58 @@ class TestHahnDerivative:
             hahn_derivative(X, HahnParams(1, 0))
 
 
+def hahn_by_divmod(f, q, h):
+    """The Hahn derivative by general long division, the reference for the kernel."""
+    quot, rem = divmod(f - f.compose_affine(q, h), Polynomial([-h, 1 - q]))
+    assert rem == Polynomial.zero()
+    return quot
+
+
+def divisor_content(q, h):
+    """gcd(L, M) for D((1-q)x - h) = L x + M, q = a/b, h = c/e, D = be."""
+    a, b, c, e = q.numerator, q.denominator, h.numerator, h.denominator
+    return math.gcd(e * (b - a), c * b)
+
+
+special_q = st.sampled_from([F(0), F(1), F(3), F(-1), F(1, 3), F(5, 2)])
+special_h = st.sampled_from([F(0), F(2), F(-2), F(2, 3), F(-5, 2)])
+
+
+class TestHahnKernel:
+    """_hahn_quotient divides integer numerators by (1-q)x - h in exact steps."""
+
+    @given(polynomials(max_degree=10), st.one_of(special_q, rationals),
+           st.one_of(special_h, rationals))
+    def test_against_divmod(self, f, q, h):
+        assume(not (q == 1 and h == 0))
+        assert hahn_derivative(f, HahnParams(q, h)) == hahn_by_divmod(f, q, h)
+
+    @pytest.mark.parametrize("q, h, content", [
+        (F(3), F(2), 2), (F(-1), F(2), 2), (F(3), F(0), 2), (F(1, 3), F(2, 3), 6),
+        (F(1), F(4), 4), (F(-5), F(-3, 2), 3), (F(0), F(1), 1), (F(1), F(-2, 3), 2),
+    ])
+    def test_divisor_content_and_special_q(self, q, h, content):
+        assert divisor_content(q, h) == content
+        for f in (X**7 - F(1, 2) * X**3 + 5, (3 * X - 2) ** 5, X, Polynomial.constant(F(7, 3)),
+                  Polynomial.zero()):
+            assert hahn_derivative(f, HahnParams(q, h)) == hahn_by_divmod(f, q, h), f
+
+    @pytest.mark.parametrize("num, q, h", [
+        ([1, 0, 1], F(2), F(0)),  # x^2 + 1 by -x: the last remainder
+        ([0, 1], F(-2), F(1)),  # x by 3x - 1: the first step
+        ([5, 3, 6], F(-2), F(1)),  # by 3x - 1, a step in the middle
+        ([4, 1], F(3), F(2)),  # by -2x - 2, primitive -x - 1, the remainder
+    ])
+    def test_numerator_it_does_not_divide_is_an_internal_error(self, num, q, h):
+        with pytest.raises(InternalError, match="divisibility is a theorem"):
+            hahn._hahn_quotient(num, 1, HahnParams(q, h))
+
+    def test_scale_of_the_quotient(self):
+        # (x^2 - (3x + 2)^2) / 9 by -2x - 2 is (4x + 2) / 9
+        p = HahnParams(3, 2)
+        assert hahn._hahn_quotient([-4, -12, -8], 9, p) == Polynomial([F(2, 9), F(4, 9)])
+
+
 class TestHahnReduction:
     def test_hand_case(self):
         assert verify_hahn_reduction(HahnParams(2, 3), 2).passed
@@ -133,8 +187,8 @@ class TestHahnSweepPath:
         x = sympy.Symbol("x")
         quotients, quotient = [], hahn._hahn_quotient
 
-        def recorded(numerator, divisor):
-            quotients.append(quotient(numerator, divisor))
+        def recorded(num, den, p):
+            quotients.append(quotient(num, den, p))
             return quotients[-1]
 
         monkeypatch.setattr(hahn, "_hahn_quotient", recorded)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from psicalc import ParseError, Polynomial, parse_poly
-from psicalc.parsing import MAX_NESTING
+from psicalc.parsing import MAX_DEGREE, MAX_NESTING
 
 X = Polynomial.x()
 
@@ -74,6 +74,35 @@ class TestGrammar:
         with pytest.raises(ParseError) as exc:
             parse_poly("(" * depth + "x" + ")" * depth)
         assert exc.value.position == MAX_NESTING
+
+
+class TestDegreeLimit:
+    """Powers and products past MAX_DEGREE are refused before they are computed."""
+
+    def test_limit(self):
+        assert MAX_DEGREE == 128
+
+    @pytest.mark.parametrize("src", ["x^128", "x^100*x^28", "(1+x)^64*(x-1)^64", "(x^2)^64",
+                                     "0*x^128", "x^128 + x^128", "1^99999999"])
+    def test_up_to_the_limit(self, src):
+        assert parse_poly(src).degree <= MAX_DEGREE
+
+    @pytest.mark.parametrize("src, position", [
+        ("x^129", 1), ("x^99999999", 1), ("(1+x)^129", 5), ("(x^2)^65", 5),
+        ("x^100*x^29", 5), ("x^64 * x^64 * x", 12), ("x*(x^64*x^64)", 1), ("-x^129", 2),
+    ])
+    def test_past_the_limit(self, src, position):
+        with pytest.raises(ParseError, match="degree above the limit of 128") as exc:
+            parse_poly(src)
+        assert exc.value.position == position
+
+    def test_checked_before_the_power_is_computed(self, monkeypatch):
+        powers = []
+        power = Polynomial.__pow__
+        monkeypatch.setattr(Polynomial, "__pow__", lambda f, n: powers.append(n) or power(f, n))
+        with pytest.raises(ParseError):
+            parse_poly("(x+1)^2 * (x+1)^200")
+        assert powers == [2]
 
 
 def random_polynomial(rng):
