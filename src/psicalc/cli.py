@@ -21,7 +21,8 @@ table an --n up to MAX_TABLE_N = 256; a larger one is a domain error,
 raised before any work.  n_psi! has order n^2 bits on a sequence like
 q:3/2, so the work grows much faster than the size asked for: doubling
 either limit makes a q:3/2 run ten or more times slower.  A power or
-product in --f above degree `parsing.MAX_DEGREE` = 128 is a parse error,
+product in --f above degree `parsing.MAX_DEGREE` = 128, or with
+coefficients past `parsing.MAX_BITS` = 100 000 bits, is a parse error,
 raised before it is computed.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility error.

@@ -100,36 +100,48 @@ def _hahn_quotient(num: Sequence[int], den: int, p: HahnParams) -> Polynomial:
 
 def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     """The Hahn derivative is the q-derivative conjugated by the shift
-    x -> x + h/(1-q), checked on monomials up to degree N.
+    S: f(x) -> f(x + s), s = h/(1-q), checked on the shifted powers
+    (x - s)^n for n up to N.
 
-    With q = a/b, h = c/e and D = be, qx + h is (alpha x + beta) / D for
-    alpha = ae and beta = cb, and s = h/(1-q) is sigma/tau in lowest terms.
-    The integer numerators of (alpha x + beta)^n and (tau x + sigma)^n are
-    running lists, each made from the one before in one O(n) pass.
-    Monomial n then costs, on the left, the exact division of
-    D^n x^n - (alpha x + beta)^n, over D^n, by (1-q)x - h in
-    `_hahn_quotient` and, on the right, the q-derivative of
-    (x + s)^n = (tau x + sigma)^n / tau^n and one Taylor shift back by -s,
-    the only O(n^2) step."""
+    Both sides are linear and the (x - s)^k, k <= n, span the polynomials
+    of degree at most n, so the first n that fails, and with it the
+    report's cases and counterexample n, are those of the monomial basis;
+    a failing report's lhs and rhs are the images of (x - s)^n.
+
+    With q = a/b, h = c/e, D = be and s = sigma/tau in lowest terms,
+    (x - s)^n is (tau x - sigma)^n / tau^n and (q x + h - s)^n is
+    (A x + B)^n / (D tau)^n for A = tau a e and B = tau c b - sigma D;
+    the integer numerators of both powers are running lists, each made
+    from the one before in one O(n) pass.  The left side is the exact
+    division of D^n (tau x - sigma)^n - (A x + B)^n, over (D tau)^n, by
+    (1-q)x - h in `_hahn_quotient`.  On the right S(x - s)^n = x^n, and
+    when its q-derivative is one term c x^(n-1), S^-1 of it is c times the
+    running (tau x - sigma)^(n-1) over tau^(n-1); any other image is
+    shifted back by -s whole.  A sweep to N so costs O(N^2) big-integer
+    operations, and a passing one makes no Taylor shift."""
     if p.q == 1:
         raise DomainError("the reduction's conjugating shift needs q != 1")
     s = p.h / (1 - p.q)
     ctx = PsiContext(AdmissibleSequence.gauss_q(p.q))
     ctx.rows(N)  # grown once to N_q, not one index per monomial
-    D = p.q.denominator * p.h.denominator
-    alpha, beta = p.q.numerator * p.h.denominator, p.h.numerator * p.q.denominator
-    tau, sigma = s.denominator, s.numerator
-    qx_hn, x_sn, Dn, taun = [1], [1], 1, 1
+    a, b, c, e = p.q.numerator, p.q.denominator, p.h.numerator, p.h.denominator
+    sigma, tau, D = s.numerator, s.denominator, b * e
+    A, B = tau * a * e, tau * c * b - sigma * D
+    x_sn, qx_hn, Dn, taun = [1], [1], 1, 1  # (tau x - sigma)^n, (A x + B)^n, D^n, tau^n
     failure = None
     for n in range(N + 1):
+        image = psi_derivative(ctx, Polynomial.monomial(n))
+        cn = image._num
+        # x_sn and taun are still those of n - 1 here
+        if len(cn) == n and not any(cn[:-1]):  # c x^(n-1), or 0 at n = 0
+            rhs = _canonical([cn[-1] * v for v in x_sn], image._den * taun) if cn else image
+        else:
+            rhs = image.compose_affine(1, -s)
         if n:
-            qx_hn = [alpha * u + beta * v for u, v in zip([0, *qx_hn], [*qx_hn, 0])]
-            x_sn = [tau * u + sigma * v for u, v in zip([0, *x_sn], [*x_sn, 0])]
+            x_sn = [tau * u - sigma * v for u, v in zip([0, *x_sn], [*x_sn, 0])]
+            qx_hn = [A * u + B * v for u, v in zip([0, *qx_hn], [*qx_hn, 0])]
             Dn, taun = Dn * D, taun * tau
-        diff = [-v for v in qx_hn]
-        diff[n] += Dn
-        lhs = _hahn_quotient(diff, Dn, p)
-        rhs = psi_derivative(ctx, _canonical(x_sn, taun)).compose_affine(1, -s)
+        lhs = _hahn_quotient([Dn * u - v for u, v in zip(x_sn, qx_hn)], Dn * taun, p)
         if lhs != rhs:
             failure = (f"n={n}", lhs, rhs)
             break

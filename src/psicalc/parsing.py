@@ -10,9 +10,14 @@ A unary minus binds looser than '^' and tighter than '*', so -x^2 is
 -(x^2) and -3^2 is -9.  Whitespace is insignificant.  Printing a
 Polynomial with str() produces text this grammar accepts, so parse/print
 round-trips exactly.  Parentheses nest at most MAX_NESTING deep, so the
-recursion stays far from Python's limit, and no power or product may have
-a degree above MAX_DEGREE: each '^' and '*' is checked before the power
-or product is computed, so x^99999999 is refused at once, not computed.
+recursion stays far from Python's limit, no power or product may have a
+degree above MAX_DEGREE, and none may have coefficients of more than
+MAX_BITS bits.  A factor's size is log2 of its largest numerator or
+denominator, rounded down (`_bits`): a power's is that of its base times
+the exponent, a product's the sum of its factors', and for a constant
+neither is more than the bits the result has, so 1^99999999 passes.
+Each '^' and '*' is checked before the power or product is computed, so
+x^99999999 and 2^9999999 are refused at once, not computed.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .poly import Polynomial
 
 MAX_NESTING = 100
 MAX_DEGREE = 128
+MAX_BITS = 100_000  # about 30 000 decimal digits
 
 
 class _Parser:
@@ -94,7 +100,7 @@ class _Parser:
             at = self.pos
             self.pos += 1
             n = self.uint()
-            _check_degree(b.degree * n, at)
+            _check_size(b.degree * n, _bits(b) * n, at)
             b = b**n
         return -b if negative else b
 
@@ -104,7 +110,7 @@ class _Parser:
             at = self.pos
             self.pos += 1
             rhs = self.factor()
-            _check_degree(acc.degree + rhs.degree, at)
+            _check_size(acc.degree + rhs.degree, _bits(acc) + _bits(rhs), at)
             acc = acc * rhs
         return acc
 
@@ -122,9 +128,16 @@ class _Parser:
                 return acc
 
 
-def _check_degree(degree: int, position: int) -> None:
+def _bits(p: Polynomial) -> int:
+    """floor(log2) of the largest of p's numerators and its denominator."""
+    return max([p._den, *map(abs, p._num)]).bit_length() - 1
+
+
+def _check_size(degree: int, bits: int, position: int) -> None:
     if degree > MAX_DEGREE:
         raise ParseError(f"degree above the limit of {MAX_DEGREE}", position)
+    if bits > MAX_BITS:
+        raise ParseError(f"coefficients above the limit of {MAX_BITS} bits", position)
 
 
 def parse_poly(src: str) -> Polynomial:

@@ -490,6 +490,16 @@ class TestSizeLimits:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: degree above the limit of 128 (at offset {offset})\n"
 
+    def test_constant_past_the_bit_limit_is_a_parse_error(self):
+        # 2^9999999 has degree 0, so only the bit limit stops it
+        proc = subprocess.run(
+            [sys.executable, "-m", "psicalc.cli", "expand", "--f", "2^9999999", "--order", "1"],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: coefficients above the limit of 100000 bits (at offset 1)\n"
+
     def test_polynomial_at_the_degree_limit_runs(self, capsys):
         code, out, err = run(capsys, "expand", "--f", "(1+x)^64*(1-x)^64", "--order", "1")
         assert (code, err) == (0, "")

@@ -2,13 +2,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
 from psicalc import hahn
+from psicalc.poly import _canonical
 from psicalc import (
     AdmissibilityError,
+    AdmissibleSequence,
     ConvergenceError,
     DegenerateParamsError,
     DomainError,
@@ -169,18 +171,56 @@ class TestHahnReduction:
 HAHN_GRID = [(q, h) for q in (F(2), F(1, 2), F(3, 2), F(-2)) for h in (F(0), F(1), F(-3), F(7, 5))]
 
 
-class TestHahnSweepPath:
-    """The sweep builds its powers by multiplication; what it still checks."""
+def reference_hahn_reduction(p, N):
+    """The reduction sweep on the monomials x^n: the left side divides
+    D^n x^n - (alpha x + beta)^n by (1-q)x - h, the right side is the
+    q-derivative of (x + s)^n shifted back by -s, one Taylor shift per
+    monomial.  The reference the shifted-basis sweep must agree with."""
+    s = p.h / (1 - p.q)
+    ctx = PsiContext(AdmissibleSequence.gauss_q(p.q))
+    ctx.rows(N)
+    D = p.q.denominator * p.h.denominator
+    alpha, beta = p.q.numerator * p.h.denominator, p.h.numerator * p.q.denominator
+    tau, sigma = s.denominator, s.numerator
+    qx_hn, x_sn, Dn, taun = [1], [1], 1, 1
+    failure = None
+    for n in range(N + 1):
+        if n:
+            qx_hn = [alpha * u + beta * v for u, v in zip([0, *qx_hn], [*qx_hn, 0])]
+            x_sn = [tau * u + sigma * v for u, v in zip([0, *x_sn], [*x_sn, 0])]
+            Dn, taun = Dn * D, taun * tau
+        diff = [-v for v in qx_hn]
+        diff[n] += Dn
+        lhs = hahn._hahn_quotient(diff, Dn, p)
+        rhs = hahn.psi_derivative(ctx, _canonical(x_sn, taun)).compose_affine(1, -s)
+        if lhs != rhs:
+            failure = (f"n={n}", lhs, rhs)
+            break
+    return hahn._report("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", N + 1, failure)
 
-    def test_one_shift_per_monomial(self, monkeypatch):
+
+def first_failure(report):
+    return report.passed, report.cases, report.counterexample and report.counterexample.inputs
+
+
+WRONG_Q_DERIVATIVES = [
+    (lambda ctx, f: f.derivative(), 2),  # the classical derivative: 2_q != 2
+    (lambda ctx, f: psi_derivative(ctx, f) + (1 if f.degree >= 5 else 0), 5),
+]
+
+
+class TestHahnSweepPath:
+    """The sweep runs on the shifted basis (x - s)^n; what it still checks."""
+
+    def test_a_passing_sweep_makes_no_shift(self, monkeypatch):
         shifts = []
         compose = Polynomial.compose_affine
         monkeypatch.setattr(
             Polynomial, "compose_affine", lambda f, q, h: shifts.append((q, h)) or compose(f, q, h)
         )
-        p, N = HahnParams(F(3, 2), F(7, 5)), 12
-        assert verify_hahn_reduction(p, N).passed
-        assert shifts == [(1, -p.h / (1 - p.q))] * (N + 1)  # only the shift back
+        for q, h in [(F(3, 2), F(7, 5)), *HAHN_GRID]:
+            assert verify_hahn_reduction(HahnParams(q, h), 12).passed
+        assert shifts == []
 
     def test_left_side_against_sympy(self, monkeypatch):
         sympy = pytest.importorskip("sympy")
@@ -197,22 +237,55 @@ class TestHahnSweepPath:
             quotients.clear()
             assert verify_hahn_reduction(HahnParams(q, h), N).passed
             sq, sh = sympy.Rational(q.numerator, q.denominator), sympy.Rational(h.numerator, h.denominator)
+            s = sh / (1 - sq)
             assert len(quotients) == N + 1
             for n, lhs in enumerate(quotients):
-                want = sympy.cancel((x**n - (sq * x + sh) ** n) / ((1 - sq) * x - sh))
+                want = sympy.cancel(((x - s) ** n - (sq * x + sh - s) ** n) / ((1 - sq) * x - sh))
                 coeffs = sympy.Poly(want, x).all_coeffs()[::-1]
                 assert lhs == Polynomial([F(int(c.p), int(c.q)) for c in coeffs]), (q, h, n)
 
-    @pytest.mark.parametrize("wrong, first", [
-        (lambda ctx, f: f.derivative(), 2),  # the classical derivative: 2_q != 2
-        (lambda ctx, f: psi_derivative(ctx, f) + (1 if f.degree >= 5 else 0), 5),
-    ])
+    @pytest.mark.parametrize("wrong, first", WRONG_Q_DERIVATIVES)
     def test_wrong_q_derivative_fails_at_the_first_wrong_n(self, monkeypatch, wrong, first):
         monkeypatch.setattr(hahn, "psi_derivative", wrong)
         report = verify_hahn_reduction(HahnParams(F(3, 2), F(7, 5)), 8)
         assert not report.passed
         assert report.cases == 9
         assert report.counterexample.inputs == f"n={first}"
+
+    def test_failing_report_shows_the_images_of_the_shifted_power(self, monkeypatch):
+        wrong, n = WRONG_Q_DERIVATIVES[0]
+        monkeypatch.setattr(hahn, "psi_derivative", wrong)
+        p = HahnParams(F(3, 2), F(7, 5))
+        s = p.h / (1 - p.q)
+        ce = verify_hahn_reduction(p, 8).counterexample
+        assert ce.lhs == str(hahn_derivative((X - s) ** n, p))
+        assert ce.rhs == str(wrong(None, X**n).compose_affine(1, -s))
+
+
+class TestHahnSweepAgainstMonomialReference:
+    """The shifted basis and the monomial basis find the same first failure."""
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 12, 32])
+    def test_grid(self, N):
+        for q, h in HAHN_GRID:
+            p = HahnParams(q, h)
+            assert first_failure(verify_hahn_reduction(p, N)) == first_failure(
+                reference_hahn_reduction(p, N)), (q, h)
+
+    @pytest.mark.parametrize("wrong, first", WRONG_Q_DERIVATIVES)
+    def test_wrong_q_derivatives(self, monkeypatch, wrong, first):
+        monkeypatch.setattr(hahn, "psi_derivative", wrong)
+        for q, h in [(F(3, 2), F(7, 5)), *HAHN_GRID]:
+            p = HahnParams(q, h)
+            new, old = verify_hahn_reduction(p, 8), reference_hahn_reduction(p, 8)
+            assert first_failure(new) == first_failure(old) == (False, 9, f"n={first}"), (q, h)
+
+    @settings(deadline=2000)
+    @given(rationals.filter(lambda q: q not in (0, 1, -1)), rationals, st.integers(0, 12))
+    def test_random_params(self, q, h, N):
+        p = HahnParams(q, h)
+        assert first_failure(verify_hahn_reduction(p, N)) == first_failure(
+            reference_hahn_reduction(p, N))
 
 
 class TestJacksonExact:

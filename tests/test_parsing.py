@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from psicalc import ParseError, Polynomial, parse_poly
-from psicalc.parsing import MAX_DEGREE, MAX_NESTING
+from psicalc.parsing import MAX_BITS, MAX_DEGREE, MAX_NESTING
 
 X = Polynomial.x()
 
@@ -103,6 +103,41 @@ class TestDegreeLimit:
         with pytest.raises(ParseError):
             parse_poly("(x+1)^2 * (x+1)^200")
         assert powers == [2]
+
+
+class TestBitLimit:
+    """Powers and products whose coefficients pass MAX_BITS are refused
+    before they are computed."""
+
+    def test_limit(self):
+        assert MAX_BITS == 100_000
+
+    @pytest.mark.parametrize("src, bits", [
+        ("2^100000", 100_001), ("(1/2)^100000", 100_001), ("2^50000*2^50000", 100_001),
+        ("-(2^100000)", 100_001), ("3^100000", 158_497), ("1^99999999", 1), ("(-1)^99999999", 1),
+        ("0^99999999", 1), ("(x+2)^128", 200),
+    ])
+    def test_up_to_the_limit(self, src, bits):
+        f = parse_poly(src)
+        assert max([f._den, *map(abs, f._num)]).bit_length() == bits
+
+    @pytest.mark.parametrize("src, position", [
+        ("2^9999999", 1), ("2^100001", 1), ("(1/2)^100001", 5), ("4^50001", 1),
+        ("2^50000*2^50001", 7), ("2^60000 * x * 2^60000", 12), ("-2^100001", 2),
+        ("(2^50000*x + 1)^3", 15),
+    ])
+    def test_past_the_limit(self, src, position):
+        with pytest.raises(ParseError, match="coefficients above the limit of 100000 bits") as exc:
+            parse_poly(src)
+        assert exc.value.position == position
+
+    def test_checked_before_the_power_is_computed(self, monkeypatch):
+        powers = []
+        power = Polynomial.__pow__
+        monkeypatch.setattr(Polynomial, "__pow__", lambda f, n: powers.append(n) or power(f, n))
+        with pytest.raises(ParseError):
+            parse_poly("2^3 * 2^9999999")
+        assert powers == [3]
 
 
 def random_polynomial(rng):
