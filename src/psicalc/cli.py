@@ -23,7 +23,10 @@ q:3/2, so the work grows much faster than the size asked for: doubling
 either limit makes a q:3/2 run ten or more times slower.  A power or
 product in --f above degree `parsing.MAX_DEGREE` = 128, or with
 coefficients past `parsing.MAX_BITS` = 100 000 bits, is a parse error,
-raised before it is computed.  Exit codes:
+raised before it is computed.  An expand run whose size estimate
+(`_check_report_size`) passes MAX_REPORT_BITS = 2^23 bits, and a
+maclaurin --alpha above `discrete.MAX_ALPHA` = 10 000, are domain
+errors, raised before any work.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility error.
 """
@@ -40,7 +43,7 @@ from fractions import Fraction
 from . import discrete, expansions, hahn, operators
 from .errors import AdmissibilityError, DomainError, InternalError, ParseError, PsiCalcError
 from .expansions import MAX_ORDER
-from .parsing import parse_poly
+from .parsing import _bits, parse_poly
 from .poly import Polynomial
 from .record import Record
 from .sequences import PsiContext, parse_psi_spec, parse_rational
@@ -52,6 +55,7 @@ EXIT_ADMISSIBILITY = 3
 
 MAX_DEGREE = 64  # the largest verify --max-degree
 MAX_TABLE_N = 256  # the largest table --n
+MAX_REPORT_BITS = 1 << 23  # the largest expand size estimate, about 2.5 MB of digits
 
 VERIFY_SWEEPS_HELP = (
     "Fixed sweeps: commutator checks monomials up to --max-degree for the "
@@ -182,6 +186,7 @@ def _run_expand(args) -> int:
         raise DomainError(f"--psi {ctx.label} applies only to --kind psi, not {kind}")
     if kind != "psi" and args.x_eval is not None:
         raise DomainError(f"--x-eval applies only to --kind psi, not {kind}")
+    _check_report_size(f, None if kind == "newton" else args.alpha, args.x_eval)
     extra = {"kind": kind, "f": f}
 
     if kind == "taylor":
@@ -203,12 +208,33 @@ def _run_expand(args) -> int:
     else:  # maclaurin
         if args.alpha.denominator != 1 or args.alpha < 1:
             raise DomainError("--alpha must be a positive integer for maclaurin")
+        if args.alpha > discrete.MAX_ALPHA:
+            raise DomainError(f"--alpha must be at most {discrete.MAX_ALPHA} for maclaurin")
         lattice = discrete.LatticeFunction.from_polynomial(f)
         report = discrete.bernoulli_maclaurin(lattice, int(args.alpha), args.order)
         keys = "kind f alpha order terms remainder total target exact"
 
     _emit(_fields(report, keys, extra), args.format)
     return EXIT_OK
+
+
+def _check_report_size(f: Polynomial, *points: Fraction | None) -> None:
+    """Refuse an expand run whose report would be too large, before any
+    work.  With b(v) the bits of v as `parsing._bits` counts them and
+    d = deg f, a coefficient of the report has at most about
+    b(f) + d * (b(alpha) + b(x_eval)) bits.  A taylor or newton report
+    lists about (d + 1)^2 / 2 of them, and the psi kind makes about as
+    many big-integer steps on numbers that size; maclaurin takes the same
+    bound, beside `discrete.MAX_ALPHA`.  A point given as None (newton's
+    unused alpha, a missing x_eval) is not counted."""
+    d = max(f.degree, 0)
+    bits = _bits(f) + d * sum(_bits(Polynomial.constant(v)) for v in points if v is not None)
+    count = (d + 1) ** 2 // 2
+    if count * bits > MAX_REPORT_BITS:
+        raise DomainError(
+            f"report of about {count} coefficients of up to {bits} bits is above "
+            f"the limit of {MAX_REPORT_BITS} bits"
+        )
 
 
 # -- verify -------------------------------------------------------------------

@@ -21,7 +21,8 @@ from itertools import accumulate
 
 from .errors import DomainError
 from .poly import (
-    Polynomial, _canonical, _combine, _difference, _digits, _perms, _rational, _x_shift_back,
+    Polynomial, _aligned, _canonical, _combine, _difference, _digits, _perms, _rational,
+    _x_shift_back,
 )
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
@@ -69,7 +70,9 @@ def _psi_power(
     x^(m+k) -> r_m x^m, the antiderivative power x^m -> x^(m+k) / r_m,
     and the x_hat power that times (m+k)!/m!.  The rows are grown to the
     top index the k single steps would reach, so a bad factor raises the
-    same error.
+    same error.  A weight is computed only for a nonzero coefficient of
+    f, over the lcm of the whole run (for k = 1 the cached one), so a
+    monomial costs one big-integer weight, not deg f + 1.
     """
     if k < 0:
         raise ValueError("operator power must be nonnegative")
@@ -90,14 +93,15 @@ def _psi_power(
         num = [a[m + k] // a[m] for m in range(count)]
         den = [b[m + k] // b[m] for m in range(count)]
         lcm = math.lcm(*(num if raising else den))
+    cs = f._num
     if not raising:
-        ws = num if lcm == 1 else [x * (lcm // y) for x, y in zip(num[:count], den)]
+        ws = num if lcm == 1 else [c and x * (lcm // y) for c, x, y in zip(cs[k:], num, den)]
         return f._diagonal(ws, lcm, -k)
     # no shortcut for lcm = 1 here: a divisor num[m] may still be -1
     if falling:  # times (m+k)!/m!
-        ws = [i * y * (lcm // x) for i, x, y in zip(_perms(top + 1, k), num, den)]
+        ws = [c and i * y * (lcm // x) for c, i, x, y in zip(cs, _perms(top + 1, k), num, den)]
     else:
-        ws = [y * (lcm // x) for x, y in zip(num[:count], den)]
+        ws = [c and y * (lcm // x) for c, x, y in zip(cs, num, den)]
     return f._diagonal(ws, lcm, k)
 
 
@@ -324,13 +328,16 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     rhs(m, n) = sum_j c_j T(j, n), and the next term is one raiser
     application away from it: T(m, n+1) = -q rhs(m, n).  So each case
     costs one lower and at most one raiser call; the sign of
-    T(., n) = -(q rhs(., n-1)) rides as a coefficient of the integer
-    combinations that build S_n and rhs(m, n), each one pass with one
-    gcd.  The cases run order by order, so only the column T(., n) is
-    kept; it is complete before any rhs(m, n) needs it, which covers
-    c_m != 0 as well.  The report is that of the (m, n) order: its first
-    counterexample and the cases up to it.  A lower operator that raises
-    the degree of some x^m is a DomainError.
+    T(., n) = -(q rhs(., n-1)) rides along in the integer passes that
+    build S_n and rhs(m, n), each with one gcd.  S_n is one aligned pass
+    over the numerators of S_(n-1) and T(m, n).  When p x^m is one term
+    c_j x^j, as for the derivative and psi pairs, rhs(m, n) is one scaled
+    copy of T(j, n); only a lower image of several terms (the Delta pair)
+    goes through `_combine`.  The cases run order by order, so only the
+    column T(., n) is kept; it is complete before any rhs(m, n) needs it,
+    which covers c_m != 0 as well.  The report is that of the (m, n)
+    order: its first counterexample and the cases up to it.  A lower
+    operator that raises the degree of some x^m is a DomainError.
     """
     images = [Polynomial.monomial(m) for m in range(max_m + 1)]  # T(m, n) up to its sign
     parts = []  # p x^m as ([(numerator of c_j, j)], denominator)
@@ -347,12 +354,23 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     top = max_m  # only a counterexample below x^(top+1) can come before it
     for n in range(max_n + 1):
         sign = -1 if n else 1  # T(., n) = sign * images
+        add = operator.sub if n else operator.add
         rhss = []
         for m in range(top + 1):
-            partials[m] = _combine(((n, partials[m]), (sign, images[m])))
+            s, t, den = _aligned(partials[m], images[m])  # S_n = n S_(n-1) + sign T
+            s = [n * c for c in s]
+            s += [0] * (len(t) - len(s))
+            s[: len(t)] = map(add, s, t)
+            partials[m] = _canonical(s, den)
             lhs = pair.lower(partials[m])
             nums, den = parts[m]
-            rhs = _combine([(sign * c, images[j]) for c, j in nums], den)
+            if len(nums) == 1:  # rhs = sign c T(j, n) / den, one scaled image
+                c, j = nums[0]
+                c *= sign
+                image = images[j]
+                rhs = _canonical([c * v for v in image._num], image._den * den)
+            else:
+                rhs = _combine([(sign * c, images[j]) for c, j in nums], den)
             if lhs != rhs:
                 first, top = (m, n, lhs, rhs), m - 1
                 break

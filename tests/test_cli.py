@@ -517,6 +517,75 @@ class TestSizeLimits:
         assert len(rows) == 256 and rows[-1]["n_psi"] == str(2**256 - 1)
 
 
+ZEROS_2000 = "1" + "0" * 2000
+
+
+class TestReportLimit:
+    """An expand run whose report size estimate passes MAX_REPORT_BITS,
+    and a maclaurin --alpha past discrete.MAX_ALPHA, are refused before
+    any work."""
+
+    LIMIT = 1 << 23  # psicalc.cli.MAX_REPORT_BITS
+
+    def test_limits_are_the_module_constants(self):
+        from psicalc import cli, discrete
+
+        assert (cli.MAX_REPORT_BITS, discrete.MAX_ALPHA) == (self.LIMIT, 10_000)
+
+    @pytest.mark.parametrize("argv, count, bits", [
+        (["--f", "2^2000*x^128", "--order", "128", "--alpha", "1"], 8320, 2000),
+        (["--kind", "newton", "--f", "2^2000*x^128", "--order", "128"], 8320, 2000),
+        (["--f", "x^32", "--order", "32", "--alpha", ZEROS_2000], 544, 32 * 6643),
+        (["--kind", "psi", "--psi", "q:2", "--f", "x^64", "--order", "64", "--alpha", "0",
+          "--x-eval", ZEROS_2000], 2112, 64 * 6643),
+        (["--kind", "maclaurin", "--f", "x^64", "--order", "64", "--alpha", ZEROS_2000],
+         2112, 64 * 6643),
+    ], ids=["taylor", "newton", "taylor-alpha", "psi-x-eval", "maclaurin-alpha"])
+    def test_past_the_limit_is_a_domain_error(self, argv, count, bits):
+        # a fresh interpreter under a timeout: each of these ran for seconds
+        # or printed megabytes before the limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "psicalc.cli", "expand", *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: report of about {count} coefficients of up to {bits} "
+                               f"bits is above the limit of {self.LIMIT} bits\n")
+
+    @pytest.mark.parametrize("alpha", ["10001", "10000000"])
+    def test_maclaurin_alpha_past_its_limit(self, alpha):
+        # f = x keeps the size estimate small: only the alpha limit refuses
+        proc = subprocess.run(
+            [sys.executable, "-m", "psicalc.cli", "expand", "--kind", "maclaurin",
+             "--f", "x", "--order", "1", "--alpha", alpha],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: --alpha must be at most 10000 for maclaurin\n"
+
+    def test_at_the_limit_runs(self, capsys):
+        # x^32 lists 33^2 // 2 = 544 coefficients of up to 32 * bits(alpha)
+        # bits: 544 * 32 * 481 is under 2^23, 544 * 32 * 482 is over
+        argv = ["expand", "--f", "x^32", "--order", "32", "--format", "json"]
+        code, out, err = run(capsys, *argv, "--alpha", str(2**481))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["exact"] is True
+        code, out, err = run(capsys, *argv, "--alpha", str(2**482))
+        assert (code, out) == (2, "")
+        assert f"up to {32 * 482} bits is above the limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "newton", "--f", "x^32", "--order", "1", "--alpha", ZEROS_2000],
+        ["--kind", "maclaurin", "--f", "x^32", "--order", "1", "--alpha", "10000"],
+    ], ids=["newton-ignores-alpha", "maclaurin-at-its-alpha-limit"])
+    def test_runs_inside_both_limits(self, capsys, argv):
+        code, out, err = run(capsys, "expand", *argv)
+        assert (code, err) == (0, "")
+        assert "exact: True" in out
+
+
 class TestValidationMessages:
     """Each refused input exits 2 (3 for admissibility) with one error line."""
 

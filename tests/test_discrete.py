@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -189,6 +190,25 @@ class TestBernoulliMaclaurin:
         # with the derived signs, order 0 reads
         # f(0) = f(alpha) - sum of (nabla f)(r+1), which telescopes
         assert bernoulli_maclaurin(lat(f), alpha, 0).exact
+
+    @given(
+        polynomials(max_degree=8),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=9),
+    )
+    def test_remainder_against_its_defining_sum(self, f, alpha, n):
+        # R = (-1)^(n+1) sum_{r<alpha} C(r, n) (nabla^(n+1) f)(r+1), with
+        # nabla^(n+1) f(y) = sum_j (-1)^j C(n+1, j) f(y - j) from values of
+        # f alone: no difference operator, no shift, no iterated_sum
+        def nabla(y):
+            return sum((-1) ** j * math.comb(n + 1, j) * f(y - j) for j in range(n + 2))
+
+        want = (-1) ** (n + 1) * sum((math.comb(r, n) * nabla(r + 1) for r in range(alpha)), F(0))
+        assert bernoulli_maclaurin(lat(f), alpha, n).remainder == want
+
+    def test_at_the_alpha_limit(self):
+        r = bernoulli_maclaurin(lat(X**3 - 2 * X + 1), 10_000, 1)
+        assert r.alpha == 10_000 and r.exact
 
     def test_legacy_sign_convention_totals_minus_f0(self):
         # the commonly printed variant flips every sign and lands on

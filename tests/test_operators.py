@@ -245,11 +245,21 @@ class TestBernoulliIdentity:
         assert bernoulli_identity_sweep(delta_pair(), 10, 6).passed
 
 
+# negative factors with denominators other than 1: signs reach the lcm of
+# the numerators that x_hat and the psi-antiderivative divide by
+CUSTOM_SPEC = (
+    "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9,-11/2,6,-13/7,1/3,"
+    "-8,15/4,-2/11,7/6,-9/10,12,-5/8,17/3,-1/6,2"
+)
+
+
 def _realisations():
-    """The nine built-in realisations and (D + 1, x), a valid pair whose
-    lower image of x^m keeps x^m."""
+    """The nine built-in realisations, the psi pairs of q:-2/3 and of
+    CUSTOM_SPEC (negative and non-integer factors), and (D + 1, x), a
+    valid pair whose lower image of x^m keeps x^m."""
     pairs = [derivative_pair(y) for y in (0, 1, -2)] + [delta_pair()]
-    pairs += [psi_pair(parse_psi_spec(s)) for s in ("classical", "q:2", "q:1/2", "q:3/2", "fib")]
+    specs = ("classical", "q:2", "q:1/2", "q:3/2", "fib", "q:-2/3", CUSTOM_SPEC)
+    pairs += [psi_pair(parse_psi_spec(s)) for s in specs]
     return pairs + [GhwPair("D+1, x", lambda f: f.derivative() + f, lambda f: X * f)]
 
 
@@ -393,12 +403,7 @@ class TestGhwInvariant:
 
 
 BUILTIN_SPECS = ("classical", "q:2", "q:1/2", "q:3/2", "fib")
-# negative factors with denominators other than 1: signs reach the lcm of
-# the numerators that x_hat and the psi-antiderivative divide by
-CUSTOM_SPEC = (
-    "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9,-11/2,6,-13/7,1/3,"
-    "-8,15/4,-2/11,7/6,-9/10,12,-5/8,17/3,-1/6,2"
-)
+SPARSE_SPECS = BUILTIN_SPECS + ("q:-2/3", CUSTOM_SPEC)
 
 
 def _definition_factor(spec: str, n: int) -> F:
@@ -484,6 +489,31 @@ class TestDiagonalOperatorsOracle:
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             assert image.coeffs == tuple(map(F, coeffs)), name
+
+    @pytest.mark.parametrize("spec", SPARSE_SPECS, ids=[*BUILTIN_SPECS, "q:-2/3", "custom"])
+    @given(data=st.data(), k=st.integers(min_value=1, max_value=3))
+    def test_sparse_inputs_at_high_degree(self, spec, data, k):
+        # 1-3 nonzero terms up to degree 64: the weights of the zero
+        # coefficients are skipped, the rest must be those of the dense
+        # definition; CUSTOM_SPEC has 21 factors, so its degrees stop
+        # where x_hat^k still finds one
+        top = 21 - k if spec == CUSTOM_SPEC else 64
+        terms = data.draw(st.dictionaries(
+            st.integers(min_value=0, max_value=top), rationals.filter(bool),
+            min_size=1, max_size=3))
+        ctx = parse_psi_spec(spec)
+        f = Polynomial([terms.get(n, 0) for n in range(max(terms) + 1)])
+        w = lambda n: _definition_factor(spec, n)
+        # r(m) = (m+1)_psi ... (m+k)_psi
+        run = lambda m: math.prod((w(j) for j in range(m + 1, m + k + 1)), start=F(1))
+        cases = [
+            (psi_derivative, {n - k: c * run(n - k) for n, c in terms.items() if n >= k}),
+            (psi_antiderivative, {n + k: c / run(n) for n, c in terms.items()}),
+            (x_hat_psi, {n + k: c * math.perm(n + k, k) / run(n) for n, c in terms.items()}),
+        ]
+        for op, image in cases:
+            coeffs = [F(image.get(n, 0)) for n in range(max(image, default=-1) + 1)]
+            assert op(ctx, f, k).coeffs == tuple(coeffs), (op.__name__, k)
 
     @pytest.mark.parametrize("op", [psi_derivative, psi_antiderivative, x_hat_psi, umbral_tilde])
     def test_zero_factor_error_is_unchanged(self, op):

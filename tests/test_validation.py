@@ -46,6 +46,8 @@ CASES = {
                              "bernoulli_maclaurin requires a polynomial-backed function"),
     "maclaurin-about-0": (lambda: bernoulli_maclaurin(LAT, 0, 1), RangeError,
                           "expansion point must be a positive integer, got 0"),
+    "maclaurin-past-max-alpha": (lambda: bernoulli_maclaurin(LAT, 10_001, 1), DomainError,
+                                 "expansion point must be at most 10000"),
     # a negative order in each expansion
     "taylor-order": (lambda: taylor_classical(X, 0, -1), ValueError, ORDER),
     "psi-order": (lambda: psi_bernoulli_taylor(CTX, X, 0, 1, -1), ValueError, ORDER),
@@ -109,3 +111,21 @@ def test_order_past_the_limit_before_any_work():
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "expansion order must be at most 10000\n" * 5
+
+
+def test_maclaurin_point_past_the_limit_before_any_work():
+    # a fresh interpreter under a timeout: the remainder sums alpha terms
+    probe = (
+        "from psicalc import *\n"
+        "LAT = LatticeFunction.from_polynomial(Polynomial.x() ** 64)\n"
+        "for alpha in (10**7, 10**2000):\n"
+        "    try:\n"
+        "        bernoulli_maclaurin(LAT, alpha, 64)\n"
+        "    except DomainError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "expansion point must be at most 10000\n" * 2
