@@ -60,13 +60,13 @@ MAX_REPORT_BITS = 1 << 23  # the largest expand size estimate, about 2.5 MB of d
 VERIFY_SWEEPS_HELP = (
     "Fixed sweeps: commutator checks monomials up to --max-degree for the "
     "classical pairs (shifts 0, 1, -2), the difference pair, and the psi "
-    "pair; bernoulli sweeps orders n <= 8 on the same pairs; telescoping "
-    "uses n <= 6 on a seeded degree-<=--max-degree corpus; leibniz, "
-    "per-partes, fundamental and historical use the same corpus; "
-    "exp-addition uses alpha, beta in {1, 1/2, -2/3} to degree "
-    "--max-degree; hahn-reduction runs q in {2, 1/2, 3/2, -2} x h in "
-    "{0, 1, -3, 7/5}; jackson-inverse runs q in {2, 1/2, 3/5}. The corpus "
-    "seed is fixed, so runs are reproducible."
+    "pair; bernoulli sweeps m <= min(--max-degree, 16) and orders n <= 8 "
+    "on the same pairs; telescoping uses n <= 6 on a seeded "
+    "degree-<=--max-degree corpus; leibniz, per-partes, fundamental and "
+    "historical use the same corpus; exp-addition uses alpha, beta in "
+    "{1, 1/2, -2/3} to degree --max-degree; hahn-reduction runs q in "
+    "{2, 1/2, 3/2, -2} x h in {0, 1, -3, 7/5}; jackson-inverse runs q in "
+    "{2, 1/2, 3/5}. The corpus seed is fixed, so runs are reproducible."
 )
 
 # argparse takes a token that starts with "-" for a value, not an unknown

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from .errors import DomainError, RangeError
 from .expansions import _check_order
-from .poly import Polynomial, _difference, _rational
+from .poly import Polynomial, _combine, _difference, _rational
 from .record import Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Sequence
 
     from .poly import Scalar
 
@@ -125,16 +125,38 @@ def falling_factorial_value(x: Scalar, k: int) -> Fraction:
 def iterated_sum(f: LatticeFunction, k: int, x: int) -> Fraction:
     """The k-fold definite sum via the closed kernel:
     sum over r < x of (x-r-1)^(falling k-1)/(k-1)! f(r), whose weight is
-    the binomial C(x-r-1, k-1).  A polynomial-backed f = P/den sums the
-    integers P(r); a table-backed one reads every f(r), r < x."""
+    the binomial C(x-r-1, k-1); `_iterated_sums` at the one point x."""
     if k < 1:
         raise RangeError(f"iterated sum depth must be >= 1, got {k}")
-    weights = [math.comb(x - r - 1, k - 1) for r in range(x)]
+    (total,), den = _iterated_sums(f, k, (x,))
+    return Fraction(total, den)
+
+
+def _iterated_sums(f: LatticeFunction, k: int, points: Sequence[int]) -> tuple[list, int]:
+    """The k-fold sums of f at every x in points (0 for x <= 0) from one
+    pass, as (sums, den): the sum at x is sums[i] / den.  The values f(r)
+    for r < max(points) are read once, and the weights C(j, k-1) for j in
+    the same range come from the running product
+    C(j+1, K) = C(j, K) (j+1) / (j+1-K), K = k-1, one exact step each;
+    the sum at x pairs C(x-1-r, K) with f(r).  A polynomial-backed
+    f = P/den sums the integers P(r) and makes no Fraction; its zero
+    returns before any weight is built.  A table-backed one reads every
+    f(r), r < max(points), and has den 1."""
     p = f.polynomial
+    if p is not None and not p._num:
+        return [0] * len(points), 1
+    stop = max([0, *points])
     if p is None:
-        return sum(map(operator.mul, weights, map(f, range(x))), Fraction(0))
-    # f = P / den with P integral: sum the integers P(r), one Fraction in all
-    return Fraction(sum(map(operator.mul, weights, p._numerator_values(range(x)))), p._den)
+        values, den = [*map(f, range(stop))], 1
+    else:
+        values, den = p._numerator_values(range(stop)), p._den
+    K = k - 1
+    weights = [0] * min(K, stop)
+    w = 1
+    for j in range(K, stop):
+        weights.append(w)
+        w = w * (j + 1) // (j + 1 - K)
+    return [sum(map(operator.mul, reversed(weights[:max(x, 0)]), values)) for x in points], den
 
 
 class DeltaExpansionReport(Record):
@@ -167,14 +189,19 @@ def newton_expansion(
         terms.append(falling * (dk(0) / math.factorial(k)))
         dk = forward_difference(dk)
     terms += [Polynomial()] * (n + 1 - len(terms))  # Delta^k f = 0 beyond deg f
-    partial = sum(terms, Polynomial())
+    partial = _combine((1, t) for t in terms)
 
     # dk is now Delta^(n+1) f; the remainder is its (n+1)-fold sum
     def remainder_at(x: int) -> Fraction:
         return iterated_sum(dk, n + 1, x)
 
+    # partial(x) + remainder_at(x) == f(x) on every point, from one kernel
+    # pass and in integers: (f - partial)(x) = gap(x) / gap._den against
+    # the remainder rem / den
     points = tuple(sweep)
-    exact = all(partial(x) + remainder_at(x) == f(x) for x in points)
+    rem, den = _iterated_sums(dk, n + 1, points)
+    gap = f.polynomial - partial
+    exact = all(g * den == r * gap._den for g, r in zip(gap._numerator_values(points), rem))
     return DeltaExpansionReport(n, tuple(terms), partial, remainder_at, points, exact)
 
 

@@ -31,7 +31,7 @@ from .operators import (
     psi_derivative,
     x_hat_psi,
 )
-from .poly import Polynomial, _rational
+from .poly import Polynomial, _combine, _rational
 from .record import Record
 from .sequences import PsiContext
 
@@ -98,7 +98,7 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
             power = power * step
         terms.append(power * g.coeff(k))
     terms += [Polynomial()] * (n + 1 - len(terms))  # f^(k) = 0 beyond deg f
-    partial = sum(terms, Polynomial())
+    partial = _combine((1, t) for t in terms)
 
     h = g.derivative(n + 1)
     beta = [math.perm(n + j + 1, n + 1) for j in range(h.degree + 1)]  # (n+j+1)!/j!

@@ -2,7 +2,11 @@
 
 The Jackson q-calculus is the psi-calculus of the Gauss q-integers
 n_q = 1 + q + ... + q^(n-1): q_derivative and jackson_antiderivative are
-the psi-derivative and psi-antiderivative on a gauss_q PsiContext.
+the psi-derivative and psi-antiderivative on a gauss_q PsiContext.  That
+context comes from `_gauss_q`, a process-wide memo of the
+GAUSS_Q_CONTEXTS most recently used q, so calls on a repeated q share
+its rows of n_q instead of growing them afresh; a cached context keeps
+its rows until it is evicted.
 
 The Hahn derivative (f(x) - f(qx+h)) / ((1-q)x - h) and the reduction
 sweep share one kernel, `_hahn_quotient`: it divides integer numerators
@@ -17,6 +21,7 @@ sampling series for a black-box integrand.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -40,6 +45,23 @@ if TYPE_CHECKING:
 
 JACKSON_TERM_CAP = 100_000
 
+# How many Gauss-q contexts `_gauss_q` keeps.  verify --suite all runs
+# four q in hahn-reduction and three in jackson-inverse; the rows of each
+# context hold Theta(m^3) bits for the largest index m asked of it.
+GAUSS_Q_CONTEXTS = 16
+
+
+def _gauss_q(q: Scalar) -> PsiContext:
+    """The shared Gauss-q PsiContext of the exact rational q.  q is made a
+    Fraction first, so a float raises TypeError here and never reaches
+    the memo, where 2.0 would hash like 2."""
+    return _gauss_q_context(Fraction(_rational(q)))
+
+
+@functools.lru_cache(maxsize=GAUSS_Q_CONTEXTS)
+def _gauss_q_context(q: Fraction) -> PsiContext:
+    return PsiContext(AdmissibleSequence.gauss_q(q))
+
 
 class HahnParams(Record):
     __slots__ = ("q", "h")
@@ -52,7 +74,7 @@ class HahnParams(Record):
 
 def q_derivative(f: Polynomial, q: Scalar) -> Polynomial:
     """x^n -> n_q x^(n-1); the difference quotient (f(x)-f(qx))/((1-q)x)."""
-    return psi_derivative(PsiContext(AdmissibleSequence.gauss_q(q)), f)
+    return psi_derivative(_gauss_q(q), f)
 
 
 def hahn_derivative(f: Polynomial, p: HahnParams) -> Polynomial:
@@ -122,7 +144,7 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     if p.q == 1:
         raise DomainError("the reduction's conjugating shift needs q != 1")
     s = p.h / (1 - p.q)
-    ctx = PsiContext(AdmissibleSequence.gauss_q(p.q))
+    ctx = _gauss_q(p.q)
     ctx.rows(N)  # grown once to N_q, not one index per monomial
     a, b, c, e = p.q.numerator, p.q.denominator, p.h.numerator, p.h.denominator
     sigma, tau, D = s.numerator, s.denominator, b * e
@@ -150,7 +172,7 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
 
 def jackson_antiderivative(f: Polynomial, q: Scalar) -> Polynomial:
     """x^n -> x^(n+1)/(n+1)_q, as a polynomial in the upper limit."""
-    return psi_antiderivative(PsiContext(AdmissibleSequence.gauss_q(q)), f)
+    return psi_antiderivative(_gauss_q(q), f)
 
 
 def jackson_integral_exact(f: Polynomial, q: Scalar, z: Scalar) -> Fraction:
@@ -219,6 +241,6 @@ def jackson_integral_numeric(
 
 def verify_jackson_inverse(f: Polynomial, q: Scalar) -> VerificationReport:
     """The q-derivative of the Jackson antiderivative returns f."""
-    ctx = PsiContext(AdmissibleSequence.gauss_q(q))
+    ctx = _gauss_q(q)
     ce = verify_fundamental_theorem(ctx, f).counterexample
     return VerificationReport("jackson-inverse", f"q={ctx.sequence.q}", 1, ce)

@@ -122,6 +122,12 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
 
+    def test_help_states_the_bernoulli_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        out = " ".join(out.split())
+        assert "bernoulli sweeps m <= min(--max-degree, 16) and orders n <= 8" in out
+
     def test_negative_max_degree_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--max-degree", "-1")
         assert code == 2

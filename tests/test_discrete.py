@@ -2,10 +2,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import polynomials
+from psicalc import discrete
 from psicalc import (
     LatticeFunction,
     Polynomial,
@@ -131,6 +132,42 @@ class TestIteratedSum:
             iterated_sum(t, k, 4)
 
 
+    def test_weights_against_math_comb(self):
+        # a unit table at r = 0 reads the kernel weight C(x-1, k-1) alone;
+        # k-1 > x-1 gives 0 and k = 1 gives 1
+        unit = LatticeFunction.from_table([1] + [0] * 39)
+        for k in range(1, 46):
+            assert [iterated_sum(unit, k, j + 1) for j in range(40)] == [
+                math.comb(j, k - 1) for j in range(40)]
+            sums, den = discrete._iterated_sums(unit, k, range(-2, 41))
+            assert den == 1
+            assert sums == [0, 0, 0] + [math.comb(j, k - 1) for j in range(40)]
+
+    def test_zero_polynomial_reads_no_values(self, monkeypatch):
+        def refuse(p, points):
+            raise AssertionError("the zero polynomial needs no values")
+
+        monkeypatch.setattr(Polynomial, "_numerator_values", refuse)
+        total = iterated_sum(lat(Polynomial.zero()), 129, 10_000)
+        assert total == 0 and type(total) is F
+
+
+def newton_oracle(f, n, x):
+    """partial(x) and R(x) of the order-n Newton expansion from values of f
+    alone: Delta^k f(r) = sum_j (-1)^(k-j) C(k, j) f(r+j), the binomial
+    C(x, k) as a falling product, and R(x) the sum over r < x of
+    C(x-r-1, n) Delta^(n+1) f(r)."""
+    def delta(k, r):
+        return sum((-1) ** (k - j) * math.comb(k, j) * f(r + j) for j in range(k + 1))
+
+    def binom(x, k):
+        return math.prod(range(x - k + 1, x + 1), start=F(1)) / math.factorial(k)
+
+    partial = sum((delta(k, 0) * binom(x, k) for k in range(n + 1)), F(0))
+    remainder = sum((math.comb(x - r - 1, n) * delta(n + 1, r) for r in range(x)), F(0))
+    return partial, remainder
+
+
 class TestFallingFactorial:
     def test_polynomial_and_value_agree(self):
         for k in range(6):
@@ -163,6 +200,45 @@ class TestNewtonExpansion:
     @given(polynomials(max_degree=8), st.integers(min_value=0, max_value=10))
     def test_exact_on_sweep(self, f, n):
         assert newton_expansion(lat(f), n).exact
+
+
+class TestNewtonBatchedCheck:
+    """`exact` and `remainder_at` against the per-point definition."""
+
+    @given(polynomials(max_degree=10), st.integers(0, 12),
+           st.lists(st.integers(-6, 20), max_size=8))
+    @example(X**3 - X, 1, [])
+    @example(X**4 + F(1, 3), 2, [-3, -1])
+    @example(X**5 - 2 * X, 1, [9, 0, 9, 4, 4])
+    @example(X**2, 4, [-5, 3, -5])
+    def test_against_the_defining_sums(self, p, n, sweep):
+        r = newton_expansion(lat(p), n, sweep)
+        assert r.checked_points == tuple(sweep)
+        assert r.partial_sum == sum(r.terms, Polynomial())
+        want = True
+        for x in sweep:
+            partial, remainder = newton_oracle(p, n, x)
+            assert r.partial_sum(x) == partial and r.remainder_at(x) == remainder
+            want = want and partial + remainder == p(x)
+        assert r.exact is want
+
+    def test_negative_points_hold_only_past_the_degree(self):
+        # the remainder is the empty sum at x < 0, so a truncated series
+        # misses f there while the full one does not
+        assert not newton_expansion(lat(X**3), 1, [-2]).exact
+        assert newton_expansion(lat(X**3), 1, [0, 5]).exact
+        assert newton_expansion(lat(X**3), 3, [-2]).exact
+
+    def test_a_wrong_difference_is_caught(self, monkeypatch):
+        forward = discrete.forward_difference
+        monkeypatch.setattr(
+            discrete, "forward_difference",
+            lambda f: LatticeFunction.from_polynomial(2 * forward(f).polynomial))
+        f = lat(X**3 - 2 * X)
+        for n in (0, 1, 2, 5):
+            r = newton_expansion(f, n)
+            assert not r.exact
+            assert any(r.partial_sum(x) + r.remainder_at(x) != f(x) for x in r.checked_points)
 
 
 class TestBernoulliMaclaurin:

@@ -46,6 +46,7 @@ class TestTaylorClassical:
     @given(polynomials(max_degree=8), rationals, small_orders)
     def test_always_exact(self, f, alpha, n):
         r = taylor_classical(f, alpha, n)
+        assert r.partial_sum == sum(r.terms, Polynomial())
         assert r.partial_sum + r.cauchy_remainder == f
         assert r.exact
 

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -390,3 +393,79 @@ class TestJacksonInverse:
         assert (report.identity, report.params, report.cases) == ("jackson-inverse", "q=2", 1)
         ce = report.counterexample
         assert (ce.inputs, ce.lhs, ce.rhs) == ("f=x^2", "3/7*x^2", "x^2")
+
+
+class TestSharedGaussQContext:
+    """`_gauss_q`: one memoised Gauss-q context per exact q."""
+
+    def test_equal_q_share_one_context(self):
+        assert hahn._gauss_q(2) is hahn._gauss_q(F(2)) is hahn._gauss_q(F(4, 2))
+        assert hahn._gauss_q(F(3, 2)) is not hahn._gauss_q(2)
+
+    @pytest.mark.parametrize("call", [
+        lambda q: q_derivative(X**2, q),
+        lambda q: jackson_antiderivative(X**2, q),
+        lambda q: jackson_integral_exact(X**2, q, 1),
+        lambda q: verify_jackson_inverse(X**2, q),
+    ])
+    def test_a_float_q_is_refused_before_the_memo(self, call):
+        hahn._gauss_q(2)  # 2.0 hashes like 2, so a float lookup would hit it
+        before = hahn._gauss_q_context.cache_info()
+        for q in (2.0, 0.5):
+            with pytest.raises(TypeError):
+                call(q)
+        after = hahn._gauss_q_context.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_the_memo_evicts_at_its_bound(self):
+        bound = hahn.GAUSS_Q_CONTEXTS
+        first = hahn._gauss_q(F(1, 1000))
+        for i in range(1, bound + 3):
+            hahn._gauss_q(F(1, 1000 + i))
+            assert hahn._gauss_q_context.cache_info().currsize <= bound
+        assert hahn._gauss_q_context.cache_info().maxsize == bound
+        assert hahn._gauss_q(F(1, 1000)) is not first
+
+    def test_an_inadmissible_q_raises_again_on_a_second_call(self):
+        for _ in range(2):
+            with pytest.raises(AdmissibilityError, match=r"^q:-1: 2_psi = 0$"):
+                q_derivative(X**2, -1)
+            with pytest.raises(AdmissibilityError, match=r"^q:-1: 2_psi = 0$"):
+                verify_jackson_inverse(X**3, -1)
+        assert q_derivative(X, -1) == Polynomial.constant(1)  # 1_q = 1 is still fine
+
+    def test_threads_sharing_the_contexts_agree_with_fresh_ones(self, monkeypatch):
+        qs = sorted({q for q, _ in HAHN_GRID})
+        Ns = [2, 5, 8, 11, 14, 17, 20, 24]
+        z = F(-5, 3)
+        with monkeypatch.context() as m:  # each call on a context of its own
+            m.setattr(hahn, "_gauss_q", lambda q: PsiContext(AdmissibleSequence.gauss_q(q)))
+            want_hahn = {(q, N): verify_hahn_reduction(HahnParams(q, F(7, 5)), N)
+                         for q in qs for N in Ns}
+            want_jackson = {(q, N): jackson_integral_exact((1 - X) ** N, q, z)
+                            for q in qs for N in Ns}
+        hahn._gauss_q_context.cache_clear()  # the threads grow the rows together
+        bad, done = [], []
+
+        def work(seed):
+            order = [(q, N) for q in qs for N in Ns]
+            random.Random(seed).shuffle(order)
+            for q, N in order:
+                if verify_hahn_reduction(HahnParams(q, F(7, 5)), N) != want_hahn[q, N]:
+                    bad.append(("hahn", q, N))
+                if jackson_integral_exact((1 - X) ** N, q, z) != want_jackson[q, N]:
+                    bad.append(("jackson", q, N))
+            done.append(seed)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == [] and sorted(done) == list(range(8))
