@@ -266,8 +266,15 @@ def _report(identity: str, params: str, cases: int, failure=None) -> Verificatio
 
 # -- identity verifiers ------------------------------------------------------
 
+def _sweep_bounds(*bounds: int) -> None:
+    """Refuse a negative sweep bound, which would pass with no case."""
+    if min(bounds) < 0:
+        raise ValueError("sweep bound must be nonnegative")
+
+
 def verify_commutator(pair: GhwPair, N: int) -> VerificationReport:
     """Check (lower raiser - raiser lower) x^m = x^m for all 0 <= m <= N."""
+    _sweep_bounds(N)
     failure = None
     for m in range(N + 1):
         xm = Polynomial.monomial(m)
@@ -281,6 +288,7 @@ def verify_commutator(pair: GhwPair, N: int) -> VerificationReport:
 def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationReport:
     """Sum_k a^k (1 - ab) b^k f = f - a^(n+1) b^(n+1) f, with a the
     psi-antiderivative and b the psi-derivative."""
+    _sweep_bounds(n)
     lhs = Polynomial()
     bk = f  # b^k f
     for k in range(n + 1):
@@ -339,6 +347,7 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     order: its first counterexample and the cases up to it.  A lower
     operator that raises the degree of some x^m is a DomainError.
     """
+    _sweep_bounds(max_m, max_n)
     images = [Polynomial.monomial(m) for m in range(max_m + 1)]  # T(m, n) up to its sign
     parts = []  # p x^m as ([(numerator of c_j, j)], denominator)
     for m, xm in enumerate(images):

@@ -330,14 +330,23 @@ def _shift_by_one(cs: list[int]) -> list[int]:
     g = 0
     for c in reversed(cs):
         g = (g << b) + g + c
+    return _unpack(g, b, d + 1)
+
+
+def _unpack(g: int, b: int, count: int) -> list[int]:
+    """The coefficients c_0 ... c_(count-1) of the packed value
+    g = sum c_i 2^(b i), read back as balanced base-2^b digits, lowest
+    first.  They are the true coefficients when every one lies in
+    [-2^(b-1), 2^(b-1)) and there are at most count of them."""
     mask, half, full = (1 << b) - 1, 1 << (b - 1), 1 << b
     out = []
-    for _ in range(d + 1):
+    for _ in range(count):
         digit = g & mask
+        g >>= b  # (g - digit) >> b, the carry of a negative digit added below
         if digit >= half:
             digit -= full
+            g += 1
         out.append(digit)
-        g = (g - digit) >> b
     return out
 
 

@@ -3,9 +3,10 @@ import random
 import sys
 import threading
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
@@ -212,6 +213,54 @@ WRONG_Q_DERIVATIVES = [
 ]
 
 
+def shifted_reference_hahn_reduction(p, N):
+    """The shifted-basis sweep on coefficient lists, with no packing: the
+    running numerators of (tau x - sigma)^n and (A x + B)^n, the left side
+    of every n by `_hahn_quotient`, the right side a scaled
+    (tau x - sigma)^(n-1) or, for an image of several terms, the image
+    shifted back by -s.  The reference for whole reports, counterexample
+    text included."""
+    s = p.h / (1 - p.q)
+    ctx = PsiContext(AdmissibleSequence.gauss_q(p.q))
+    ctx.rows(N)
+    a, b, c, e = p.q.numerator, p.q.denominator, p.h.numerator, p.h.denominator
+    sigma, tau, D = s.numerator, s.denominator, b * e
+    A, B = tau * a * e, tau * c * b - sigma * D
+    x_sn, qx_hn, Dn, taun = [1], [1], 1, 1
+    failure = None
+    for n in range(N + 1):
+        image = hahn.psi_derivative(ctx, Polynomial.monomial(n))
+        cn = image._num
+        if len(cn) == n and not any(cn[:-1]):
+            rhs = _canonical([cn[-1] * v for v in x_sn], image._den * taun) if cn else image
+        else:
+            rhs = image.compose_affine(1, -s)
+        if n:
+            x_sn = [tau * u - sigma * v for u, v in zip([0, *x_sn], [*x_sn, 0])]
+            qx_hn = [A * u + B * v for u, v in zip([0, *qx_hn], [*qx_hn, 0])]
+            Dn, taun = Dn * D, taun * tau
+        lhs = hahn._hahn_quotient([Dn * u - v for u, v in zip(x_sn, qx_hn)], Dn * taun, p)
+        if lhs != rhs:
+            failure = (f"n={n}", lhs, rhs)
+            break
+    return hahn._report("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", N + 1, failure)
+
+
+def miss_every_guard(monkeypatch):
+    """Keep the sweep's width but bound its images by cmax = -1 and
+    dmax = 0, so no image passes the guard and every n takes the exact
+    path."""
+    width = hahn._packed_width
+    monkeypatch.setattr(hahn, "_packed_width", lambda *args: (width(*args)[0], -1, 0))
+
+
+def count_exact_paths(monkeypatch):
+    """The list that gets one entry per n the sweep sends down the exact path."""
+    calls, exact = [], hahn._exact_sides
+    monkeypatch.setattr(hahn, "_exact_sides", lambda p, s, n, *a: calls.append(n) or exact(p, s, n, *a))
+    return calls
+
+
 class TestHahnSweepPath:
     """The sweep runs on the shifted basis (x - s)^n; what it still checks."""
 
@@ -225,7 +274,18 @@ class TestHahnSweepPath:
             assert verify_hahn_reduction(HahnParams(q, h), 12).passed
         assert shifts == []
 
+    def test_a_passing_sweep_divides_nothing(self, monkeypatch):
+        calls = []
+        for name in ("_hahn_quotient", "_exact_sides"):
+            original = getattr(hahn, name)
+            monkeypatch.setattr(hahn, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
+        for q, h in [(F(3, 2), F(7, 5)), *HAHN_GRID]:
+            assert verify_hahn_reduction(HahnParams(q, h), 12).passed
+        assert calls == []
+
     def test_left_side_against_sympy(self, monkeypatch):
+        # every n is sent down the exact path, which builds the left side
+        # in `_hahn_quotient`
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         quotients, quotient = [], hahn._hahn_quotient
@@ -234,6 +294,7 @@ class TestHahnSweepPath:
             quotients.append(quotient(num, den, p))
             return quotients[-1]
 
+        miss_every_guard(monkeypatch)
         monkeypatch.setattr(hahn, "_hahn_quotient", recorded)
         N = 10
         for q, h in HAHN_GRID:
@@ -289,6 +350,82 @@ class TestHahnSweepAgainstMonomialReference:
         p = HahnParams(q, h)
         assert first_failure(verify_hahn_reduction(p, N)) == first_failure(
             reference_hahn_reduction(p, N))
+
+
+heights = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+
+EXACT_ROUTES = {
+    # route: (q-derivative, whether the guard is made to miss, first failing n or None)
+    "several-term image": (WRONG_Q_DERIVATIVES[1][0], False, 5),
+    "one-term image that differs": (WRONG_Q_DERIVATIVES[0][0], False, 2),
+    "numerator past the width": (lambda ctx, f: psi_derivative(ctx, f) * 10**40, False, 1),
+    "denominator past the width": (lambda ctx, f: psi_derivative(ctx, f) / 10**40, False, 1),
+    "guard miss that compares equal": (psi_derivative, True, None),
+    "guard miss, then a several-term image": (WRONG_Q_DERIVATIVES[1][0], True, 5),
+}
+
+
+class TestPackedCheck:
+    """The sweep's packed comparison, its width and the routes to its exact path."""
+
+    @pytest.mark.parametrize("wrong, miss, first", EXACT_ROUTES.values(), ids=EXACT_ROUTES)
+    def test_every_route_into_the_exact_path(self, monkeypatch, wrong, miss, first):
+        monkeypatch.setattr(hahn, "psi_derivative", wrong)
+        if miss:
+            miss_every_guard(monkeypatch)
+        N, exact = 8, count_exact_paths(monkeypatch)
+        stop = N if first is None else first
+        for q, h in [(F(3, 2), F(7, 5)), *HAHN_GRID]:
+            p = HahnParams(q, h)
+            exact.clear()
+            report, want = verify_hahn_reduction(p, N), shifted_reference_hahn_reduction(p, N)
+            assert exact == (list(range(stop + 1)) if miss else [stop]), (q, h)
+            assert report == want and str(report) == str(want), (q, h)
+            assert first_failure(report) == first_failure(reference_hahn_reduction(p, N))
+            assert first_failure(report) == ((True, N + 1, None) if first is None
+                                             else (False, N + 1, f"n={first}"))
+
+    def test_packed_sides_that_differ_where_the_exact_sides_agree(self, monkeypatch):
+        monkeypatch.setattr(hahn, "psi_derivative", WRONG_Q_DERIVATIVES[0][0])
+        monkeypatch.setattr(hahn, "_exact_sides", lambda *args: (X, X))
+        with pytest.raises(InternalError, match="^hahn-reduction at n=2: "):
+            verify_hahn_reduction(HahnParams(F(3, 2), F(7, 5)), 8)
+
+    @pytest.mark.parametrize("N", [1, 64])
+    def test_the_width_holds_every_digit_of_both_sides(self, monkeypatch, N):
+        # both sides of the packed relation are the images of (x - s)^n
+        # times (L x + M) D^(n-1) tau^n d, built here from hahn_derivative
+        # and n_q; each coefficient must be a balanced base-2^w digit
+        widths, width = [], hahn._packed_width
+        monkeypatch.setattr(hahn, "_packed_width", lambda *a: widths.append(width(*a)) or widths[-1])
+        for q, h in HAHN_GRID:
+            p = HahnParams(q, h)
+            widths.clear()
+            assert verify_hahn_reduction(p, N).passed
+            [(w, _, _)] = widths
+            s = h / (1 - q)
+            a, b, c, e = q.numerator, q.denominator, h.numerator, h.denominator
+            divisor = Polynomial([-c * b, e * (b - a)])
+            power = Polynomial.constant(1)
+            for n in range(1, N + 1):
+                nq = q_derivative(X**n, q).coeff(n - 1)
+                prev, power = power, power * (X - s)
+                scale = divisor * ((b * e) ** (n - 1) * s.denominator**n * nq.denominator)
+                for side in (hahn_derivative(power, p) * scale, prev * nq * scale):
+                    assert side._den == 1
+                    assert all(-(1 << (w - 1)) <= v < 1 << (w - 1) for v in side._num), (q, h, n)
+
+    @settings(deadline=None)
+    @given(heights.filter(lambda q: q not in (1, -1)), heights, st.integers(0, 40))
+    @example(F(0), F(5, 3), 6)  # q = 0: A x + B is 0
+    @example(F(10**12, 10**12 - 1), F(-10**12, 7), 40)
+    def test_large_heights(self, q, h, N):
+        p = HahnParams(q, h)
+        with mock.patch.object(hahn, "_exact_sides", side_effect=hahn._exact_sides) as exact:
+            report = verify_hahn_reduction(p, N)
+        assert exact.call_count == 0
+        assert report.passed and report.cases == N + 1
+        assert first_failure(report) == first_failure(reference_hahn_reduction(p, N))
 
 
 class TestJacksonExact:

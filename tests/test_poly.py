@@ -92,6 +92,14 @@ class TestTaylorShift:
             assert got == Polynomial(shift_loop(cs, h))
             assert max(map(abs, got._num)) == top * math.comb(d + 1, (d + 2) // 2)
 
+    @pytest.mark.parametrize("b", [1, 2, 7, 64])
+    def test_unpack_reads_back_every_balanced_digit(self, b):
+        # the digits run over [-2^(b-1), 2^(b-1)), both ends included
+        low, high = -(1 << (b - 1)), (1 << (b - 1)) - 1
+        for cs in ([low, high, 0, low], [high, low, low], [0, 0, high]):
+            packed = sum(c << (b * i) for i, c in enumerate(cs))
+            assert poly._unpack(packed, b, len(cs)) == cs
+
     @given(polynomials(max_degree=20), st.just(1) | rationals,
            st.sampled_from([1, -1]) | rationals)
     def test_rational_map_against_ring_arithmetic(self, f, q, h):

@@ -10,14 +10,20 @@ import pytest
 
 from psicalc import (
     AdmissibleSequence,
+    HahnParams,
     LatticeFunction,
     Polynomial,
+    bernoulli_identity_sweep,
     bernoulli_maclaurin,
     definite_sum,
     iterated_sum,
     newton_expansion,
     psi_bernoulli_taylor,
+    psi_pair,
     taylor_classical,
+    verify_commutator,
+    verify_hahn_reduction,
+    verify_telescoping,
 )
 from psicalc.errors import DomainError, ParseError, RangeError
 from psicalc.operators import psi_exp, psi_power
@@ -27,7 +33,9 @@ X = Polynomial.x()
 LAT = LatticeFunction.from_polynomial(X)
 TABLE = LatticeFunction.from_table([1, 2, 3])
 CTX = parse_psi_spec("q:2")
+PAIR = psi_pair(CTX)
 ORDER = "expansion order must be nonnegative"
+SWEEP = "sweep bound must be nonnegative"
 BACKING = "exactly one of polynomial/table must be given"
 
 CASES = {
@@ -56,6 +64,13 @@ CASES = {
     # operators
     "psi-power": (lambda: psi_power(CTX, -1), ValueError, "psi_power index must be nonnegative"),
     "psi-exp": (lambda: psi_exp(CTX, 1, -1), ValueError, "truncation order must be nonnegative"),
+    # a negative sweep bound, which would pass with no case
+    "commutator-bound": (lambda: verify_commutator(PAIR, -1), ValueError, SWEEP),
+    "bernoulli-degree-bound": (lambda: bernoulli_identity_sweep(PAIR, -1, 2), ValueError, SWEEP),
+    "bernoulli-order-bound": (lambda: bernoulli_identity_sweep(PAIR, 2, -1), ValueError, SWEEP),
+    "telescoping-bound": (lambda: verify_telescoping(CTX, -1, X), ValueError, SWEEP),
+    "hahn-reduction-bound": (lambda: verify_hahn_reduction(HahnParams(2, 0), -1), ValueError,
+                             SWEEP),
     # sequences
     "factorial": (lambda: CTX.factorial(-1), DomainError, "n_psi! requires n >= 0, got -1"),
     "falling-factorial": (lambda: CTX.falling_factorial(3, -1), DomainError,
