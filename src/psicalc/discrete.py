@@ -107,6 +107,8 @@ def definite_sum(f: LatticeFunction, x: int) -> Fraction:
 
 def falling_factorial_poly(k: int) -> Polynomial:
     """x(x-1)...(x-k+1) as an exact polynomial; k = 0 gives 1."""
+    if k < 0:
+        raise DomainError(f"falling factorial length must be >= 0, got {k}")
     acc = Polynomial.constant(1)
     for j in range(k):
         acc = acc * Polynomial([-j, 1])
@@ -115,6 +117,8 @@ def falling_factorial_poly(k: int) -> Polynomial:
 
 def falling_factorial_value(x: Scalar, k: int) -> Fraction:
     """x(x-1)...(x-k+1) evaluated directly, for rational x."""
+    if k < 0:
+        raise DomainError(f"falling factorial length must be >= 0, got {k}")
     acc = Fraction(1)
     x = _rational(x)
     for j in range(k):

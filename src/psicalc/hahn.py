@@ -8,14 +8,11 @@ GAUSS_Q_CONTEXTS most recently used q, so calls on a repeated q share
 its rows of n_q instead of growing them afresh; a cached context keeps
 its rows until it is evicted.
 
-The Hahn derivative (f(x) - f(qx+h)) / ((1-q)x - h) is computed in
-`_hahn_quotient`: it divides integer numerators by the primitive integer
-multiple of the fixed linear divisor, in exact integer steps from the
-top, and makes the quotient canonical once; no general polynomial
-division runs here.  The reduction sweep accepts each degree on one
-comparison of packed integers, the quotient's defining relation
-multiplied out, and calls `_hahn_quotient` only for a degree that
-comparison cannot settle, which builds a failing report's left side.
+The Hahn derivative (f(x) - f(qx+h)) / ((1-q)x - h) divides integer
+numerators by the fixed linear divisor in exact integer steps, in
+`_hahn_quotient`; no general polynomial division runs here.  The
+reduction sweep settles each degree on one comparison of packed
+integers, and calls hahn_derivative only for a degree it cannot settle.
 
 Everything is exact on polynomials; the only floating-point code in the
 package is the numeric Jackson quadrature, which sums the geometric
@@ -36,7 +33,7 @@ from .errors import (
 )
 from .operators import (VerificationReport, _report, _sweep_bounds, psi_antiderivative,
                         psi_derivative, verify_fundamental_theorem)
-from .poly import Polynomial, _canonical, _rational, _unpack
+from .poly import Polynomial, _canonical, _rational
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
@@ -45,7 +42,6 @@ if TYPE_CHECKING:
     from collections.abc import Callable, Sequence
 
     from .poly import Scalar
-    from .sequences import PsiRows
 
 JACKSON_TERM_CAP = 100_000
 
@@ -127,109 +123,79 @@ def _hahn_quotient(num: Sequence[int], den: int, p: HahnParams) -> Polynomial:
 def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     """The Hahn derivative is the q-derivative conjugated by the shift
     S: f(x) -> f(x + s), s = h/(1-q), checked on the shifted powers
-    (x - s)^n for n up to N.
-
-    Both sides are linear and the (x - s)^k, k <= n, span the polynomials
-    of degree at most n, so the first n that fails, and with it the
-    report's cases and counterexample n, are those of the monomial basis;
-    a failing report's lhs and rhs are the images of (x - s)^n.
+    (x - s)^n for n up to N.  Both sides are linear and the (x - s)^k,
+    k <= n, span the polynomials of degree at most n, so the first n that
+    fails is that of the monomial basis.
 
     With q = a/b, h = c/e, D = be and s = sigma/tau in lowest terms,
     D^n (x - s)^n is Z_n / tau^n for Z_n = (D tau x - D sigma)^n, and
-    D^n (q x + h - s)^n is Y_n / tau^n for Y_n = (A x + B)^n, with
-    A = tau a e and B = tau c b - sigma D; D((1-q)x - h) = L x + M.
-    When the q-derivative of S(x - s)^n = x^n is one term (k/d) x^(n-1),
-    the reduction at n holds exactly when
+    D^n (q x + h - s)^n is Y_n / tau^n for Y_n = (A x + B)^n;
+    D((1-q)x - h) = L x + M.  When the q-derivative of x^n is one term
+    (k/d) x^(n-1), the reduction at n holds exactly when
         (Z_n - Y_n) d == k tau (L x + M) Z_(n-1),
-    the defining relation of the Hahn quotient cross-multiplied (a common
-    factor D tau^(n-1) cancels).  Z_n and Y_n are kept as their values at
-    X = 2^w, each step one shift-multiply-add, and the relation is one
-    big-integer comparison at X.  A sweep to N so costs O(N) big-integer
-    operations on numbers of O(N w) bits, and a passing one divides
-    nothing and makes no Taylor shift.
-    The width: `_packed_width` bounds every coefficient of both sides, for
-    every n <= N, by 2^(w-1), so the balanced base-2^w digits of a side are
-    its coefficients, and equal values mean equal polynomials -- exactly.
+    the Hahn quotient's defining relation cross-multiplied.  Z_n and Y_n
+    are kept as their values at X = 2^w, so the relation is one
+    big-integer comparison, exact by `_packed_width`; a passing sweep
+    divides nothing and makes no Taylor shift.
 
-    An n the packed test cannot settle -- an image of several terms, a
-    scalar past the bounds the width assumed, or values that differ --
-    takes the exact path of `_exact_sides`, whose sides are those of a
-    failing report.  Values that differ where the exact sides agree
-    raise InternalError: the packed values were wrong.
+    Any other n -- an image of several terms, or packed values that
+    differ -- is decided by the definitions: hahn_derivative of (x - s)^n
+    against the image shifted back by -s, the sides of a failing report.
+    Packed values that differ where those sides agree raise InternalError.
     """
     _sweep_bounds(N)
     if p.q == 1:
         raise DomainError("the reduction's conjugating shift needs q != 1")
     s = p.h / (1 - p.q)
     ctx = _gauss_q(p.q)
-    rows = ctx.rows(N)  # grown once to N_q, not one index per monomial
+    ctx.rows(N)  # grown once to N_q, not one index per monomial
+    images = [psi_derivative(ctx, Polynomial.monomial(n)) for n in range(N + 1)]
+    one_term = {n: (f._num[-1] if f else 0, f._den)  # k x^(n-1), or 0 at n = 0
+                for n, f in enumerate(images) if len(f._num) == n and not any(f._num[:-1])}
     a, b, c, e = p.q.numerator, p.q.denominator, p.h.numerator, p.h.denominator
     sigma, tau, D = s.numerator, s.denominator, b * e
     A, B, L, M = tau * a * e, tau * c * b - sigma * D, e * (b - a), -c * b
     Dtau, Dsigma = D * tau, D * sigma
-    w, cmax, dmax = _packed_width(Dtau + abs(Dsigma), abs(A) + abs(B), tau * (abs(L) + abs(M)),
-                                  rows, N)
+    w = _packed_width(Dtau + abs(Dsigma), abs(A) + abs(B), tau * (abs(L) + abs(M)),
+                      max((abs(k) for k, _ in one_term.values()), default=0),
+                      max((d for _, d in one_term.values()), default=1), N)
     Z = Y = 1  # Z_n and Y_n at X = 2^w
     failure = None
-    for n in range(N + 1):
-        image = psi_derivative(ctx, Polynomial.monomial(n))
-        cn, d = image._num, image._den
-        one_term = len(cn) == n and not any(cn[:-1])  # k x^(n-1), or 0 at n = 0
+    for n, image in enumerate(images):
         prev = Z
         if n:
             Z = Dtau * (Z << w) - Dsigma * Z
             Y = A * (Y << w) + B * Y
-        left, k = Z - Y, cn[-1] if cn else 0
-        packed = one_term and abs(k) <= cmax and d <= dmax
-        if packed and left * d == k * tau * ((L * prev << w) + M * prev):
-            continue
-        lhs, rhs = _exact_sides(p, s, n, image, one_term, left, prev, w)
+        if n in one_term:
+            k, d = one_term[n]
+            if (Z - Y) * d == k * tau * ((L * prev << w) + M * prev):
+                continue
+        lhs, rhs = hahn_derivative(Polynomial([-s, 1]) ** n, p), image.compose_affine(1, -s)
         if lhs != rhs:
             failure = (f"n={n}", lhs, rhs)
             break
-        if packed:
+        if n in one_term:
             raise InternalError(f"hahn-reduction at n={n}: packed sides differ where the exact "
                                 "sides agree; a width bound is wrong")
     return _report("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", N + 1, failure)
 
 
-def _packed_width(zs: int, ys: int, rs: int, rows: PsiRows, N: int) -> tuple[int, int, int]:
-    """The width w of `verify_hahn_reduction` at N, with the bounds
-    cmax >= |k| and dmax >= d it assumes of the one-term images
-    (k/d) x^(n-1), n <= N: the largest of the rows' n_q, n <= N.
+def _packed_width(zs: int, ys: int, rs: int, cmax: int, dmax: int, N: int) -> int:
+    """The width w of `verify_hahn_reduction` at N, for one-term images
+    (k/d) x^(n-1), n <= N, with |k| <= cmax and d <= dmax.
 
     zs = D(tau + |sigma|) and ys = |A| + |B| are the coefficient sums of
     the two linear factors, so no coefficient of Z_n - Y_n exceeds
     zs^n + ys^n, and rs = tau (|L| + |M|) bounds those of
     tau (L x + M) in the same way.  As zs >= 1 and ys is 0 or at least 1,
     and both sides are 0 at n = 0, the sides stay within (zs^N + ys^N) dmax
-    and cmax rs zs^(N-1) for every n <= N, and one bit more for the sign
-    puts each coefficient within [-2^(w-1), 2^(w-1))."""
-    cmax = max(map(abs, rows.num[:N]), default=0)
-    dmax = max(rows.den[:N], default=1)
+    and cmax rs zs^(N-1) for every n <= N.  One bit more for the sign
+    puts each coefficient within [-2^(w-1), 2^(w-1)), so the balanced
+    base-2^w digits of a side are its coefficients, and equal values mean
+    equal polynomials."""
     left = (zs**N + ys**N) * dmax
     right = cmax * rs * zs ** (N - 1) if N else 0
-    return max(left, right).bit_length() + 1, cmax, dmax
-
-
-def _exact_sides(p: HahnParams, s: Fraction, n: int, image: Polynomial, one_term: bool,
-                 left: int, prev: int, w: int) -> tuple[Polynomial, Polynomial]:
-    """The two sides at n as Polynomials, from the packed Z_n - Y_n (left)
-    and Z_(n-1) (prev) of `verify_hahn_reduction` at width w.  The left
-    side divides Z_n - Y_n, over (D tau)^n, by (1-q)x - h in
-    `_hahn_quotient`; on the right a one-term image (k/d) x^(n-1) is k
-    Z_(n-1) over d (D tau)^(n-1), and any other is shifted back by -s
-    whole."""
-    Dtau = p.q.denominator * p.h.denominator * s.denominator
-    lhs = _hahn_quotient(_unpack(left, w, n + 1), Dtau**n, p)
-    if not one_term:
-        rhs = image.compose_affine(1, -s)
-    elif image:
-        k = image._num[-1]
-        rhs = _canonical([k * v for v in _unpack(prev, w, n)], image._den * Dtau ** (n - 1))
-    else:
-        rhs = image
-    return lhs, rhs
+    return max(left, right).bit_length() + 1
 
 
 def jackson_antiderivative(f: Polynomial, q: Scalar) -> Polynomial:

@@ -303,6 +303,7 @@ def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationRe
 
 def verify_bernoulli_identity(pair: GhwPair, n: int, f: Polynomial) -> VerificationReport:
     """p Sum_k (-q)^k p^k f / k!  ==  (-q)^n p^(n+1) f / n!"""
+    _sweep_bounds(n)
     acc = Polynomial()
     pk = f  # p^k f
     for k in range(n + 1):

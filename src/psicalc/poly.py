@@ -253,8 +253,8 @@ class Polynomial:
         return _canonical(cs, self._den * (b * s) ** max(d, 0))
 
     def truncate(self, n: int) -> "Polynomial":
-        """Drop all terms of degree > n."""
-        return _canonical(list(self._num[: n + 1]), self._den)
+        """Drop all terms of degree > n; n < 0 leaves 0."""
+        return _canonical(list(self._num[: max(n + 1, 0)]), self._den)
 
     # -- printing ----------------------------------------------------------
 

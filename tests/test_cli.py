@@ -366,6 +366,29 @@ class TestGoldenBytes:
                 "--format", "json"]
         assert run(capsys, *argv) == (1, _json_text(rows), "6 verification case(s) failed\n")
 
+    def test_failed_hahn_reduction_json(self, capsys, monkeypatch):
+        from psicalc import hahn
+
+        # the classical derivative in place of the q-derivative: 2_q != 2
+        monkeypatch.setattr(hahn, "psi_derivative", lambda ctx, f, k=1: f.derivative(k))
+        cases = [
+            ("2, h=0", "3*x", "2*x"), ("2, h=1", "3*x + 3", "2*x + 2"),
+            ("2, h=-3", "3*x - 9", "2*x - 6"), ("2, h=7/5", "3*x + 21/5", "2*x + 14/5"),
+            ("1/2, h=0", "3/2*x", "2*x"), ("1/2, h=1", "3/2*x - 3", "2*x - 4"),
+            ("1/2, h=-3", "3/2*x + 9", "2*x + 12"),
+            ("1/2, h=7/5", "3/2*x - 21/5", "2*x - 28/5"),
+            ("3/2, h=0", "5/2*x", "2*x"), ("3/2, h=1", "5/2*x + 5", "2*x + 4"),
+            ("3/2, h=-3", "5/2*x - 15", "2*x - 12"), ("3/2, h=7/5", "5/2*x + 7", "2*x + 28/5"),
+            ("-2, h=0", "-1*x", "2*x"), ("-2, h=1", "-1*x + 1/3", "2*x - 2/3"),
+            ("-2, h=-3", "-1*x - 1", "2*x + 2"), ("-2, h=7/5", "-1*x + 7/15", "2*x - 14/15"),
+        ]
+        rows = [{"suite": "hahn-reduction", "identity": "hahn-reduction",
+                 "params": f"q={qh}, N=2", "cases": 3, "passed": False,
+                 "counterexample": {"inputs": "n=2", "lhs": lhs, "rhs": rhs}}
+                for qh, lhs, rhs in cases]
+        argv = ["verify", "--suite", "hahn-reduction", "--max-degree", "2", "--format", "json"]
+        assert run(capsys, *argv) == (1, _json_text(rows), "16 verification case(s) failed\n")
+
 
 class TestNegativeRationalFlags:
     """`--flag -p/q` reads the value as `--flag=-p/q` does, not as an option."""

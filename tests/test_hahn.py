@@ -246,18 +246,11 @@ def shifted_reference_hahn_reduction(p, N):
     return hahn._report("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", N + 1, failure)
 
 
-def miss_every_guard(monkeypatch):
-    """Keep the sweep's width but bound its images by cmax = -1 and
-    dmax = 0, so no image passes the guard and every n takes the exact
-    path."""
-    width = hahn._packed_width
-    monkeypatch.setattr(hahn, "_packed_width", lambda *args: (width(*args)[0], -1, 0))
-
-
 def count_exact_paths(monkeypatch):
-    """The list that gets one entry per n the sweep sends down the exact path."""
-    calls, exact = [], hahn._exact_sides
-    monkeypatch.setattr(hahn, "_exact_sides", lambda p, s, n, *a: calls.append(n) or exact(p, s, n, *a))
+    """The list that gets one entry per n the sweep decides by the
+    definitions, from the degree of the shifted power it differentiates."""
+    calls, exact = [], hahn.hahn_derivative
+    monkeypatch.setattr(hahn, "hahn_derivative", lambda f, p: calls.append(f.degree) or exact(f, p))
     return calls
 
 
@@ -276,36 +269,26 @@ class TestHahnSweepPath:
 
     def test_a_passing_sweep_divides_nothing(self, monkeypatch):
         calls = []
-        for name in ("_hahn_quotient", "_exact_sides"):
+        for name in ("_hahn_quotient", "hahn_derivative"):
             original = getattr(hahn, name)
             monkeypatch.setattr(hahn, name, lambda *a, f=original, n=name: calls.append(n) or f(*a))
         for q, h in [(F(3, 2), F(7, 5)), *HAHN_GRID]:
             assert verify_hahn_reduction(HahnParams(q, h), 12).passed
         assert calls == []
 
-    def test_left_side_against_sympy(self, monkeypatch):
-        # every n is sent down the exact path, which builds the left side
-        # in `_hahn_quotient`
+    def test_left_side_against_sympy(self):
+        # the left side of the sweep, and of a failing report, at n is the
+        # Hahn derivative of (x - s)^n
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        quotients, quotient = [], hahn._hahn_quotient
-
-        def recorded(num, den, p):
-            quotients.append(quotient(num, den, p))
-            return quotients[-1]
-
-        miss_every_guard(monkeypatch)
-        monkeypatch.setattr(hahn, "_hahn_quotient", recorded)
-        N = 10
         for q, h in HAHN_GRID:
-            quotients.clear()
-            assert verify_hahn_reduction(HahnParams(q, h), N).passed
+            p = HahnParams(q, h)
             sq, sh = sympy.Rational(q.numerator, q.denominator), sympy.Rational(h.numerator, h.denominator)
-            s = sh / (1 - sq)
-            assert len(quotients) == N + 1
-            for n, lhs in enumerate(quotients):
-                want = sympy.cancel(((x - s) ** n - (sq * x + sh - s) ** n) / ((1 - sq) * x - sh))
+            s, ss = h / (1 - q), sh / (1 - sq)
+            for n in range(11):
+                want = sympy.cancel(((x - ss) ** n - (sq * x + sh - ss) ** n) / ((1 - sq) * x - sh))
                 coeffs = sympy.Poly(want, x).all_coeffs()[::-1]
+                lhs = hahn_derivative((X - s) ** n, p)
                 assert lhs == Polynomial([F(int(c.p), int(c.q)) for c in coeffs]), (q, h, n)
 
     @pytest.mark.parametrize("wrong, first", WRONG_Q_DERIVATIVES)
@@ -355,65 +338,72 @@ class TestHahnSweepAgainstMonomialReference:
 heights = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**12))
 
 EXACT_ROUTES = {
-    # route: (q-derivative, whether the guard is made to miss, first failing n or None)
-    "several-term image": (WRONG_Q_DERIVATIVES[1][0], False, 5),
-    "one-term image that differs": (WRONG_Q_DERIVATIVES[0][0], False, 2),
-    "numerator past the width": (lambda ctx, f: psi_derivative(ctx, f) * 10**40, False, 1),
-    "denominator past the width": (lambda ctx, f: psi_derivative(ctx, f) / 10**40, False, 1),
-    "guard miss that compares equal": (psi_derivative, True, None),
-    "guard miss, then a several-term image": (WRONG_Q_DERIVATIVES[1][0], True, 5),
+    # route: (q-derivative, first failing n); every route fails, and the
+    # failing n is the only one decided by the definitions
+    "several-term image": (WRONG_Q_DERIVATIVES[1][0], 5),
+    "one-term image that differs": (WRONG_Q_DERIVATIVES[0][0], 2),
+    # past the width the true images need; the width grows to hold them
+    "numerator past the width": (lambda ctx, f: psi_derivative(ctx, f) * 10**40, 1),
+    "denominator past the width": (lambda ctx, f: psi_derivative(ctx, f) / 10**40, 1),
 }
 
 
 class TestPackedCheck:
-    """The sweep's packed comparison, its width and the routes to its exact path."""
+    """The sweep's packed comparison, its width and the routes to the
+    definitions."""
 
-    @pytest.mark.parametrize("wrong, miss, first", EXACT_ROUTES.values(), ids=EXACT_ROUTES)
-    def test_every_route_into_the_exact_path(self, monkeypatch, wrong, miss, first):
+    @pytest.mark.parametrize("wrong, first", EXACT_ROUTES.values(), ids=EXACT_ROUTES)
+    def test_every_route_into_the_exact_path(self, monkeypatch, wrong, first):
         monkeypatch.setattr(hahn, "psi_derivative", wrong)
-        if miss:
-            miss_every_guard(monkeypatch)
         N, exact = 8, count_exact_paths(monkeypatch)
-        stop = N if first is None else first
         for q, h in [(F(3, 2), F(7, 5)), *HAHN_GRID]:
             p = HahnParams(q, h)
             exact.clear()
             report, want = verify_hahn_reduction(p, N), shifted_reference_hahn_reduction(p, N)
-            assert exact == (list(range(stop + 1)) if miss else [stop]), (q, h)
+            assert exact == [first], (q, h)
             assert report == want and str(report) == str(want), (q, h)
             assert first_failure(report) == first_failure(reference_hahn_reduction(p, N))
-            assert first_failure(report) == ((True, N + 1, None) if first is None
-                                             else (False, N + 1, f"n={first}"))
+            assert first_failure(report) == (False, N + 1, f"n={first}")
 
     def test_packed_sides_that_differ_where_the_exact_sides_agree(self, monkeypatch):
+        # the classical derivative on both sides: the images are one term,
+        # the packed relation fails at n = 2 and the definitions agree
         monkeypatch.setattr(hahn, "psi_derivative", WRONG_Q_DERIVATIVES[0][0])
-        monkeypatch.setattr(hahn, "_exact_sides", lambda *args: (X, X))
+        monkeypatch.setattr(hahn, "hahn_derivative", lambda f, p: f.derivative())
         with pytest.raises(InternalError, match="^hahn-reduction at n=2: "):
             verify_hahn_reduction(HahnParams(F(3, 2), F(7, 5)), 8)
 
     @pytest.mark.parametrize("N", [1, 64])
     def test_the_width_holds_every_digit_of_both_sides(self, monkeypatch, N):
-        # both sides of the packed relation are the images of (x - s)^n
-        # times (L x + M) D^(n-1) tau^n d, built here from hahn_derivative
-        # and n_q; each coefficient must be a balanced base-2^w digit
-        widths, width = [], hahn._packed_width
-        monkeypatch.setattr(hahn, "_packed_width", lambda *a: widths.append(width(*a)) or widths[-1])
+        # both sides of the packed relation at n are the Hahn derivative of
+        # (x - s)^n and the image (k/d) (x - s)^(n-1), times
+        # (L x + M) D^(n-1) tau^n d, built here from hahn_derivative and
+        # n_q; each coefficient must be a balanced base-2^w digit, also
+        # when the last image alone is scaled past all the others
+        recorded, width = [], hahn._packed_width
+        monkeypatch.setattr(hahn, "_packed_width", lambda *a: recorded.append(width(*a)) or recorded[-1])
         for q, h in HAHN_GRID:
-            p = HahnParams(q, h)
-            widths.clear()
-            assert verify_hahn_reduction(p, N).passed
-            [(w, _, _)] = widths
+            p, widths = HahnParams(q, h), {}
+            for last in (1, 10**40, F(1, 10**40)):
+                monkeypatch.setattr(hahn, "psi_derivative", lambda ctx, f, last=last:
+                                    psi_derivative(ctx, f) * (last if f.degree == N else 1))
+                assert verify_hahn_reduction(p, N).passed == (last == 1)
+                widths[last] = recorded[-1]
             s = h / (1 - q)
             a, b, c, e = q.numerator, q.denominator, h.numerator, h.denominator
             divisor = Polynomial([-c * b, e * (b - a)])
             power = Polynomial.constant(1)
             for n in range(1, N + 1):
-                nq = q_derivative(X**n, q).coeff(n - 1)
+                nq = psi_derivative(hahn._gauss_q(q), X**n).coeff(n - 1)
                 prev, power = power, power * (X - s)
-                scale = divisor * ((b * e) ** (n - 1) * s.denominator**n * nq.denominator)
-                for side in (hahn_derivative(power, p) * scale, prev * nq * scale):
-                    assert side._den == 1
-                    assert all(-(1 << (w - 1)) <= v < 1 << (w - 1) for v in side._num), (q, h, n)
+                lhs = hahn_derivative(power, p)
+                for last, w in widths.items():
+                    kd = nq * (last if n == N else 1)
+                    scale = divisor * ((b * e) ** (n - 1) * s.denominator**n * kd.denominator)
+                    for side in (lhs * scale, prev * kd * scale):
+                        assert side._den == 1
+                        assert all(-(1 << (w - 1)) <= v < 1 << (w - 1) for v in side._num), \
+                            (q, h, n, last)
 
     @settings(deadline=None)
     @given(heights.filter(lambda q: q not in (1, -1)), heights, st.integers(0, 40))
@@ -421,7 +411,7 @@ class TestPackedCheck:
     @example(F(10**12, 10**12 - 1), F(-10**12, 7), 40)
     def test_large_heights(self, q, h, N):
         p = HahnParams(q, h)
-        with mock.patch.object(hahn, "_exact_sides", side_effect=hahn._exact_sides) as exact:
+        with mock.patch.object(hahn, "hahn_derivative", side_effect=hahn.hahn_derivative) as exact:
             report = verify_hahn_reduction(p, N)
         assert exact.call_count == 0
         assert report.passed and report.cases == N + 1

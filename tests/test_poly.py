@@ -231,6 +231,13 @@ class TestMonomial:
             Polynomial.monomial(3, 0.5)
 
 
+class TestTruncate:
+    @pytest.mark.parametrize("n, want", [(1, 2 * X + 5), (-1, Polynomial.zero()),
+                                         (-2, Polynomial.zero()), (-(3 + 5), Polynomial.zero())])
+    def test_drops_the_terms_above_n(self, n, want):
+        assert (X**3 + 2 * X + 5).truncate(n) == want
+
+
 class TestEvalDifference:
     def test_cube(self):
         assert (X**3)(1) - (X**3)(0) == 1

@@ -16,11 +16,14 @@ from psicalc import (
     bernoulli_identity_sweep,
     bernoulli_maclaurin,
     definite_sum,
+    falling_factorial_poly,
+    falling_factorial_value,
     iterated_sum,
     newton_expansion,
     psi_bernoulli_taylor,
     psi_pair,
     taylor_classical,
+    verify_bernoulli_identity,
     verify_commutator,
     verify_hahn_reduction,
     verify_telescoping,
@@ -71,10 +74,16 @@ CASES = {
     "telescoping-bound": (lambda: verify_telescoping(CTX, -1, X), ValueError, SWEEP),
     "hahn-reduction-bound": (lambda: verify_hahn_reduction(HahnParams(2, 0), -1), ValueError,
                              SWEEP),
+    "bernoulli-identity-order": (lambda: verify_bernoulli_identity(PAIR, -1, X), ValueError,
+                                 SWEEP),
     # sequences
     "factorial": (lambda: CTX.factorial(-1), DomainError, "n_psi! requires n >= 0, got -1"),
     "falling-factorial": (lambda: CTX.falling_factorial(3, -1), DomainError,
                           "falling factorial length must be >= 0, got -1"),
+    "falling-factorial-poly": (lambda: falling_factorial_poly(-2), DomainError,
+                               "falling factorial length must be >= 0, got -2"),
+    "falling-factorial-value": (lambda: falling_factorial_value(3, -2), DomainError,
+                                "falling factorial length must be >= 0, got -2"),
     "admissibility-bound": (lambda: admissibility_check(CTX, 0), DomainError,
                             "admissibility bound must be >= 1, got 0"),
     "custom-without-factors": (lambda: parse_psi_spec("custom:"), ParseError,
