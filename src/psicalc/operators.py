@@ -70,9 +70,9 @@ def _psi_power(
     x^(m+k) -> r_m x^m, the antiderivative power x^m -> x^(m+k) / r_m,
     and the x_hat power that times (m+k)!/m!.  The rows are grown to the
     top index the k single steps would reach, so a bad factor raises the
-    same error.  A weight is computed only for a nonzero coefficient of
-    f, over the lcm of the whole run (for k = 1 the cached one), so a
-    monomial costs one big-integer weight, not deg f + 1.
+    same error.  A one-term f = c x^d maps over the divisor of its own
+    run r_m, m = top - k: no lcm and no gcd against one.  Any other f is
+    weighed over the lcm of the whole run (for k = 1 the cached one).
     """
     if k < 0:
         raise ValueError("operator power must be nonnegative")
@@ -85,6 +85,19 @@ def _psi_power(
         ctx.rows(max(d, 0))
         return Polynomial()
     rows = ctx.rows(top)
+    cs = f._num
+    if cs.count(0) == d:  # one term c x^d: r_m = x / y
+        m = count - 1
+        if k == 1:
+            x, y = rows.num[m], rows.den[m]
+        else:
+            a, b = rows.num_prod, rows.den_prod
+            x, y = a[m + k] // a[m], b[m + k] // b[m]
+        if not raising:
+            return _canonical([0] * m + [cs[d] * x], f._den * y)
+        if falling:
+            y *= math.perm(top, k)
+        return _canonical([0] * top + [cs[d] * y], f._den * x)
     if k == 1:
         num, den = rows.num, rows.den
         lcm = (rows.num_lcm if raising else rows.den_lcm)[top - 1]
@@ -93,15 +106,14 @@ def _psi_power(
         num = [a[m + k] // a[m] for m in range(count)]
         den = [b[m + k] // b[m] for m in range(count)]
         lcm = math.lcm(*(num if raising else den))
-    cs = f._num
     if not raising:
-        ws = num if lcm == 1 else [c and x * (lcm // y) for c, x, y in zip(cs[k:], num, den)]
+        ws = num if lcm == 1 else [x * (lcm // y) for x, y in zip(num[:count], den)]
         return f._diagonal(ws, lcm, -k)
     # no shortcut for lcm = 1 here: a divisor num[m] may still be -1
     if falling:  # times (m+k)!/m!
-        ws = [c and i * y * (lcm // x) for c, i, x, y in zip(cs, _perms(top + 1, k), num, den)]
+        ws = [i * y * (lcm // x) for i, x, y in zip(_perms(top + 1, k), num, den)]
     else:
-        ws = [c and y * (lcm // x) for c, x, y in zip(cs, num, den)]
+        ws = [y * (lcm // x) for x, y in zip(num[:count], den)]
     return f._diagonal(ws, lcm, k)
 
 
@@ -289,12 +301,13 @@ def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationRe
     """Sum_k a^k (1 - ab) b^k f = f - a^(n+1) b^(n+1) f, with a the
     psi-antiderivative and b the psi-derivative."""
     _sweep_bounds(n)
-    lhs = Polynomial()
+    terms = []
     bk = f  # b^k f
     for k in range(n + 1):
         nxt = psi_derivative(ctx, bk)
-        lhs = lhs + psi_antiderivative(ctx, bk - psi_antiderivative(ctx, nxt), k)
+        terms.append((1, psi_antiderivative(ctx, bk - psi_antiderivative(ctx, nxt), k)))
         bk = nxt
+    lhs = _combine(terms)
     # bk is now b^(n+1) f
     rhs = f - psi_antiderivative(ctx, bk, n + 1)
     failure = None if lhs == rhs else (f"n={n}, f={f}", lhs, rhs)
@@ -439,21 +452,21 @@ def historical_divided_difference_sum(f: Polynomial, signed: bool = True) -> Pol
     """Sum_{n>=1} (+-1)^(n-1) x^(n-1) f^(n)(x) / n!, a finite sum on
     polynomials.  The unsigned variant (signed=False) is kept so the
     failure it produces can be demonstrated."""
-    acc, fn = Polynomial(), f
+    terms, fn = [], f
     for n in range(1, f.degree + 1):
         fn = fn.derivative()
         sign = -1 if signed and n % 2 == 0 else 1
-        acc = acc + Polynomial.monomial(n - 1, Fraction(sign, math.factorial(n))) * fn
-    return acc
+        terms.append((sign, Polynomial.monomial(n - 1, Fraction(1, math.factorial(n))) * fn))
+    return _combine(terms)
 
 
 def historical_evaluation_sum(f: Polynomial) -> Polynomial:
     """Sum_{n>=0} (-1)^n x^n f^(n)(x) / n!, a finite sum on polynomials."""
-    acc, fn = Polynomial(), f
+    terms, fn = [], f
     for n in range(max(f.degree, 0) + 1):
-        acc = acc + Polynomial.monomial(n, Fraction((-1) ** n, math.factorial(n))) * fn
+        terms.append(((-1) ** n, Polynomial.monomial(n, Fraction(1, math.factorial(n))) * fn))
         fn = fn.derivative()
-    return acc
+    return _combine(terms)
 
 
 def verify_historical_series(f: Polynomial) -> VerificationReport:

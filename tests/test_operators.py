@@ -5,7 +5,7 @@ import threading
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
@@ -433,31 +433,44 @@ class TestDiagonalOperatorsOracle:
     which keeps the degree) against its closed form on c x^n."""
 
     @given(
-        st.sampled_from(BUILTIN_SPECS),
+        st.sampled_from(SPARSE_SPECS),
         st.integers(min_value=0, max_value=20),
         rationals.filter(lambda c: c != 0),
+        st.integers(min_value=1, max_value=3),
     )
-    def test_monomial_images(self, spec, n, c):
+    def test_monomial_images(self, spec, n, c, k):
+        # the k-th powers against the run r(m) = (m+1)_psi ... (m+k)_psi of
+        # the definition; CUSTOM_SPEC has 21 factors, so x_hat^k needs n + k <= 21
+        assume(spec != CUSTOM_SPEC or n + k <= 21)
         ctx = parse_psi_spec(spec)
         f = Polynomial.monomial(n, c)
-        w = lambda k: _definition_factor(spec, k)
-        w_factorial = math.prod((w(k) for k in range(1, n + 1)), start=F(1))
+        w = lambda j: _definition_factor(spec, j)
+        run = lambda m: math.prod((w(j) for j in range(m + 1, m + k + 1)), start=F(1))
+        w_factorial = math.prod((w(j) for j in range(1, n + 1)), start=F(1))
         cases = [
-            ("psi_derivative", psi_derivative(ctx, f), n - 1, c * w(n) if n else 0),
-            ("x_hat_psi", x_hat_psi(ctx, f), n + 1, c * (n + 1) / w(n + 1)),
-            ("psi_antiderivative", psi_antiderivative(ctx, f), n + 1, c / w(n + 1)),
+            ("psi_derivative", psi_derivative(ctx, f, k), n - k, c * run(n - k) if n >= k else 0),
+            ("x_hat_psi", x_hat_psi(ctx, f, k), n + k, c * math.perm(n + k, k) / run(n)),
+            ("psi_antiderivative", psi_antiderivative(ctx, f, k), n + k, c / run(n)),
             ("umbral_tilde", umbral_tilde(ctx, f), n, c * math.factorial(n) / w_factorial),
-            ("derivative", f.derivative(), n - 1, c * n),
+            ("derivative", f.derivative(k), n - k, c * math.perm(n, k)),
             ("antiderivative", f.antiderivative(), n + 1, c / (n + 1)),
         ]
-        if spec != "fib":
+        if spec == "classical" or spec.startswith("q:"):
             q = _gauss_q(spec)
             cases += [
                 ("q_derivative", q_derivative(f, q), n - 1, c * w(n) if n else 0),
                 ("jackson_antiderivative", jackson_antiderivative(f, q), n + 1, c / w(n + 1)),
             ]
         for name, image, degree, coeff in cases:
-            assert image.coeffs == _scaled_monomial(F(coeff), degree), name
+            assert image.coeffs == _scaled_monomial(F(coeff), degree), (name, k)
+
+    def test_one_term_signs(self):
+        # a negative factor is a negative divisor of the raising images
+        ctx = parse_psi_spec("custom:-2/3")
+        one = Polynomial.constant(1)
+        assert x_hat_psi(ctx, one) == F(-3, 2) * X
+        assert psi_antiderivative(ctx, one) == F(-3, 2) * X
+        assert psi_derivative(ctx, X) == Polynomial.constant(F(-2, 3))
 
     @pytest.mark.parametrize(
         "spec", BUILTIN_SPECS + (CUSTOM_SPEC,), ids=[*BUILTIN_SPECS, "custom"]
@@ -493,10 +506,10 @@ class TestDiagonalOperatorsOracle:
     @pytest.mark.parametrize("spec", SPARSE_SPECS, ids=[*BUILTIN_SPECS, "q:-2/3", "custom"])
     @given(data=st.data(), k=st.integers(min_value=1, max_value=3))
     def test_sparse_inputs_at_high_degree(self, spec, data, k):
-        # 1-3 nonzero terms up to degree 64: the weights of the zero
-        # coefficients are skipped, the rest must be those of the dense
-        # definition; CUSTOM_SPEC has 21 factors, so its degrees stop
-        # where x_hat^k still finds one
+        # 1-3 nonzero terms up to degree 64, so both the one-term and the
+        # several-term path: the images must be those of the definition;
+        # CUSTOM_SPEC has 21 factors, so its degrees stop where x_hat^k
+        # still finds one
         top = 21 - k if spec == CUSTOM_SPEC else 64
         terms = data.draw(st.dictionaries(
             st.integers(min_value=0, max_value=top), rationals.filter(bool),
@@ -518,20 +531,22 @@ class TestDiagonalOperatorsOracle:
     @pytest.mark.parametrize("op", [psi_derivative, psi_antiderivative, x_hat_psi, umbral_tilde])
     def test_zero_factor_error_is_unchanged(self, op):
         ctx = parse_psi_spec("custom:1,0,2")
-        with pytest.raises(AdmissibilityError) as exc:
-            op(ctx, X**3)
-        assert str(exc.value) == "custom:1,0,2: 2_psi = 0"
-        with pytest.raises(AdmissibilityError):
-            op(ctx, X**3)  # raised again, not hidden by the rows kept so far
+        for f in (X**3, X**3 + X):  # a one-term and a dense input
+            with pytest.raises(AdmissibilityError) as exc:
+                op(ctx, f)
+            assert str(exc.value) == "custom:1,0,2: 2_psi = 0"
+            with pytest.raises(AdmissibilityError):
+                op(ctx, f)  # raised again, not hidden by the rows kept so far
         assert psi_derivative(ctx, X) == Polynomial.constant(1)
         assert x_hat_psi(ctx, Polynomial.constant(1)) == X
 
     @pytest.mark.parametrize("op", [psi_derivative, psi_antiderivative, x_hat_psi, umbral_tilde])
     def test_missing_factor_error_is_unchanged(self, op):
         ctx = parse_psi_spec("custom:1,2")
-        with pytest.raises(DomainError) as exc:
-            op(ctx, X**5)
-        assert str(exc.value) == "custom sequence has 2 factors, index 3 requested"
+        for f in (X**5, X**5 + X):  # a one-term and a dense input
+            with pytest.raises(DomainError) as exc:
+                op(ctx, f)
+            assert str(exc.value) == "custom sequence has 2 factors, index 3 requested"
         assert psi_derivative(ctx, X**2) == 2 * X
 
 
