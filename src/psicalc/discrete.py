@@ -109,10 +109,15 @@ def falling_factorial_poly(k: int) -> Polynomial:
     """x(x-1)...(x-k+1) as an exact polynomial; k = 0 gives 1."""
     if k < 0:
         raise DomainError(f"falling factorial length must be >= 0, got {k}")
-    acc = Polynomial.constant(1)
+    return _falling_factorials(k)[k]
+
+
+def _falling_factorials(k: int) -> list[Polynomial]:
+    """x^(falling j) for j = 0..k, each one product from the last."""
+    out = [Polynomial.constant(1)]
     for j in range(k):
-        acc = acc * Polynomial([-j, 1])
-    return acc
+        out.append(out[-1] * Polynomial([-j, 1]))
+    return out
 
 
 def falling_factorial_value(x: Scalar, k: int) -> Fraction:
@@ -186,10 +191,8 @@ def newton_expansion(
     _check_order(n)
     terms = []
     dk = f
-    falling = Polynomial.constant(1)  # x^(falling k)
-    for k in range(min(n, f.polynomial.degree) + 1):
-        if k:
-            falling = falling * Polynomial([1 - k, 1])
+    top = min(n, f.polynomial.degree)
+    for k, falling in zip(range(top + 1), _falling_factorials(top)):
         terms.append(falling * (dk(0) / math.factorial(k)))
         dk = forward_difference(dk)
     terms += [Polynomial()] * (n + 1 - len(terms))  # Delta^k f = 0 beyond deg f

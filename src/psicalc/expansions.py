@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .operators import (
     VerificationReport,
-    _report,
+    _sweep,
     psi_definite_integral,
     psi_derivative,
     x_hat_psi,
@@ -149,11 +149,8 @@ def psi_bernoulli_taylor(
 
 def verify_expansion(report: ExpansionReport) -> VerificationReport:
     """Recompute the exactness verdict from the report's raw fields."""
-    failure = None
-    total = sum(report.terms, Polynomial())
-    if total != report.partial_sum:
-        failure = ("partial_sum", report.partial_sum, total)
-    elif report.cauchy_remainder != report.oracle_remainder:
-        failure = ("remainder", report.cauchy_remainder, report.oracle_remainder)
     params = f"psi={report.psi_label}, alpha={report.alpha}, n={report.order}"
-    return _report("expansion", params, 2, failure)
+    return _sweep("expansion", params, "{}", [
+        ("partial_sum", report.partial_sum, sum(report.terms, Polynomial())),
+        ("remainder", report.cauchy_remainder, report.oracle_remainder),
+    ])

@@ -31,15 +31,15 @@ from .errors import (
     DomainError,
     InternalError,
 )
-from .operators import (VerificationReport, _report, _sweep_bounds, psi_antiderivative,
-                        psi_derivative, verify_fundamental_theorem)
+from .operators import (VerificationReport, _sweep, _sweep_bounds, psi_antiderivative,
+                        psi_derivative)
 from .poly import Polynomial, _canonical, _rational
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Sequence
+    from collections.abc import Callable, Iterator, Sequence
 
     from .poly import Scalar
 
@@ -146,6 +146,11 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     _sweep_bounds(N)
     if p.q == 1:
         raise DomainError("the reduction's conjugating shift needs q != 1")
+    return _sweep("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", "n={}", _hahn_cases(p, N))
+
+
+def _hahn_cases(p: HahnParams, N: int) -> Iterator:
+    """The cases n = 0..N of `verify_hahn_reduction`: None where the packed check holds."""
     s = p.h / (1 - p.q)
     ctx = _gauss_q(p.q)
     ctx.rows(N)  # grown once to N_q, not one index per monomial
@@ -160,7 +165,6 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
                       max((abs(k) for k, _ in one_term.values()), default=0),
                       max((d for _, d in one_term.values()), default=1), N)
     Z = Y = 1  # Z_n and Y_n at X = 2^w
-    failure = None
     for n, image in enumerate(images):
         prev = Z
         if n:
@@ -169,15 +173,12 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
         if n in one_term:
             k, d = one_term[n]
             if (Z - Y) * d == k * tau * ((L * prev << w) + M * prev):
+                yield None
                 continue
-        lhs, rhs = hahn_derivative(Polynomial([-s, 1]) ** n, p), image.compose_affine(1, -s)
-        if lhs != rhs:
-            failure = (f"n={n}", lhs, rhs)
-            break
-        if n in one_term:
+        yield n, hahn_derivative(Polynomial([-s, 1]) ** n, p), image.compose_affine(1, -s)
+        if n in one_term:  # the driver goes on only past equal sides
             raise InternalError(f"hahn-reduction at n={n}: packed sides differ where the exact "
                                 "sides agree; a width bound is wrong")
-    return _report("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", N + 1, failure)
 
 
 def _packed_width(zs: int, ys: int, rs: int, cmax: int, dmax: int, N: int) -> int:
@@ -270,5 +271,5 @@ def jackson_integral_numeric(
 def verify_jackson_inverse(f: Polynomial, q: Scalar) -> VerificationReport:
     """The q-derivative of the Jackson antiderivative returns f."""
     ctx = _gauss_q(q)
-    ce = verify_fundamental_theorem(ctx, f).counterexample
-    return VerificationReport("jackson-inverse", f"q={ctx.sequence.q}", 1, ce)
+    return _sweep("jackson-inverse", f"q={ctx.sequence.q}", "f={}",
+                  [(f, psi_derivative(ctx, psi_antiderivative(ctx, f)), f)])

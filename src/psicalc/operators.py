@@ -9,7 +9,9 @@ integration by parts, the fundamental theorem, and the two classical
 series for the divided-difference and evaluation functionals).
 
 Everything here is exact; verifiers return reports instead of raising on
-a failed identity.
+a failed identity.  Every verifier of the package, here and in `hahn`
+and `expansions`, hands its cases to one driver, `_sweep`, which stops
+at the first failing case and builds the report.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import operator
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .poly import (
     Polynomial, _aligned, _canonical, _combine, _difference, _digits, _perms, _rational,
     _x_shift_back,
@@ -29,7 +31,7 @@ from .sequences import AdmissibleSequence, PsiContext
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterable
 
     from .poly import Scalar
 
@@ -270,10 +272,24 @@ class VerificationReport(Record):
         return line
 
 
-def _report(identity: str, params: str, cases: int, failure=None) -> VerificationReport:
-    """failure: the (inputs, lhs, rhs) of the counterexample, if any."""
-    ce = None if failure is None else Counterexample(*map(_digits, failure))
-    return VerificationReport(identity, params, cases, ce)
+def _sweep(identity: str, params: str, inputs: str, cases: Iterable) -> VerificationReport:
+    """The one driver of every verifier.  A case is (values, lhs, rhs),
+    values filling the `inputs` form (a tuple, or one value), or None for
+    one a fast path settled without building its sides.  The sweep stops
+    at the first case whose sides differ; `cases` counts the cases up to
+    and including it, all of them on a pass.  Only that counterexample is
+    written out (digits by `_digits`).  An empty stream is InternalError."""
+    count = 0
+    for case in cases:
+        count += 1
+        if case is not None and case[1] != case[2]:
+            values, lhs, rhs = case
+            text = inputs.format(*map(_digits, values if type(values) is tuple else (values,)))
+            return VerificationReport(identity, params, count,
+                                      Counterexample(text, _digits(lhs), _digits(rhs)))
+    if not count:
+        raise InternalError(f"{identity} [{params}]: a sweep with no case")
+    return VerificationReport(identity, params, count, None)
 
 
 # -- identity verifiers ------------------------------------------------------
@@ -287,14 +303,10 @@ def _sweep_bounds(*bounds: int) -> None:
 def verify_commutator(pair: GhwPair, N: int) -> VerificationReport:
     """Check (lower raiser - raiser lower) x^m = x^m for all 0 <= m <= N."""
     _sweep_bounds(N)
-    failure = None
-    for m in range(N + 1):
-        xm = Polynomial.monomial(m)
-        lhs = pair.lower(pair.raiser(xm)) - pair.raiser(pair.lower(xm))
-        if lhs != xm:
-            failure = (f"m={m}", lhs, xm)
-            break
-    return _report("commutator", f"pair={pair.name}, N={N}", N + 1, failure)
+    lower, raiser = pair.lower, pair.raiser
+    monomials = enumerate(map(Polynomial.monomial, range(N + 1)))
+    return _sweep("commutator", f"pair={pair.name}, N={N}", "m={}",
+                  ((m, lower(raiser(xm)) - raiser(lower(xm)), xm) for m, xm in monomials))
 
 
 def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationReport:
@@ -307,11 +319,10 @@ def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationRe
         nxt = psi_derivative(ctx, bk)
         terms.append((1, psi_antiderivative(ctx, bk - psi_antiderivative(ctx, nxt), k)))
         bk = nxt
-    lhs = _combine(terms)
     # bk is now b^(n+1) f
     rhs = f - psi_antiderivative(ctx, bk, n + 1)
-    failure = None if lhs == rhs else (f"n={n}, f={f}", lhs, rhs)
-    return _report("telescoping", f"psi={ctx.label}, n={n}", 1, failure)
+    return _sweep("telescoping", f"psi={ctx.label}, n={n}", "n={}, f={}",
+                  [((n, f), _combine(terms), rhs)])
 
 
 def verify_bernoulli_identity(pair: GhwPair, n: int, f: Polynomial) -> VerificationReport:
@@ -326,14 +337,13 @@ def verify_bernoulli_identity(pair: GhwPair, n: int, f: Polynomial) -> Verificat
         sign = -1 if k % 2 else 1
         acc = acc + term * Fraction(sign, math.factorial(k))
         pk = pair.lower(pk)
-    lhs = pair.lower(acc)
     # pk is now p^(n+1) f
     rhs = pk
     for _ in range(n):
         rhs = pair.raiser(rhs)
     rhs = rhs * Fraction((-1) ** n, math.factorial(n))
-    failure = None if lhs == rhs else (f"n={n}, f={f}", lhs, rhs)
-    return _report("bernoulli", f"pair={pair.name}, n={n}", 1, failure)
+    return _sweep("bernoulli", f"pair={pair.name}, n={n}", "n={}, f={}",
+                  [((n, f), pair.lower(acc), rhs)])
 
 
 def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> VerificationReport:
@@ -357,8 +367,8 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     copy of T(j, n); only a lower image of several terms (the Delta pair)
     goes through `_combine`.  The cases run order by order, so only the
     column T(., n) is kept; it is complete before any rhs(m, n) needs it,
-    which covers c_m != 0 as well.  The report is that of the (m, n)
-    order: its first counterexample and the cases up to it.  A lower
+    which covers c_m != 0 as well.  The cases report in (m, n) order, so
+    after a failure at (m, n) only x^0 .. x^(m-1) are checked on.  A lower
     operator that raises the degree of some x^m is a DomainError.
     """
     _sweep_bounds(max_m, max_n)
@@ -373,8 +383,8 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
             )
         parts.append(([(c, j) for j, c in enumerate(image._num) if c], image._den))
     partials = [Polynomial()] * (max_m + 1)  # S_(n-1) for each x^m
-    first = None  # the counterexample first in (m, n) order so far
-    top = max_m  # only a counterexample below x^(top+1) can come before it
+    cases = [None] * ((max_m + 1) * (max_n + 1))  # in (m, n) order
+    top = max_m
     for n in range(max_n + 1):
         sign = -1 if n else 1  # T(., n) = sign * images
         add = operator.sub if n else operator.add
@@ -395,16 +405,12 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
             else:
                 rhs = _combine([(sign * c, images[j]) for c, j in nums], den)
             if lhs != rhs:
-                first, top = (m, n, lhs, rhs), m - 1
+                cases[m * (max_n + 1) + n], top = ((m, n), lhs, rhs), m - 1
                 break
             rhss.append(rhs)
         if n < max_n:
             images = [pair.raiser(rhs) for rhs in rhss]
-    params = f"pair={pair.name}, m<={max_m}, n<={max_n}"
-    if first is None:
-        return _report("bernoulli", params, (max_m + 1) * (max_n + 1))
-    m, n, lhs, rhs = first
-    return _report("bernoulli", params, m * (max_n + 1) + n + 1, (f"m={m}, n={n}", lhs, rhs))
+    return _sweep("bernoulli", f"pair={pair.name}, m<={max_m}, n<={max_n}", "m={}, n={}", cases)
 
 
 def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> VerificationReport:
@@ -412,19 +418,19 @@ def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Verificatio
     with * the star product and D the classical derivative."""
     lhs = psi_derivative(ctx, star_psi(ctx, f, g))
     rhs = star_psi(ctx, f.derivative(), g) + star_psi(ctx, f, psi_derivative(ctx, g))
-    failure = None if lhs == rhs else (f"f={f}, g={g}", lhs, rhs)
-    return _report("leibniz", f"psi={ctx.label}", 1, failure)
+    return _sweep("leibniz", f"psi={ctx.label}", "f={}, g={}", [((f, g), lhs, rhs)])
 
 
 def verify_exp_addition(ctx: PsiContext, alpha: Scalar, beta: Scalar, N: int) -> VerificationReport:
-    """exp(a x) * (psi-exp of b) agrees with the psi-exp of a+b up to degree N."""
+    """exp(a x) * (psi-exp of b) agrees with the psi-exp of a+b up to degree N;
+    the cases are the degrees 0..N, all settled at once by equal sides."""
     alpha, beta = Fraction(_rational(alpha)), Fraction(_rational(beta))
     lhs = star_psi(ctx, exp_poly(alpha, N), psi_exp(ctx, beta, N)).truncate(N)
     rhs = psi_exp(ctx, alpha + beta, N)
-    failure = None if lhs == rhs else (f"alpha={alpha}, beta={beta}, N={N}", lhs, rhs)
-    return _report(
-        "exp-addition", f"psi={ctx.label}, alpha={alpha}, beta={beta}, N={N}", N + 1, failure
-    )
+    cases = ([None] * (N + 1) if lhs == rhs else
+             (((alpha, beta, j), lhs.coeff(j), rhs.coeff(j)) for j in range(N + 1)))
+    return _sweep("exp-addition", f"psi={ctx.label}, alpha={alpha}, beta={beta}, N={N}",
+                  "alpha={}, beta={}, degree={}", cases)
 
 
 def verify_per_partes(
@@ -437,15 +443,14 @@ def verify_per_partes(
     rhs = (boundary(b) - boundary(a)) - psi_definite_integral(
         ctx, star_psi(ctx, f.derivative(), g), a, b
     )
-    failure = None if lhs == rhs else (f"f={f}, g={g}, a={a}, b={b}", lhs, rhs)
-    return _report("per-partes", f"psi={ctx.label}, a={a}, b={b}", 1, failure)
+    return _sweep("per-partes", f"psi={ctx.label}, a={a}, b={b}", "f={}, g={}, a={}, b={}",
+                  [((f, g, a, b), lhs, rhs)])
 
 
 def verify_fundamental_theorem(ctx: PsiContext, f: Polynomial) -> VerificationReport:
     """psi-derivative of the psi-antiderivative is the identity."""
-    lhs = psi_derivative(ctx, psi_antiderivative(ctx, f))
-    failure = None if lhs == f else (f"f={f}", lhs, f)
-    return _report("fundamental", f"psi={ctx.label}", 1, failure)
+    return _sweep("fundamental", f"psi={ctx.label}", "f={}",
+                  [(f, psi_derivative(ctx, psi_antiderivative(ctx, f)), f)])
 
 
 def historical_divided_difference_sum(f: Polynomial, signed: bool = True) -> Polynomial:
@@ -472,13 +477,7 @@ def historical_evaluation_sum(f: Polynomial) -> Polynomial:
 def verify_historical_series(f: Polynomial) -> VerificationReport:
     """The two classical series: the divided-difference expansion (with
     the alternating sign) and the zero-point evaluation expansion."""
-    failure = None
-    lhs1 = divided_difference_zero(f)
-    rhs1 = historical_divided_difference_sum(f)
-    lhs2 = Polynomial.constant(f(0))
-    rhs2 = historical_evaluation_sum(f)
-    if lhs1 != rhs1:
-        failure = (f"divided-difference, f={f}", lhs1, rhs1)
-    elif lhs2 != rhs2:
-        failure = (f"evaluation, f={f}", lhs2, rhs2)
-    return _report("historical", f"f={f}", 2, failure)
+    return _sweep("historical", f"f={f}", "{}, f={}", [
+        (("divided-difference", f), divided_difference_zero(f),
+         historical_divided_difference_sum(f)),
+        (("evaluation", f), Polynomial.constant(f(0)), historical_evaluation_sum(f))])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
 from psicalc import hahn
+from psicalc.operators import Counterexample, VerificationReport
 from psicalc.poly import _canonical
 from psicalc import (
     AdmissibilityError,
@@ -187,7 +188,7 @@ def reference_hahn_reduction(p, N):
     alpha, beta = p.q.numerator * p.h.denominator, p.h.numerator * p.q.denominator
     tau, sigma = s.denominator, s.numerator
     qx_hn, x_sn, Dn, taun = [1], [1], 1, 1
-    failure = None
+    failure, cases = None, N + 1
     for n in range(N + 1):
         if n:
             qx_hn = [alpha * u + beta * v for u, v in zip([0, *qx_hn], [*qx_hn, 0])]
@@ -198,9 +199,9 @@ def reference_hahn_reduction(p, N):
         lhs = hahn._hahn_quotient(diff, Dn, p)
         rhs = hahn.psi_derivative(ctx, _canonical(x_sn, taun)).compose_affine(1, -s)
         if lhs != rhs:
-            failure = (f"n={n}", lhs, rhs)
+            failure, cases = Counterexample(f"n={n}", str(lhs), str(rhs)), n + 1
             break
-    return hahn._report("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", N + 1, failure)
+    return VerificationReport("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", cases, failure)
 
 
 def first_failure(report):
@@ -227,7 +228,7 @@ def shifted_reference_hahn_reduction(p, N):
     sigma, tau, D = s.numerator, s.denominator, b * e
     A, B = tau * a * e, tau * c * b - sigma * D
     x_sn, qx_hn, Dn, taun = [1], [1], 1, 1
-    failure = None
+    failure, cases = None, N + 1
     for n in range(N + 1):
         image = hahn.psi_derivative(ctx, Polynomial.monomial(n))
         cn = image._num
@@ -241,9 +242,9 @@ def shifted_reference_hahn_reduction(p, N):
             Dn, taun = Dn * D, taun * tau
         lhs = hahn._hahn_quotient([Dn * u - v for u, v in zip(x_sn, qx_hn)], Dn * taun, p)
         if lhs != rhs:
-            failure = (f"n={n}", lhs, rhs)
+            failure, cases = Counterexample(f"n={n}", str(lhs), str(rhs)), n + 1
             break
-    return hahn._report("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", N + 1, failure)
+    return VerificationReport("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", cases, failure)
 
 
 def count_exact_paths(monkeypatch):
@@ -296,7 +297,7 @@ class TestHahnSweepPath:
         monkeypatch.setattr(hahn, "psi_derivative", wrong)
         report = verify_hahn_reduction(HahnParams(F(3, 2), F(7, 5)), 8)
         assert not report.passed
-        assert report.cases == 9
+        assert report.cases == first + 1
         assert report.counterexample.inputs == f"n={first}"
 
     def test_failing_report_shows_the_images_of_the_shifted_power(self, monkeypatch):
@@ -325,7 +326,8 @@ class TestHahnSweepAgainstMonomialReference:
         for q, h in [(F(3, 2), F(7, 5)), *HAHN_GRID]:
             p = HahnParams(q, h)
             new, old = verify_hahn_reduction(p, 8), reference_hahn_reduction(p, 8)
-            assert first_failure(new) == first_failure(old) == (False, 9, f"n={first}"), (q, h)
+            want = (False, first + 1, f"n={first}")
+            assert first_failure(new) == first_failure(old) == want, (q, h)
 
     @settings(deadline=2000)
     @given(rationals.filter(lambda q: q not in (0, 1, -1)), rationals, st.integers(0, 12))
@@ -363,7 +365,7 @@ class TestPackedCheck:
             assert exact == [first], (q, h)
             assert report == want and str(report) == str(want), (q, h)
             assert first_failure(report) == first_failure(reference_hahn_reduction(p, N))
-            assert first_failure(report) == (False, N + 1, f"n={first}")
+            assert first_failure(report) == (False, first + 1, f"n={first}")
 
     def test_packed_sides_that_differ_where_the_exact_sides_agree(self, monkeypatch):
         # the classical derivative on both sides: the images are one term,

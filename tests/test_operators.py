@@ -41,11 +41,18 @@ from psicalc import (
     verify_telescoping,
     x_hat_psi,
     GhwPair,
+    HahnParams,
+    InternalError,
     PsiContext,
     backward_nabla,
     forward_difference,
+    psi_bernoulli_taylor,
+    verify_expansion,
+    verify_hahn_reduction,
+    verify_jackson_inverse,
 )
-from psicalc.operators import _report
+from psicalc import expansions, hahn, operators
+from psicalc.operators import _sweep
 
 X = Polynomial.x()
 CLASSICAL = parse_psi_spec("classical")
@@ -869,14 +876,75 @@ class TestReportsPastTheDigitLimit:
         report = verify_commutator(pair, 4)
         text = str(report)
         assert sys.get_int_max_str_digits() == digit_limit
-        assert not report.passed and report.cases == 5
+        assert not report.passed and report.cases == 1
         ce = report.counterexample
         assert (ce.inputs, ce.lhs, ce.rhs) == ("m=0", self.DIGITS + "/3", "1")
         assert ce.lhs in text
 
     def test_rational_sides_keep_every_digit(self, digit_limit):
         # per-partes compares two numbers, not polynomials
-        report = _report("per-partes", "psi=fib", 1, ("a=0", F(-self.BIG, 3), self.BIG))
+        report = _sweep("per-partes", "psi=fib", "a={}", [(0, F(-self.BIG, 3), self.BIG)])
         assert sys.get_int_max_str_digits() == digit_limit
         ce = report.counterexample
         assert (ce.lhs, ce.rhs) == ("-" + self.DIGITS + "/3", self.DIGITS)
+
+
+def _classical_derivative(ctx, f, k=1):
+    return f.derivative(k)
+
+
+# D doubled on x^4 and up: [D', x] x^3 = 5x^3, and the Bernoulli identity
+# first fails at (m, n) = (4, 1), case 4 * 4 + 1 + 1 of m <= 6, n <= 3
+SCALED_PAIR = GhwPair("2D from x^4, x", lambda f: f.derivative() * (2 if f.degree >= 4 else 1),
+                      lambda f: X * f)
+_anti = operators.psi_antiderivative
+
+# verifier: (the patch that breaks it or None, its run, the first failing
+# case's position in the sweep's order, that case's inputs)
+BROKEN_VERIFIERS = {
+    "commutator": (None, lambda: verify_commutator(SCALED_PAIR, 6), 4, "m=3"),
+    "bernoulli sweep": (None, lambda: bernoulli_identity_sweep(SCALED_PAIR, 6, 3), 18, "m=4, n=1"),
+    "bernoulli": (None, lambda: verify_bernoulli_identity(SCALED_PAIR, 1, X**4), 1, "n=1, f=x^4"),
+    "telescoping": ((operators, "psi_antiderivative",
+                     lambda ctx, f, k=1: _anti(ctx, f, k) * (2 if k > 1 else 1)),
+                    lambda: verify_telescoping(FIB, 2, X**3), 1, "n=2, f=x^3"),
+    "leibniz": ((operators, "psi_derivative", _classical_derivative),
+                lambda: verify_leibniz(FIB, X**2, X**3), 1, "f=x^2, g=x^3"),
+    "exp-addition": ((operators, "star_psi", lambda ctx, f, g: f * g),
+                     lambda: verify_exp_addition(FIB, F(1, 2), F(1, 3), 6), 3,
+                     "alpha=1/2, beta=1/3, degree=2"),
+    "per-partes": ((operators, "psi_derivative", _classical_derivative),
+                   lambda: verify_per_partes(FIB, X, X**3, 0, 1), 1, "f=x, g=x^3, a=0, b=1"),
+    "fundamental": ((operators, "psi_derivative", _classical_derivative),
+                    lambda: verify_fundamental_theorem(FIB, X**3), 1, "f=x^3"),
+    "historical": ((operators, "historical_evaluation_sum", lambda f: f),
+                   lambda: verify_historical_series(X**2 + 1), 2, "evaluation, f=x^2 + 1"),
+    "hahn-reduction": ((hahn, "psi_derivative",
+                        lambda ctx, f: psi_derivative(ctx, f) + (1 if f.degree >= 5 else 0)),
+                       lambda: verify_hahn_reduction(HahnParams(F(3, 2), F(7, 5)), 8), 6, "n=5"),
+    "jackson-inverse": ((hahn, "psi_derivative", _classical_derivative),
+                        lambda: verify_jackson_inverse(X**2, 2), 1, "f=x^2"),
+    "expansion": ((expansions, "psi_derivative", _classical_derivative),
+                  lambda: verify_expansion(psi_bernoulli_taylor(FIB, X**3, 0, 1, 2)), 2,
+                  "remainder"),
+}
+
+
+class TestSweepDriver:
+    """`operators._sweep`, the one driver of all twelve verifiers: `cases`
+    counts the cases up to and including the first failure."""
+
+    @pytest.mark.parametrize("patch, run, position, inputs", BROKEN_VERIFIERS.values(),
+                             ids=BROKEN_VERIFIERS)
+    def test_cases_end_at_the_first_failure(self, monkeypatch, patch, run, position, inputs):
+        if patch:
+            monkeypatch.setattr(*patch)
+        report = run()
+        assert not report.passed
+        assert report.cases == position
+        assert report.counterexample.inputs == inputs
+
+    @pytest.mark.parametrize("cases", [[], iter(())])
+    def test_no_case_raises(self, cases):
+        with pytest.raises(InternalError, match="a sweep with no case"):
+            _sweep("commutator", "N=0", "m={}", cases)
