@@ -31,7 +31,7 @@ from .operators import (
     psi_derivative,
     x_hat_psi,
 )
-from .poly import Polynomial, _combine, _rational
+from .poly import Polynomial, _combine, _digits, _rational
 from .record import Record
 from .sequences import PsiContext
 
@@ -149,7 +149,7 @@ def psi_bernoulli_taylor(
 
 def verify_expansion(report: ExpansionReport) -> VerificationReport:
     """Recompute the exactness verdict from the report's raw fields."""
-    params = f"psi={report.psi_label}, alpha={report.alpha}, n={report.order}"
+    params = f"psi={report.psi_label}, alpha={_digits(report.alpha)}, n={report.order}"
     return _sweep("expansion", params, "{}", [
         ("partial_sum", report.partial_sum, sum(report.terms, Polynomial())),
         ("remainder", report.cauchy_remainder, report.oracle_remainder),

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .operators import (VerificationReport, _sweep, _sweep_bounds, psi_antiderivative,
                         psi_derivative)
-from .poly import Polynomial, _canonical, _rational
+from .poly import Polynomial, _canonical, _digits, _rational
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
@@ -146,7 +146,8 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
     _sweep_bounds(N)
     if p.q == 1:
         raise DomainError("the reduction's conjugating shift needs q != 1")
-    return _sweep("hahn-reduction", f"q={p.q}, h={p.h}, N={N}", "n={}", _hahn_cases(p, N))
+    return _sweep("hahn-reduction", f"q={_digits(p.q)}, h={_digits(p.h)}, N={N}", "n={}",
+                  _hahn_cases(p, N))
 
 
 def _hahn_cases(p: HahnParams, N: int) -> Iterator:
@@ -271,5 +272,5 @@ def jackson_integral_numeric(
 def verify_jackson_inverse(f: Polynomial, q: Scalar) -> VerificationReport:
     """The q-derivative of the Jackson antiderivative returns f."""
     ctx = _gauss_q(q)
-    return _sweep("jackson-inverse", f"q={ctx.sequence.q}", "f={}",
+    return _sweep("jackson-inverse", f"q={_digits(ctx.sequence.q)}", "f={}",
                   [(f, psi_derivative(ctx, psi_antiderivative(ctx, f)), f)])

@@ -214,7 +214,7 @@ def derivative_pair(y: Scalar = 0) -> GhwPair:
     y = _rational(y)
     x_y = Polynomial([-y, 1])  # built once per pair
     return GhwPair(
-        name=f"D, x-({y})",
+        name=f"D, x-({_digits(y)})",
         lower=lambda f: f.derivative(),
         raiser=lambda f: x_y * f,
     )
@@ -300,13 +300,42 @@ def _sweep_bounds(*bounds: int) -> None:
         raise ValueError("sweep bound must be nonnegative")
 
 
+def _one_term(f: Polynomial, j: int) -> int | None:
+    """f's numerator at x^j when f is 0 or the one term c x^j, else None:
+    what lets a sweep settle a case on one cross-multiplied comparison."""
+    num = f._num
+    if len(num) == j + 1 and num.count(0) == j:
+        return num[j]
+    return None if num else 0
+
+
 def verify_commutator(pair: GhwPair, N: int) -> VerificationReport:
-    """Check (lower raiser - raiser lower) x^m = x^m for all 0 <= m <= N."""
+    """Check (lower raiser - raiser lower) x^m = x^m for all 0 <= m <= N.
+
+    When both a = lower(raiser(x^m)) and b = raiser(lower(x^m)) are 0 or
+    one term at x^m, as for the psi pairs and (D, x), the case is settled
+    on one integer comparison, a_m b_den - b_m a_den == a_den b_den; any
+    other case compares a - b with x^m."""
     _sweep_bounds(N)
-    lower, raiser = pair.lower, pair.raiser
-    monomials = enumerate(map(Polynomial.monomial, range(N + 1)))
     return _sweep("commutator", f"pair={pair.name}, N={N}", "m={}",
-                  ((m, lower(raiser(xm)) - raiser(lower(xm)), xm) for m, xm in monomials))
+                  _commutator_cases(pair.lower, pair.raiser, N))
+
+
+def _commutator_cases(lower: PolyOp, raiser: PolyOp, N: int) -> Iterable:
+    """The cases of `verify_commutator` in m order: None for one settled
+    on one comparison, (m, a - b, x^m) otherwise.  The operators are
+    called in one order: raiser(x^m), lower, lower(x^m), raiser."""
+    for m in range(N + 1):
+        xm = Polynomial.monomial(m)
+        a = lower(raiser(xm))
+        b = raiser(lower(xm))
+        am = _one_term(a, m)
+        if am is not None:
+            bm = _one_term(b, m)
+            if bm is not None and am * b._den - bm * a._den == a._den * b._den:
+                yield None
+                continue
+        yield m, a - b, xm
 
 
 def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationReport:
@@ -362,14 +391,21 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     costs one lower and at most one raiser call; the sign of
     T(., n) = -(q rhs(., n-1)) rides along in the integer passes that
     build S_n and rhs(m, n), each with one gcd.  S_n is one aligned pass
-    over the numerators of S_(n-1) and T(m, n).  When p x^m is one term
-    c_j x^j, as for the derivative and psi pairs, rhs(m, n) is one scaled
-    copy of T(j, n); only a lower image of several terms (the Delta pair)
-    goes through `_combine`.  The cases run order by order, so only the
-    column T(., n) is kept; it is complete before any rhs(m, n) needs it,
-    which covers c_m != 0 as well.  The cases report in (m, n) order, so
-    after a failure at (m, n) only x^0 .. x^(m-1) are checked on.  A lower
-    operator that raises the degree of some x^m is a DomainError.
+    over the numerators of S_(n-1) and T(m, n), or, when both are 0 or one
+    term at x^m, one integer step over their denominators.  When p x^m is
+    one term c_j x^j, as for the derivative and psi pairs, rhs(m, n) is one
+    scaled copy of T(j, n); only a lower image of several terms (the Delta
+    pair) goes through `_combine`.  For the psi pairs and (D, x), T(j, n)
+    and p S_n are one term at x^j as well: the case is settled on one
+    cross-multiplied comparison of their coefficients, with no right side
+    built, and the next column is raised from p S_n, which equals it.  A
+    dense T(j, n) (the other derivative pairs), a several-term image and
+    a failing case build both sides.  The cases run order by order, so
+    only the column T(., n) is kept; it is complete before any rhs(m, n)
+    needs it, which covers c_m != 0 as well.  The cases report in (m, n)
+    order, so after a failure at (m, n) only x^0 .. x^(m-1) are checked
+    on.  A lower operator that raises the degree of some x^m is a
+    DomainError.
     """
     _sweep_bounds(max_m, max_n)
     images = [Polynomial.monomial(m) for m in range(max_m + 1)]  # T(m, n) up to its sign
@@ -390,17 +426,33 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
         add = operator.sub if n else operator.add
         rhss = []
         for m in range(top + 1):
-            s, t, den = _aligned(partials[m], images[m])  # S_n = n S_(n-1) + sign T
-            s = [n * c for c in s]
-            s += [0] * (len(t) - len(s))
-            s[: len(t)] = map(add, s, t)
-            partials[m] = _canonical(s, den)
-            lhs = pair.lower(partials[m])
+            partial, image = partials[m], images[m]  # S_n = n S_(n-1) + sign T
+            s = _one_term(partial, m)
+            t = None if s is None else _one_term(image, m)
+            if t is not None:  # s x^m / sd and t x^m / td
+                sd, td = partial._den, image._den
+                g = math.gcd(sd, td)
+                v = n * s * (td // g) + sign * t * (sd // g)
+                partial = _canonical([0] * m + [v], sd // g * td)
+            else:
+                s, t, den = _aligned(partial, image)
+                s = [n * c for c in s]
+                s += [0] * (len(t) - len(s))
+                s[: len(t)] = map(add, s, t)
+                partial = _canonical(s, den)
+            partials[m] = partial
+            lhs = pair.lower(partial)
             nums, den = parts[m]
             if len(nums) == 1:  # rhs = sign c T(j, n) / den, one scaled image
                 c, j = nums[0]
                 c *= sign
                 image = images[j]
+                r = _one_term(image, j)
+                if r is not None:  # both sides one term at x^j: settled on lhs
+                    w = _one_term(lhs, j)
+                    if w is not None and w * den * image._den == c * r * lhs._den:
+                        rhss.append(lhs)
+                        continue
                 rhs = _canonical([c * v for v in image._num], image._den * den)
             else:
                 rhs = _combine([(sign * c, images[j]) for c, j in nums], den)
@@ -429,8 +481,8 @@ def verify_exp_addition(ctx: PsiContext, alpha: Scalar, beta: Scalar, N: int) ->
     rhs = psi_exp(ctx, alpha + beta, N)
     cases = ([None] * (N + 1) if lhs == rhs else
              (((alpha, beta, j), lhs.coeff(j), rhs.coeff(j)) for j in range(N + 1)))
-    return _sweep("exp-addition", f"psi={ctx.label}, alpha={alpha}, beta={beta}, N={N}",
-                  "alpha={}, beta={}, degree={}", cases)
+    params = f"psi={ctx.label}, alpha={_digits(alpha)}, beta={_digits(beta)}, N={N}"
+    return _sweep("exp-addition", params, "alpha={}, beta={}, degree={}", cases)
 
 
 def verify_per_partes(
@@ -443,8 +495,8 @@ def verify_per_partes(
     rhs = (boundary(b) - boundary(a)) - psi_definite_integral(
         ctx, star_psi(ctx, f.derivative(), g), a, b
     )
-    return _sweep("per-partes", f"psi={ctx.label}, a={a}, b={b}", "f={}, g={}, a={}, b={}",
-                  [((f, g, a, b), lhs, rhs)])
+    return _sweep("per-partes", f"psi={ctx.label}, a={_digits(a)}, b={_digits(b)}",
+                  "f={}, g={}, a={}, b={}", [((f, g, a, b), lhs, rhs)])
 
 
 def verify_fundamental_theorem(ctx: PsiContext, f: Polynomial) -> VerificationReport:

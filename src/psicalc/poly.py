@@ -25,7 +25,7 @@ from itertools import accumulate, repeat
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Iterable, Sequence
 
     Scalar = int | Fraction
 
@@ -247,7 +247,7 @@ class Polynomial:
         if r and d > 0:
             rp, sp = _powers(r, d), _powers(s, d)
             cs = [c * x * y for c, x, y in zip(cs, rp, reversed(sp))]
-            cs = [c // x * y for c, x, y in zip(_shift_by_one(cs), rp, sp)]
+            cs = [c // x * y for c, x, y in zip(_unit_shift(cs, 1), rp, sp)]
         if a != 1 or b != 1:
             cs = [c * x * y for c, x, y in zip(cs, _powers(a, d), reversed(_powers(b, d)))]
         return _canonical(cs, self._den * (b * s) ** max(d, 0))
@@ -314,13 +314,14 @@ def _combine(pairs: Iterable[tuple[int, Polynomial]], den: int = 1) -> Polynomia
     return _canonical(out, lcm * den)
 
 
-def _shift_by_one(cs: list[int]) -> list[int]:
-    """The coefficients of f(t + 1) for the integer coefficients cs of f,
-    index i holding that of t^i, d = len(cs) - 1 >= 1.
+def _unit_shift(cs: Sequence[int], h: int) -> list[int]:
+    """The coefficients of f(t + h), h = 1 or -1, for the integer
+    coefficients cs of f, index i holding that of t^i, d = len(cs) - 1 >= 1.
 
-    Horner on one packed integer: at X = 2^b, G = f(X + 1) is built as
-    G <- (G << b) + G + c, d big-integer steps, and its signed base-X
-    digits are the coefficients.  Each coefficient of f(t + 1) is at most
+    Horner on one packed integer: at X = 2^b, G = f(X + h) is built as
+    G <- (G << b) + G + c for h = 1 and G <- (G << b) - G + c for h = -1,
+    d big-integer steps, and its signed base-X digits are the
+    coefficients.  Each coefficient of f(t + h) is at most
     sum_i C(i, k) |c_i| <= C(d+1, k+1) max|c_i| < 2^(B+d) in size, for B
     the largest coefficient bit length, so b = B + d + 1 bits hold it
     with its sign.
@@ -328,8 +329,12 @@ def _shift_by_one(cs: list[int]) -> list[int]:
     d = len(cs) - 1
     b = max(map(int.bit_length, cs)) + d + 1
     g = 0
-    for c in reversed(cs):
-        g = (g << b) + g + c
+    if h > 0:
+        for c in reversed(cs):
+            g = (g << b) + g + c
+    else:
+        for c in reversed(cs):
+            g = (g << b) - g + c
     return _unpack(g, b, d + 1)
 
 
@@ -348,20 +353,6 @@ def _unpack(g: int, b: int, count: int) -> list[int]:
             g += 1
         out.append(digit)
     return out
-
-
-def _unit_shift(num: tuple[int, ...], h: int) -> list[int]:
-    """The integer coefficients of f(t + h), h = 1 or -1, for those of f
-    in num, of degree >= 1.  f(t - 1) is the shift by +1 of f(-t), read
-    back at -t: the odd coefficients are negated before and after the
-    one packed shift."""
-    if h > 0:
-        return _shift_by_one(num)
-    cs = list(num)
-    cs[1::2] = [-c for c in cs[1::2]]
-    cs = _shift_by_one(cs)
-    cs[1::2] = [-c for c in cs[1::2]]
-    return cs
 
 
 def _difference(f: Polynomial, h: int) -> Polynomial:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import AdmissibilityError, DomainError, ParseError
-from .poly import _rational
+from .poly import _digits, _rational
 from .record import Record
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
@@ -94,10 +94,10 @@ class AdmissibleSequence(Record):
         if self.kind == "classical":
             return "classical"
         if self.kind == "gauss_q":
-            return f"q:{self.q}"
+            return f"q:{_digits(self.q)}"
         if self.kind == "fibonomial":
             return "fib"
-        return "custom:" + ",".join(str(f) for f in self.factors)
+        return "custom:" + ",".join(map(_digits, self.factors))
 
 
 class PsiRows(namedtuple("PsiRows", "num den num_lcm den_lcm num_prod den_prod")):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import polynomials, rationals
 from psicalc import (
     AdmissibilityError,
+    AdmissibleSequence,
     DomainError,
     LatticeFunction,
     Polynomial,
@@ -21,6 +22,7 @@ from psicalc import (
     exp_poly,
     historical_divided_difference_sum,
     jackson_antiderivative,
+    parse_poly,
     parse_psi_spec,
     psi_antiderivative,
     psi_definite_integral,
@@ -332,6 +334,70 @@ class TestBernoulliSweep:
         # case except the last order of each monomial, whose T(m, N+1) no
         # case reads
         assert calls == {"lower": (M + 1) * (N + 2), "raiser": (M + 1) * N}
+
+
+def _lower_doubled_at_x5(pair):
+    """pair with the image of the x^5 term doubled: a one-term input
+    still has a one-term image."""
+    lower = pair.lower
+    return GhwPair(f"{pair.name}, lower doubled at x^5",
+                   lambda f: lower(f) + lower(Polynomial.monomial(5, f.coeff(5))), pair.raiser)
+
+
+def _lower_plus_one_from_x5(pair):
+    """pair with lower(x^m) + 1 for m >= 5: those images leave the
+    one-term shape."""
+    lower = pair.lower
+    return GhwPair(f"{pair.name}, lower + 1 from x^5",
+                   lambda f: lower(f) + sum(f.coeffs[5:]), pair.raiser)
+
+
+# One-term pairs broken in both ways.  The breaks are linear, since the
+# Bernoulli sweep builds its right sides by linearity, so the direct
+# verifiers stay exact oracles for the cases the sweeps settle.
+SETTLED_PAIRS = [psi_pair(FIB), psi_pair(parse_psi_spec("q:3/2")), derivative_pair(0)]
+BROKEN_ONE_TERM_PAIRS = [
+    breaker(pair) for pair in SETTLED_PAIRS
+    for breaker in (_lower_doubled_at_x5, _lower_plus_one_from_x5)
+]
+
+
+class TestOneTermSettle:
+    """The cases the commutator and Bernoulli sweeps settle on one
+    coefficient comparison, against per-case computations that share no
+    code with the settle."""
+
+    @pytest.mark.parametrize("pair", SETTLED_PAIRS + BROKEN_ONE_TERM_PAIRS,
+                             ids=lambda p: p.name)
+    def test_commutator_against_each_m(self, pair):
+        N = 8
+        report = verify_commutator(pair, N)
+        for m in range(N + 1):
+            xm = X**m
+            lhs = pair.lower(pair.raiser(xm)) - pair.raiser(pair.lower(xm))
+            if lhs != xm:
+                assert report.cases == m + 1
+                ce = report.counterexample
+                assert (ce.inputs, ce.lhs, ce.rhs) == (f"m={m}", str(lhs), str(xm))
+                break
+        else:
+            assert report.passed and report.cases == N + 1
+        assert report.passed == (pair in SETTLED_PAIRS)
+
+    @pytest.mark.parametrize("pair", BROKEN_ONE_TERM_PAIRS, ids=lambda p: p.name)
+    def test_bernoulli_sweep_stops_where_the_direct_verifier_first_fails(self, pair):
+        M, N = 12, 6
+        m, n, direct = next(
+            (m, n, report) for m in range(M + 1) for n in range(N + 1)
+            if not (report := verify_bernoulli_identity(pair, n, X**m)).passed
+        )
+        report = bernoulli_identity_sweep(pair, M, N)
+        assert report.cases == m * (N + 1) + n + 1
+        # the sweep scales both sides by n!
+        scale, ce = math.factorial(n), report.counterexample
+        assert ce.inputs == f"m={m}, n={n}"
+        assert ce.lhs == str(scale * parse_poly(direct.counterexample.lhs))
+        assert ce.rhs == str(scale * parse_poly(direct.counterexample.rhs))
 
 
 class TestLeibniz:
@@ -880,6 +946,32 @@ class TestReportsPastTheDigitLimit:
         ce = report.counterexample
         assert (ce.inputs, ce.lhs, ce.rhs) == ("m=0", self.DIGITS + "/3", "1")
         assert ce.lhs in text
+
+    # every user rational a report's params, a pair name or a psi label
+    # writes: (the check, the text its params hold); all of them pass
+    D = DIGITS
+    PARAMS = {
+        "exp-addition alpha": (lambda b: verify_exp_addition(FIB, F(b, 3), 0, 2),
+                               f"alpha={D}/3, beta=0,"),
+        "exp-addition beta": (lambda b: verify_exp_addition(FIB, 0, -b, 2), f"beta=-{D},"),
+        "per-partes": (lambda b: verify_per_partes(FIB, X, X, F(1, b), b), f"a=1/{D}, b={D}"),
+        "hahn q": (lambda b: verify_hahn_reduction(HahnParams(b, 0), 2), f"q={D}, h=0,"),
+        "hahn h": (lambda b: verify_hahn_reduction(HahnParams(2, F(b, 3)), 2), f"h={D}/3,"),
+        "jackson-inverse": (lambda b: verify_jackson_inverse(X, b), f"q={D}"),
+        "expansion alpha": (lambda b: verify_expansion(psi_bernoulli_taylor(FIB, X, b, 1, 1)),
+                            f"alpha={D},"),
+        "derivative pair": (lambda b: verify_commutator(derivative_pair(b), 2), f"x-({D})"),
+        "gauss label": (lambda b: verify_fundamental_theorem(
+            PsiContext(AdmissibleSequence.gauss_q(F(3, b))), X), f"psi=q:3/{D}"),
+        "custom label": (lambda b: verify_fundamental_theorem(
+            PsiContext(AdmissibleSequence.custom([b, F(-1, b)])), X), f"psi=custom:{D},-1/{D}"),
+    }
+
+    @pytest.mark.parametrize("check, text", PARAMS.values(), ids=PARAMS)
+    def test_params_keep_every_digit(self, digit_limit, check, text):
+        report = check(self.BIG)
+        assert report.passed and text in report.params and text in str(report)
+        assert sys.get_int_max_str_digits() == digit_limit
 
     def test_rational_sides_keep_every_digit(self, digit_limit):
         # per-partes compares two numbers, not polynomials

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
 from psicalc import Polynomial, q_derivative
+from psicalc.poly import _unit_shift
 
 sympy = pytest.importorskip("sympy")
 
@@ -63,6 +64,17 @@ def test_compose_affine_unit_shift(f, q, h):
     """h = +-1, with q = 1 (no scaling) or a general rational."""
     inner = sympy.Poly(sympy.Rational(q.numerator, q.denominator) * X + h, X)
     assert agrees(f.compose_affine(q, h), to_sympy(f).compose(inner))
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda d: st.lists(st.integers(-2**80, 2**80), min_size=d + 1, max_size=d + 1)),
+    st.sampled_from([1, -1]))
+def test_unit_shift_against_the_binomial_sum(cs, h):
+    """The packed shift, at X + 1 or X - 1, against
+    [t^k] f(t + h) = sum_i C(i, k) h^(i-k) c_i summed as Fractions."""
+    want = [sum((F(c) * math.comb(i, k) * h ** (i - k) for i, c in enumerate(cs[k:], k)), F(0))
+            for k in range(len(cs))]
+    assert _unit_shift(cs, h) == want
 
 
 @given(big, polynomials(max_degree=24).filter(bool))
