@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, RangeError
 from .expansions import _check_order
-from .poly import Polynomial, _combine, _difference, _rational
+from .poly import Polynomial, _combine, _difference, _digits, _rational
 from .record import Record
 
 TYPE_CHECKING = False
@@ -68,7 +68,8 @@ class LatticeFunction:
             return self.polynomial(x)
         if not self.start <= x <= self.end:
             raise RangeError(
-                f"argument {x} outside table range [{self.start}, {self.end}]"
+                f"argument {_digits(x)} outside table range "
+                f"[{_digits(self.start)}, {_digits(self.end)}]"
             )
         return self.table[x - self.start]
 
@@ -101,14 +102,14 @@ def _table_difference(f: LatticeFunction, start: int) -> LatticeFunction:
 def definite_sum(f: LatticeFunction, x: int) -> Fraction:
     """Sum of f(k) for 0 <= k < x; the empty sum is 0."""
     if x < 0:
-        raise RangeError(f"definite sum upper index must be >= 0, got {x}")
+        raise RangeError(f"definite sum upper index must be >= 0, got {_digits(x)}")
     return iterated_sum(f, 1, x)
 
 
 def falling_factorial_poly(k: int) -> Polynomial:
     """x(x-1)...(x-k+1) as an exact polynomial; k = 0 gives 1."""
     if k < 0:
-        raise DomainError(f"falling factorial length must be >= 0, got {k}")
+        raise DomainError(f"falling factorial length must be >= 0, got {_digits(k)}")
     return _falling_factorials(k)[k]
 
 
@@ -123,7 +124,7 @@ def _falling_factorials(k: int) -> list[Polynomial]:
 def falling_factorial_value(x: Scalar, k: int) -> Fraction:
     """x(x-1)...(x-k+1) evaluated directly, for rational x."""
     if k < 0:
-        raise DomainError(f"falling factorial length must be >= 0, got {k}")
+        raise DomainError(f"falling factorial length must be >= 0, got {_digits(k)}")
     acc = Fraction(1)
     x = _rational(x)
     for j in range(k):
@@ -136,7 +137,7 @@ def iterated_sum(f: LatticeFunction, k: int, x: int) -> Fraction:
     sum over r < x of (x-r-1)^(falling k-1)/(k-1)! f(r), whose weight is
     the binomial C(x-r-1, k-1); `_iterated_sums` at the one point x."""
     if k < 1:
-        raise RangeError(f"iterated sum depth must be >= 1, got {k}")
+        raise RangeError(f"iterated sum depth must be >= 1, got {_digits(k)}")
     (total,), den = _iterated_sums(f, k, (x,))
     return Fraction(total, den)
 
@@ -249,7 +250,7 @@ def bernoulli_maclaurin(
     if not f.is_polynomial:
         raise RangeError("bernoulli_maclaurin requires a polynomial-backed function")
     if alpha < 1:
-        raise RangeError(f"expansion point must be a positive integer, got {alpha}")
+        raise RangeError(f"expansion point must be a positive integer, got {_digits(alpha)}")
     if alpha > MAX_ALPHA:
         raise DomainError(f"expansion point must be at most {MAX_ALPHA}")
     _check_order(n)

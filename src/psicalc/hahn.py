@@ -241,7 +241,7 @@ def jackson_integral_numeric(
         raise DomainError(f"tail tolerance must be finite and > 0, got {tail_tol}")
     q = Fraction(_rational(q))
     if not 0 < q < 1:
-        raise DomainError(f"numeric Jackson integral needs 0 < q < 1, got {q}")
+        raise DomainError(f"numeric Jackson integral needs 0 < q < 1, got {_digits(q)}")
     qf = float(q)
     if not 0.0 < qf < 1.0:
         raise DomainError(f"q is too close to {qf:g} for a float quadrature")

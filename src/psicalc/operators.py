@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .errors import DomainError, InternalError
 from .poly import (
-    Polynomial, _aligned, _canonical, _combine, _difference, _digits, _perms, _rational,
+    Polynomial, _aligned, _canonical, _combine, _difference, _digits, _perms, _rational, _term,
     _x_shift_back,
 )
 from .record import Record
@@ -73,8 +73,16 @@ def _psi_power(
     and the x_hat power that times (m+k)!/m!.  The rows are grown to the
     top index the k single steps would reach, so a bad factor raises the
     same error.  A one-term f = c x^d maps over the divisor of its own
-    run r_m, m = top - k: no lcm and no gcd against one.  Any other f is
-    weighed over the lcm of the whole run (for k = 1 the cached one).
+    run r_m, m = top - k, to one `poly._term`: no lcm, and one gcd of two
+    ints.  Any other f is weighed over the lcm of the whole run (for
+    k = 1 the cached one), except that a raising power of an f that is
+    mostly zeros weighs only the runs of its terms: their divisors, the
+    numerators of the n_psi, share few factors (for Gauss q they are
+    those of the q-integers), so the lcm of a few of them is far smaller
+    than that of all, and each weight of a zero coefficient is
+    multiplied by 0 whether or not it is exact.  The derivative power's
+    divisors are the denominators, whose lcm for every built-in family is
+    that of the top index, one of f's terms, so it keeps the whole run.
     """
     if k < 0:
         raise ValueError("operator power must be nonnegative")
@@ -88,7 +96,8 @@ def _psi_power(
         return Polynomial()
     rows = ctx.rows(top)
     cs = f._num
-    if cs.count(0) == d:  # one term c x^d: r_m = x / y
+    zeros = cs.count(0)
+    if zeros == d:  # one term c x^d: r_m = x / y
         m = count - 1
         if k == 1:
             x, y = rows.num[m], rows.den[m]
@@ -96,17 +105,21 @@ def _psi_power(
             a, b = rows.num_prod, rows.den_prod
             x, y = a[m + k] // a[m], b[m + k] // b[m]
         if not raising:
-            return _canonical([0] * m + [cs[d] * x], f._den * y)
+            return _term(m, cs[d] * x, f._den * y)
         if falling:
             y *= math.perm(top, k)
-        return _canonical([0] * top + [cs[d] * y], f._den * x)
+        return _term(top, cs[d] * y, f._den * x)
     if k == 1:
         num, den = rows.num, rows.den
-        lcm = (rows.num_lcm if raising else rows.den_lcm)[top - 1]
     else:
         a, b = rows.num_prod, rows.den_prod
         num = [a[m + k] // a[m] for m in range(count)]
         den = [b[m + k] // b[m] for m in range(count)]
+    if raising and 2 * zeros > len(cs):  # mostly zeros: weigh only the terms
+        lcm = math.lcm(*compress(num, cs))
+    elif k == 1:
+        lcm = (rows.num_lcm if raising else rows.den_lcm)[top - 1]
+    else:
         lcm = math.lcm(*(num if raising else den))
     if not raising:
         ws = num if lcm == 1 else [x * (lcm // y) for x, y in zip(num[:count], den)]
@@ -432,8 +445,7 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
             if t is not None:  # s x^m / sd and t x^m / td
                 sd, td = partial._den, image._den
                 g = math.gcd(sd, td)
-                v = n * s * (td // g) + sign * t * (sd // g)
-                partial = _canonical([0] * m + [v], sd // g * td)
+                partial = _term(m, n * s * (td // g) + sign * t * (sd // g), sd // g * td)
             else:
                 s, t, den = _aligned(partial, image)
                 s = [n * c for c in s]

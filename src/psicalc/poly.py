@@ -5,13 +5,17 @@ a tuple of `int` numerators (index i for x^i) over one positive `int`
 denominator, with gcd(den, *num) = 1 and no trailing zero; the zero
 polynomial has no numerators, denominator 1 and degree -1.  All arithmetic
 runs on the integers and pays one gcd per result, not one per coefficient:
-each of +, -, *, a scalar multiple, `monomial`, divmod (one per quotient
-and remainder), compose_affine, the diagonal maps (derivatives,
+each of +, -, *, a scalar multiple, divmod (one per quotient and
+remainder), compose_affine, the diagonal maps (derivatives,
 antiderivatives, operator weights), the integer combinations of
 `_combine`, and the two unit-shift kernels of the difference calculus,
 `_difference` (f(x+1) - f(x) or f(x) - f(x-1)) and `_x_shift_back`
 (x f(x-1)), makes its result with one `_canonical`, its one reduction
 to lowest terms; a scalar operand of + or - is first made a constant.
+A one-term result c x^j / den -- `monomial`, `constant`, the product of
+two one-term operands, the derivative of one term, and the one-term
+operator images and sweep steps of `operators` -- is made by `_term`
+instead, from one gcd of two ints and no pass over its zeros.
 `.coeffs` is a read-only `Fraction` tuple built on first use.  Floats are
 refused: nothing in this module touches floating point.
 """
@@ -62,14 +66,14 @@ class Polynomial:
     @classmethod
     def constant(cls, c: Scalar) -> "Polynomial":
         c = _rational(c)
-        return _canonical([c.numerator], c.denominator)
+        return _term(0, c.numerator, c.denominator)
 
     @classmethod
     def monomial(cls, n: int, c: Scalar = 1) -> "Polynomial":
         if n < 0:
             raise ValueError("monomial degree must be nonnegative")
         c = _rational(c)
-        return _canonical([0] * n + [c.numerator], c.denominator)
+        return _term(n, c.numerator, c.denominator)
 
     @classmethod
     def x(cls) -> "Polynomial":
@@ -136,12 +140,14 @@ class Polynomial:
             return NotImplemented
         if not self or not other:
             return Polynomial()
-        b = other._num
-        out = [0] * (len(self._num) + len(b) - 1)
-        for i, a in enumerate(self._num):
-            if a:
+        a, b = self._num, other._num
+        if a.count(0) == len(a) - 1 and b.count(0) == len(b) - 1:  # one term each
+            return _term(len(a) + len(b) - 2, a[-1] * b[-1], self._den * other._den)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, v in enumerate(a):
+            if v:
                 for j, c in enumerate(b, i):
-                    out[j] += a * c
+                    out[j] += v * c
         return _canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -208,10 +214,15 @@ class Polynomial:
         return out
 
     def derivative(self, k: int = 1) -> "Polynomial":
-        """The k-th derivative in one pass: x^n -> n!/(n-k)! x^(n-k)."""
+        """The k-th derivative in one pass: x^n -> n!/(n-k)! x^(n-k); one
+        term c x^n, n >= k, is one `_term`."""
         if k < 0:
             raise ValueError("derivative order must be nonnegative")
-        return self._diagonal(_perms(len(self._num), k), 1, -k)
+        num = self._num
+        n = len(num) - 1
+        if n >= k and num.count(0) == n:
+            return _term(n - k, num[n] * math.perm(n, k), self._den)
+        return self._diagonal(_perms(n + 1, k), 1, -k)
 
     def antiderivative(self) -> "Polynomial":
         """Classical antiderivative with zero constant term."""
@@ -227,7 +238,9 @@ class Polynomial:
         nonzero int den and must cover every kept coefficient; extra ones
         are ignored.  Every derivative, antiderivative, x_hat and umbral
         scaling of the calculus, and every power of one, is one of these:
-        one integer product per coefficient and one gcd in all.
+        one integer product per coefficient and one gcd in all; only a
+        one-term input skips it, for one `_term` (in `derivative` and
+        `operators._psi_power`, which know its one weight).
         """
         num = self._num[-step:] if step < 0 else self._num
         out = list(map(operator.mul, num, weights))
@@ -283,6 +296,22 @@ def _canonical(num: list[int], den: int) -> Polynomial:
     """sum(num[i] x^i) / den, built without converting each coefficient."""
     p = Polynomial.__new__(Polynomial)
     p._set(num, den)
+    return p
+
+
+def _term(j: int, c: int, den: int) -> Polynomial:
+    """c x^j / den in canonical form, for ints c and den != 0, from one
+    gcd of two ints: the sign of a negative den moves to c, and c = 0 gives
+    the zero polynomial."""
+    p = Polynomial.__new__(Polynomial)
+    if c:
+        g = math.gcd(c, den)
+        if den < 0:
+            g = -g
+        p._num, p._den = (0,) * j + (c // g,), den // g
+    else:
+        p._num, p._den = (), 1
+    p._coeffs = None
     return p
 
 

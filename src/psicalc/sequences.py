@@ -67,7 +67,7 @@ class AdmissibleSequence(Record):
     def raw_factor(self, n: int) -> Fraction:
         """n_psi without the nonzero check (admissibility_check needs raw values)."""
         if n < 1:
-            raise DomainError(f"sequence index must be a positive integer, got {n}")
+            raise DomainError(f"sequence index must be a positive integer, got {_digits(n)}")
         if self.kind == "classical":
             return Fraction(n)
         if self.kind == "gauss_q":
@@ -83,9 +83,8 @@ class AdmissibleSequence(Record):
             return Fraction(a)
         if self.kind == "custom":
             if n > len(self.factors):
-                raise DomainError(
-                    f"custom sequence has {len(self.factors)} factors, index {n} requested"
-                )
+                raise DomainError(f"custom sequence has {len(self.factors)} factors, "
+                                  f"index {_digits(n)} requested")
             return self.factors[n - 1]
         raise ValueError(f"unknown sequence kind {self.kind!r}")
 
@@ -134,10 +133,10 @@ class PsiContext:
     def factor(self, n: int) -> Fraction:
         """n_psi; raises AdmissibilityError when the sequence value is zero."""
         if n < 1:
-            raise DomainError(f"n_psi requires n >= 1, got {n}")
+            raise DomainError(f"n_psi requires n >= 1, got {_digits(n)}")
         v = self.sequence.raw_factor(n)
         if v == 0:
-            raise AdmissibilityError(f"{self.label}: {n}_psi = 0")
+            raise AdmissibilityError(f"{self.label}: {_digits(n)}_psi = 0")
         return v
 
     def rows(self, n: int) -> PsiRows:
@@ -170,7 +169,7 @@ class PsiContext:
     def factorial(self, n: int) -> Fraction:
         """n_psi! = n_psi * (n-1)_psi!, with 0_psi! = 1."""
         if n < 0:
-            raise DomainError(f"n_psi! requires n >= 0, got {n}")
+            raise DomainError(f"n_psi! requires n >= 0, got {_digits(n)}")
         rows = self.rows(n)
         return Fraction(rows.num_prod[n], rows.den_prod[n])
 
@@ -178,10 +177,10 @@ class PsiContext:
         """x_psi (x-1)_psi ... (x-k+1)_psi; the empty product (k = 0) is 1.
         A product of `factor` calls, so it needs no factor below x-k+1."""
         if k < 0:
-            raise DomainError(f"falling factorial length must be >= 0, got {k}")
+            raise DomainError(f"falling factorial length must be >= 0, got {_digits(k)}")
         if k > 0 and x - k + 1 < 1:
             raise DomainError(
-                f"falling factorial {x}^({k}) would hit a non-positive index"
+                f"falling factorial {_digits(x)}^({_digits(k)}) would hit a non-positive index"
             )
         acc = Fraction(1)
         for j in range(k):
@@ -203,7 +202,7 @@ class AdmissibilityReport(Record):
 def admissibility_check(ctx: PsiContext, N: int) -> AdmissibilityReport:
     """Report whether n_psi != 0 for all 1 <= n <= N; never raises."""
     if N < 1:
-        raise DomainError(f"admissibility bound must be >= 1, got {N}")
+        raise DomainError(f"admissibility bound must be >= 1, got {_digits(N)}")
     for n in range(1, N + 1):
         try:
             value = ctx.sequence.raw_factor(n)

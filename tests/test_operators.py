@@ -858,10 +858,11 @@ class TestDeltaKernelOracle:
     def test_one_canonical_per_result(self, monkeypatch):
         from psicalc import poly
 
-        made = []
-        canonical = poly._canonical
-        monkeypatch.setattr(poly, "_canonical",
-                            lambda num, den: made.append(den) or canonical(num, den))
+        made = []  # a one-term result is made by `_term`, any other by `_canonical`
+        for name in ("_canonical", "_term"):
+            make = getattr(poly, name)
+            monkeypatch.setattr(poly, name,
+                                lambda *args, make=make: made.append(args) or make(*args))
         f, pair = Polynomial([F(1, 2), F(-3, 4), 5, F(7, 6)]), delta_pair()
         for apply in (pair.lower, pair.raiser, lambda f: f - X, lambda f: X - f,
                       lambda f: Polynomial.monomial(64, F(-2, 3))):

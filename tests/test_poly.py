@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
@@ -229,6 +229,70 @@ class TestMonomial:
     def test_float_refused(self):
         with pytest.raises(TypeError):
             Polynomial.monomial(3, 0.5)
+
+
+def assert_canonical(f):
+    """f's numerators and denominator are in the one canonical form."""
+    num, den = f._num, f._den
+    assert all(type(c) is int for c in num) and type(den) is int
+    assert den > 0 and math.gcd(den, *num) == 1
+    assert not num or num[-1]
+
+
+def schoolbook(a, b):
+    """The product of two Fraction coefficient lists, term by term."""
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _fraction_coeffs(out)
+
+
+def fraction_derivative(cs, k):
+    """The k-th derivative of a Fraction coefficient list, one step at a time."""
+    for _ in range(k):
+        cs = [n * c for n, c in enumerate(cs)][1:]
+    return _fraction_coeffs(cs)
+
+
+LONG = 10**4400  # past the int-to-str limit of 4300 digits
+term_ints = st.integers(-10**6, 10**6) | st.integers(1, 10**6).map(lambda e: e * LONG)
+one_terms = st.builds(Polynomial.monomial, st.integers(0, 40),
+                      rationals.filter(bool) | term_ints.filter(bool))
+
+
+class TestTerm:
+    """`poly._term`, the constructor of every one-term result, against
+    Fraction(c, den) at x^j."""
+
+    @given(st.integers(0, 70), term_ints, term_ints.filter(bool),
+           st.integers(1, 10**6) | st.just(LONG))
+    @example(2, 0, -3, 1)
+    @example(2, 3, -2, 2)
+    @example(2, -3, -2, 2)
+    def test_against_a_fraction(self, j, c, den, g):
+        # g a common factor, so the one gcd has something to remove
+        f = poly._term(j, c * g, den * g)
+        assert_canonical(f)
+        assert f.coeffs == _fraction_coeffs([0] * j + [F(c, den)])
+
+
+class TestOneTermResults:
+    """The one-term branches of the derivative and of the product against
+    the Fraction derivative and schoolbook, beside the several-term inputs
+    that bypass them."""
+
+    @given(one_terms | polynomials(max_degree=12), st.integers(0, 4))
+    def test_derivative(self, f, k):
+        got = f.derivative(k)
+        assert_canonical(got)
+        assert got.coeffs == fraction_derivative(list(f.coeffs), k)
+
+    @given(one_terms | polynomials(max_degree=6), one_terms | polynomials(max_degree=6))
+    def test_product(self, f, g):
+        got = f * g
+        assert_canonical(got)
+        assert got.coeffs == schoolbook(f.coeffs, g.coeffs)
 
 
 class TestTruncate:

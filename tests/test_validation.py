@@ -4,6 +4,7 @@ with its own message."""
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from psicalc import (
     falling_factorial_poly,
     falling_factorial_value,
     iterated_sum,
+    jackson_integral_numeric,
     newton_expansion,
     psi_bernoulli_taylor,
     psi_pair,
@@ -28,7 +30,7 @@ from psicalc import (
     verify_hahn_reduction,
     verify_telescoping,
 )
-from psicalc.errors import DomainError, ParseError, RangeError
+from psicalc.errors import AdmissibilityError, DomainError, ParseError, RangeError
 from psicalc.operators import psi_exp, psi_power
 from psicalc.sequences import admissibility_check, parse_psi_spec
 
@@ -105,6 +107,52 @@ def test_refused_with_its_message(call, error, message):
         call()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+# the same checks at a user value of 5000 digits, past a caller's own
+# int-to-str limit: the message writes every digit through `poly._digits`
+BIG = 10**4999 + 7
+D = "1" + "0" * 4998 + "7"  # those of BIG
+LONG_CASES = {
+    # discrete
+    "table-argument": (lambda: TABLE(BIG), RangeError, f"argument {D} outside table range [0, 2]"),
+    "table-range": (lambda: LatticeFunction.from_table([1], start=-BIG)(0), RangeError,
+                    f"argument 0 outside table range [-{D}, -{D}]"),
+    "definite-sum-index": (lambda: definite_sum(LAT, -BIG), RangeError,
+                           f"definite sum upper index must be >= 0, got -{D}"),
+    "iterated-sum-depth": (lambda: iterated_sum(LAT, -BIG, 3), RangeError,
+                           f"iterated sum depth must be >= 1, got -{D}"),
+    "falling-factorial-poly": (lambda: falling_factorial_poly(-BIG), DomainError,
+                               f"falling factorial length must be >= 0, got -{D}"),
+    "falling-factorial-value": (lambda: falling_factorial_value(3, -BIG), DomainError,
+                                f"falling factorial length must be >= 0, got -{D}"),
+    "maclaurin-alpha": (lambda: bernoulli_maclaurin(LAT, -BIG, 1), RangeError,
+                        f"expansion point must be a positive integer, got -{D}"),
+    # hahn
+    "jackson-q": (lambda: jackson_integral_numeric(lambda t: t, F(BIG, 3), 1, 1e-9), DomainError,
+                  f"numeric Jackson integral needs 0 < q < 1, got {D}/3"),
+    # sequences
+    "raw-factor-index": (lambda: AdmissibleSequence.classical().raw_factor(-BIG), DomainError,
+                         f"sequence index must be a positive integer, got -{D}"),
+    "custom-index": (lambda: AdmissibleSequence.custom([1]).raw_factor(BIG), DomainError,
+                     f"custom sequence has 1 factors, index {D} requested"),
+    "factor-index": (lambda: CTX.factor(-BIG), DomainError, f"n_psi requires n >= 1, got -{D}"),
+    "zero-factor": (lambda: parse_psi_spec("q:-1").factor(BIG + 1), AdmissibilityError,
+                    f"q:-1: {D[:-1]}8_psi = 0"),
+    "factorial": (lambda: CTX.factorial(-BIG), DomainError, f"n_psi! requires n >= 0, got -{D}"),
+    "falling-factorial-length": (lambda: CTX.falling_factorial(3, -BIG), DomainError,
+                                 f"falling factorial length must be >= 0, got -{D}"),
+    "falling-factorial-index": (lambda: CTX.falling_factorial(3, BIG), DomainError,
+                                f"falling factorial 3^({D}) would hit a non-positive index"),
+    "admissibility-bound": (lambda: admissibility_check(CTX, -BIG), DomainError,
+                            f"admissibility bound must be >= 1, got -{D}"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", LONG_CASES.values(), ids=LONG_CASES)
+def test_refused_with_every_digit(digit_limit, call, error, message):
+    test_refused_with_its_message(call, error, message)
+    assert sys.get_int_max_str_digits() == digit_limit
 
 
 def test_polynomial_equals_only_numbers_and_polynomials():
