@@ -27,7 +27,7 @@ from .poly import (
     _x_shift_back,
 )
 from .record import Record
-from .sequences import AdmissibleSequence, PsiContext
+from .sequences import PsiContext
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -142,31 +142,49 @@ def star_psi(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Polynomial:
 
     x_hat is x conjugated by the umbral map T: x^n -> (n!/n_psi!) x^n
     (`umbral_tilde`), so f(x_hat) = T f T^-1 and the product is
-    T(f * T^-1 g), one integer pass.  With n_psi! = A_n / B_n from the
-    prefix-product rows, d = deg g and t = deg f + d: T^-1 g has the
-    numerators g_n A_n (B_d / B_n) (d!/n!) over B_d d!, their schoolbook
-    product with f's numerators maps forward by x^j -> j! B_j (A_t / A_j)
-    over A_t, and the result is made canonical once.  The rows are grown
-    to t, the top index deg f single x_hat steps would reach, so a bad
-    factor raises the same error; a constant f or a zero g needs none.
+    T(f * T^-1 g), one integer pass: `_star` at the top degree
+    deg f + deg g.  `verify_exp_addition` compares only the degrees <= N
+    of a degree-2N product, so it calls `_star` at N and forms those
+    over A_N.
+    """
+    return _star(ctx, f, g, f.degree + g.degree)
+
+
+def _star(ctx: PsiContext, f: Polynomial, g: Polynomial, top: int) -> Polynomial:
+    """star_psi(ctx, f, g).truncate(top), forming only the degrees <= top.
+
+    With n_psi! = A_n / B_n from the prefix-product rows, t = deg f + deg g,
+    u = min(top, t) the degrees formed and d = min(deg g, u): T^-1 g has
+    the numerators g_n A_n (B_d / B_n) (d!/n!), n <= d, over B_d d!; their
+    schoolbook product with f's numerators, pairs i + n <= u only, maps
+    forward by x^j -> j! B_j (A_u / A_j) over A_u, and the result is made
+    canonical once.  The rows are grown to t, the top index deg f single
+    x_hat steps would reach, whatever top is, so a bad factor raises the
+    same error as the whole product; a constant f or a zero g needs none.
     """
     if len(f._num) < 2 or not g:
-        return _combine([(c, g) for c in f._num], f._den)
+        out = _combine([(c, g) for c in f._num], f._den)
+        return out if out.degree <= top else out.truncate(top)
     d = g.degree
     t = f.degree + d
     rows = ctx.rows(t)
+    u = min(top, t)
+    if u < 0:
+        return Polynomial()
+    d = min(d, u)
     a, b = rows.num_prod, rows.den_prod
-    fact = list(accumulate(range(1, t + 1), operator.mul, initial=1))
+    fact = list(accumulate(range(1, u + 1), operator.mul, initial=1))
     bd, fd = b[d], fact[d]
-    h = [c * a[n] * (bd // b[n]) * (fd // fact[n]) for n, c in enumerate(g._num)]
-    out = [0] * (t + 1)
-    for i, c in enumerate(f._num):
+    # a tuple, so that a row's slice of all of it is h itself, not a copy
+    h = tuple([c * a[n] * (bd // b[n]) * (fd // fact[n]) for n, c in enumerate(g._num[: d + 1])])
+    out = [0] * (u + 1)
+    for i, c in enumerate(f._num[: u + 1]):
         if c:
-            for j, v in enumerate(h, i):
+            for j, v in enumerate(h[: u + 1 - i], i):
                 out[j] += c * v
-    at = a[t]
-    out = [v * fact[j] * b[j] * (at // a[j]) for j, v in enumerate(out)]
-    return _canonical(out, f._den * g._den * bd * fd * at)
+    au = a[u]
+    out = [v * fact[j] * b[j] * (au // a[j]) for j, v in enumerate(out)]
+    return _canonical(out, f._den * g._den * bd * fd * au)
 
 
 def psi_power(ctx: PsiContext, n: int) -> Polynomial:
@@ -202,8 +220,15 @@ def psi_exp(ctx: PsiContext, alpha: Scalar, N: int) -> Polynomial:
 
 
 def exp_poly(alpha: Scalar, N: int) -> Polynomial:
-    """Degree-N truncation of the ordinary exponential series."""
-    return psi_exp(PsiContext(AdmissibleSequence.classical()), alpha, N)
+    """Degree-N truncation of the ordinary exponential series, `psi_exp`
+    on the classical sequence without a context: with a = p/s, the x^n
+    coefficient is p^n s^(N-n) (N!/n!) over s^N N!, one integer pass."""
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
+    alpha = Fraction(_rational(alpha))
+    p, s = alpha.numerator, alpha.denominator
+    w = list(accumulate(range(N, 0, -1), lambda v, n: v * n * s, initial=1))  # s^k N!/(N-k)!
+    return _canonical([p**n * w[N - n] for n in range(N + 1)], w[N])
 
 
 def divided_difference_zero(f: Polynomial) -> Polynomial:
@@ -487,9 +512,10 @@ def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Verificatio
 
 def verify_exp_addition(ctx: PsiContext, alpha: Scalar, beta: Scalar, N: int) -> VerificationReport:
     """exp(a x) * (psi-exp of b) agrees with the psi-exp of a+b up to degree N;
-    the cases are the degrees 0..N, all settled at once by equal sides."""
+    the cases are the degrees 0..N, all settled at once by equal sides.
+    The star product forms only its degrees <= N, over A_N (`_star`)."""
     alpha, beta = Fraction(_rational(alpha)), Fraction(_rational(beta))
-    lhs = star_psi(ctx, exp_poly(alpha, N), psi_exp(ctx, beta, N)).truncate(N)
+    lhs = _star(ctx, exp_poly(alpha, N), psi_exp(ctx, beta, N), N)
     rhs = psi_exp(ctx, alpha + beta, N)
     cases = ([None] * (N + 1) if lhs == rhs else
              (((alpha, beta, j), lhs.coeff(j), rhs.coeff(j)) for j in range(N + 1)))

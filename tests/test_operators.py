@@ -187,6 +187,20 @@ class TestPsiExp:
     def test_classical(self):
         assert psi_exp(CLASSICAL, 1, 3) == exp_poly(1, 3)
 
+    @given(alpha=rationals, N=st.integers(0, 40))
+    @example(alpha=F(0), N=0)
+    @example(alpha=F(-7, 3), N=40)
+    def test_exp_poly_is_the_classical_psi_exp(self, alpha, N):
+        # exp_poly builds no context; the series term by term is the oracle
+        want = Polynomial([alpha**n / math.factorial(n) for n in range(N + 1)])
+        assert exp_poly(alpha, N) == want == psi_exp(CLASSICAL, alpha, N)
+
+    def test_exp_poly_refuses_floats_and_negative_orders(self):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            exp_poly(0.5, 3)
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            exp_poly(1, -1)
+
     def test_gauss_q(self):
         assert psi_exp(Q2, 1, 3) == Polynomial([1, 1, F(1, 3), F(1, 21)])
 
@@ -908,19 +922,49 @@ class TestStarProductOracle:
         assert got.coeffs == tuple(want)
         assert got == star_loop(ctx, f, g)
 
+    @pytest.mark.parametrize("spec", STAR_SPECS, ids=[*STAR_SPECS[:-1], "custom"])
+    @given(f=polynomials(max_degree=8), g=polynomials(max_degree=8))
+    @example(f=X**8 - F(1, 3), g=Polynomial([F(-2, 5), 0, 0, 0, 0, 0, 0, 0, 7]))
+    @example(f=Polynomial.constant(F(-4, 7)), g=X**5 + 1)
+    def test_truncated_at_every_top(self, spec, f, g):
+        # `_star` at top forms only the degrees <= top of the whole product
+        ctx = parse_psi_spec(spec)
+        whole, steps = star_psi(ctx, f, g), star_loop(ctx, f, g)
+        for top in range(-1, max(f.degree + g.degree, -1) + 2):
+            got = operators._star(ctx, f, g, top)
+            assert got == whole.truncate(top) == steps.truncate(top), top
+
     @pytest.mark.parametrize("spec", ["q:-1", "custom:3/2,-1/2", "custom:2,0,1"])
     def test_errors_and_rows_match_the_steps(self, spec):
         # a zero factor at index 2 (q:-1, custom:2,0,1) or a missing one at 3:
         # the one pass raises what the first bad x_hat step raises and keeps
-        # the same rows
+        # the same rows, at its own top degree and at every truncated one
         polys = (Polynomial(), Polynomial.constant(F(5, 2)), X, X**2 + 1, X**3 - X, X**4)
         for f in polys:
             for g in polys:
+                t = f.degree + g.degree
+                for top in [None, *range(-1, t + 1)]:
+                    ctxs = parse_psi_spec(spec), parse_psi_spec(spec)
+                    if top is None:
+                        one = _outcome(lambda: star_psi(ctxs[0], f, g))
+                    else:
+                        one = _outcome(lambda: operators._star(ctxs[0], f, g, top))
+                    cut = t if top is None else top
+                    steps = _outcome(lambda: star_loop(ctxs[1], f, g).truncate(cut))
+                    assert one == steps, (str(f), str(g), top)
+                    rows = len(ctxs[0].rows(0).num), len(ctxs[1].rows(0).num)
+                    assert rows[0] == rows[1], (str(f), str(g), top)
+
+    @pytest.mark.parametrize("spec", STAR_SPECS, ids=[*STAR_SPECS[:-1], "custom"])
+    def test_exp_addition_reports_match_the_whole_product(self, spec):
+        # the report, or the error, is that of the degree-2N product cut at
+        # N; the custom sequence's 21 factors run out at N = 11
+        for N in range(25):
+            for alpha, beta in ((F(1, 2), F(1, 3)), (F(-2, 3), 1), (0, F(5, 4)), (F(7, 5), 0)):
                 ctxs = parse_psi_spec(spec), parse_psi_spec(spec)
-                one = _outcome(lambda: star_psi(ctxs[0], f, g))
-                steps = _outcome(lambda: star_loop(ctxs[1], f, g))
-                assert one == steps, (str(f), str(g))
-                assert len(ctxs[0].rows(0).num) == len(ctxs[1].rows(0).num), (str(f), str(g))
+                got = _outcome(lambda: str(verify_exp_addition(ctxs[0], alpha, beta, N)))
+                want = _outcome(lambda: str(_exp_addition_whole(ctxs[1], alpha, beta, N)))
+                assert got == want, (N, alpha, beta)
 
     def test_constant_f_or_zero_g_grows_no_rows(self):
         ctx = parse_psi_spec("q:3/2")
@@ -930,6 +974,16 @@ class TestStarProductOracle:
         assert star_psi(ctx, Polynomial(), g) == Polynomial()
         assert star_psi(ctx, X**30 + 1, Polynomial()) == Polynomial()
         assert len(ctx.rows(0).num) == 3
+
+
+def _exp_addition_whole(ctx, alpha, beta, N):
+    """The exp-addition report built from the whole degree-2N star product."""
+    alpha, beta = F(alpha), F(beta)
+    lhs = star_psi(ctx, exp_poly(alpha, N), psi_exp(ctx, beta, N)).truncate(N)
+    rhs = psi_exp(ctx, alpha + beta, N)
+    return _sweep("exp-addition", f"psi={ctx.label}, alpha={alpha}, beta={beta}, N={N}",
+                  "alpha={}, beta={}, degree={}",
+                  [((alpha, beta, j), lhs.coeff(j), rhs.coeff(j)) for j in range(N + 1)])
 
 
 class TestReportsPastTheDigitLimit:
@@ -1003,7 +1057,7 @@ BROKEN_VERIFIERS = {
                     lambda: verify_telescoping(FIB, 2, X**3), 1, "n=2, f=x^3"),
     "leibniz": ((operators, "psi_derivative", _classical_derivative),
                 lambda: verify_leibniz(FIB, X**2, X**3), 1, "f=x^2, g=x^3"),
-    "exp-addition": ((operators, "star_psi", lambda ctx, f, g: f * g),
+    "exp-addition": ((operators, "_star", lambda ctx, f, g, top: (f * g).truncate(top)),
                      lambda: verify_exp_addition(FIB, F(1, 2), F(1, 3), 6), 3,
                      "alpha=1/2, beta=1/3, degree=2"),
     "per-partes": ((operators, "psi_derivative", _classical_derivative),
