@@ -23,8 +23,8 @@ from itertools import accumulate, compress
 
 from .errors import DomainError, InternalError
 from .poly import (
-    Polynomial, _aligned, _canonical, _combine, _difference, _digits, _perms, _rational, _term,
-    _x_shift_back,
+    Polynomial, _aligned, _canonical, _combine, _difference, _digits, _pack, _perms, _rational,
+    _term, _x_shift_back,
 )
 from .record import Record
 from .sequences import PsiContext
@@ -432,13 +432,21 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     over the numerators of S_(n-1) and T(m, n), or, when both are 0 or one
     term at x^m, one integer step over their denominators.  When p x^m is
     one term c_j x^j, as for the derivative and psi pairs, rhs(m, n) is one
-    scaled copy of T(j, n); only a lower image of several terms (the Delta
-    pair) goes through `_combine`.  For the psi pairs and (D, x), T(j, n)
+    scaled copy of T(j, n).  For the psi pairs and (D, x), T(j, n)
     and p S_n are one term at x^j as well: the case is settled on one
     cross-multiplied comparison of their coefficients, with no right side
-    built, and the next column is raised from p S_n, which equals it.  A
-    dense T(j, n) (the other derivative pairs), a several-term image and
-    a failing case build both sides.  The cases run order by order, so
+    built, and the next column is raised from p S_n, which equals it.
+    When p x^m has several terms (the Delta pair), the column T(., n) is
+    brought to the lcm L of its denominators and packed at X = 2^w once
+    per order (`_packed_column`), on its first such case; then
+    r = sum_j c_j T(j, n) L at X is one sum of products, and the case
+    passes iff pack(p S_n) den L == r times the denominator of p S_n,
+    while every coefficient of both sides is a balanced base-2^w digit.
+    Its right side is built by `_combine` only past that width or on
+    packed values that differ; those values differing where the built
+    sides agree raise InternalError.  A dense T(j, n) (the other
+    derivative pairs) and a failing case build both sides.  A zero or
+    one-term p x^m packs nothing.  The cases run order by order, so
     only the column T(., n) is kept; it is complete before any rhs(m, n)
     needs it, which covers c_m != 0 as well.  The cases report in (m, n)
     order, so after a failure at (m, n) only x^0 .. x^(m-1) are checked
@@ -447,7 +455,7 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     """
     _sweep_bounds(max_m, max_n)
     images = [Polynomial.monomial(m) for m in range(max_m + 1)]  # T(m, n) up to its sign
-    parts = []  # p x^m as ([(numerator of c_j, j)], denominator)
+    parts = []  # p x^m as ([numerators c_j != 0], [their j], denominator)
     for m, xm in enumerate(images):
         image = pair.lower(xm)
         if image.degree > m:
@@ -455,14 +463,18 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
                 f"pair {pair.name}: the lower operator maps x^{m} to degree "
                 f"{image.degree}; it must not raise the degree"
             )
-        parts.append(([(c, j) for j, c in enumerate(image._num) if c], image._den))
+        num = image._num
+        parts.append(([c for c in num if c], list(compress(range(len(num)), num)), image._den))
+    several = [(cs, den) for cs, _, den in parts if len(cs) > 1]  # the packed cases' parts
+    sbits = max((sum(map(abs, cs)).bit_length() for cs, _ in several), default=0)
+    dbits = max((den.bit_length() for _, den in several), default=0)
     partials = [Polynomial()] * (max_m + 1)  # S_(n-1) for each x^m
     cases = [None] * ((max_m + 1) * (max_n + 1))  # in (m, n) order
     top = max_m
     for n in range(max_n + 1):
         sign = -1 if n else 1  # T(., n) = sign * images
         add = operator.sub if n else operator.add
-        rhss = []
+        rhss, column = [], None  # column: T(., n) packed, on its first several-term case
         for m in range(top + 1):
             partial, image = partials[m], images[m]  # S_n = n S_(n-1) + sign T
             s = _one_term(partial, m)
@@ -479,10 +491,10 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
                 partial = _canonical(s, den)
             partials[m] = partial
             lhs = pair.lower(partial)
-            nums, den = parts[m]
-            if len(nums) == 1:  # rhs = sign c T(j, n) / den, one scaled image
-                c, j = nums[0]
-                c *= sign
+            cs, js, den = parts[m]
+            differ = False  # packed sides that differ within the width
+            if len(cs) == 1:  # rhs = sign c T(j, n) / den, one scaled image
+                c, j = sign * cs[0], js[0]
                 image = images[j]
                 r = _one_term(image, j)
                 if r is not None:  # both sides one term at x^j: settled on lhs
@@ -492,14 +504,45 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
                         continue
                 rhs = _canonical([c * v for v in image._num], image._den * den)
             else:
-                rhs = _combine([(sign * c, images[j]) for c, j in nums], den)
+                if len(cs) > 1:  # lhs == rhs iff pack(lhs) den L == sign r lhs_den
+                    if column is None:
+                        column = _packed_column(images, sbits + dbits)
+                    w, lcm, colbits, packed = column
+                    scale = den * lcm
+                    if max(max(map(int.bit_length, lhs._num), default=0) + scale.bit_length(),
+                           sbits + colbits + lhs._den.bit_length()) + 2 < w:
+                        r = sum(map(operator.mul, cs, map(packed.__getitem__, js)))
+                        if _pack(lhs._num, w) * scale == sign * r * lhs._den:
+                            rhss.append(lhs)
+                            continue
+                        differ = True
+                rhs = _combine([(sign * c, images[j]) for c, j in zip(cs, js)], den)
             if lhs != rhs:
                 cases[m * (max_n + 1) + n], top = ((m, n), lhs, rhs), m - 1
                 break
+            if differ:
+                raise InternalError(f"bernoulli at m={m}, n={n}: packed sides differ where the "
+                                    "exact sides agree; a width bound is wrong")
             rhss.append(rhs)
         if n < max_n:
             images = [pair.raiser(rhs) for rhs in rhss]
     return _sweep("bernoulli", f"pair={pair.name}, m<={max_m}, n<={max_n}", "m={}, n={}", cases)
+
+
+def _packed_column(images: list[Polynomial], bits: int) -> tuple:
+    """The images of one order of `bernoulli_identity_sweep` over the lcm L
+    of their denominators, each packed at X = 2^w: (w, L, the largest
+    coefficient bit length of the column, the packed values).  bits is
+    that of the largest sum |c_j| plus that of the largest denominator of
+    the parts p x^m = sum c_j x^j / den; w adds the column's bits, L's
+    and three more, one of them the sign, so that every coefficient of
+    both cross-multiplied sides of a passing case is a balanced base-2^w
+    digit."""
+    lcm = math.lcm(*[f._den for f in images])
+    rows = [f._num if f._den == lcm else [c * (lcm // f._den) for c in f._num] for f in images]
+    colbits = max((max(map(int.bit_length, row)) for row in rows if row), default=0)
+    w = colbits + bits + lcm.bit_length() + 3
+    return w, lcm, colbits, [_pack(row, w) for row in rows]
 
 
 def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> VerificationReport:

@@ -367,6 +367,16 @@ def _unit_shift(cs: Sequence[int], h: int) -> list[int]:
     return _unpack(g, b, d + 1)
 
 
+def _pack(cs: Sequence[int], b: int) -> int:
+    """The value sum c_i 2^(b i) of the integer coefficients cs, lowest
+    first, by Horner; `_unpack` reads them back while each lies in
+    [-2^(b-1), 2^(b-1))."""
+    g = 0
+    for c in reversed(cs):
+        g = (g << b) + c
+    return g
+
+
 def _unpack(g: int, b: int, count: int) -> list[int]:
     """The coefficients c_0 ... c_(count-1) of the packed value
     g = sum c_i 2^(b i), read back as balanced base-2^b digits, lowest

@@ -53,7 +53,7 @@ from psicalc import (
     verify_hahn_reduction,
     verify_jackson_inverse,
 )
-from psicalc import expansions, hahn, operators
+from psicalc import expansions, hahn, operators, poly
 from psicalc.operators import _sweep
 
 X = Polynomial.x()
@@ -412,6 +412,199 @@ class TestOneTermSettle:
         assert ce.inputs == f"m={m}, n={n}"
         assert ce.lhs == str(scale * parse_poly(direct.counterexample.lhs))
         assert ce.rhs == str(scale * parse_poly(direct.counterexample.rhs))
+
+
+def _delta_pair(name, k=1, raiser_break=None, lower_break=None):
+    """(Delta/k, k x E^-1) on `poly`'s kernels, with an optional term
+    added to the raiser's or the lower operator's image."""
+    return GhwPair(
+        name,
+        lambda f: poly._difference(f, 1) / k + (lower_break(f) if lower_break else 0),
+        lambda f: k * poly._x_shift_back(f) + (raiser_break(f) if raiser_break else 0))
+
+
+# (f(x + 1/2) - f(x), 2x f(x - 1/2)): Delta conjugated by x -> 2x, whose
+# images T(j, n) have denominators, so the packed column's lcm L is not 1
+HALF_STEP_PAIR = GhwPair("Delta_1/2, 2x*E^-1/2", lambda f: f.compose_affine(1, F(1, 2)) - f,
+                         lambda f: 2 * X * f.compose_affine(1, F(-1, 2)))
+
+# Reports of the sweep at (10, 6) with every several-term right side built
+# by `_combine`; the packed route prints them unchanged
+PINNED_DELTA_REPORTS = [
+    (_delta_pair("Delta, bad x*E^-1", raiser_break=lambda f: X**6 if f.degree == 5 else 0),
+     "bernoulli [pair=Delta, bad x*E^-1, m<=10, n<=6] cases=44 FAIL\n"
+     "  at m=6, n=1: lhs=-36*x^5 - 15*x^4 - 50*x^3 - 15*x^2 - 8*x - 1 "
+     "rhs=-30*x^5 - 30*x^3 - 2*x"),
+    (_delta_pair("bad Delta, x*E^-1", lower_break=lambda f: sum(f.coeffs[5:])),
+     "bernoulli [pair=bad Delta, x*E^-1, m<=10, n<=6] cases=37 FAIL\n"
+     "  at m=5, n=1: lhs=-20*x^4 - 10*x^2 - 5 rhs=-20*x^4 - 10*x^2"),
+    # the parts p x^m have denominator 2
+    (_delta_pair("Delta/2, 2x*E^-1", k=2),
+     "bernoulli [pair=Delta/2, 2x*E^-1, m<=10, n<=6] cases=77 PASS"),
+    (_delta_pair("Delta/3, bad 3x*E^-1", k=3,
+                 raiser_break=lambda f: X**7 / 5 if f.degree == 6 else 0),
+     "bernoulli [pair=Delta/3, bad 3x*E^-1, m<=10, n<=6] cases=51 FAIL\n"
+     "  at m=7, n=1: lhs=-217/15*x^6 - 7/5*x^5 - 77/3*x^4 - 7/3*x^3 - 91/15*x^2 - 7/15*x"
+     " - 1/15 rhs=-14*x^6 - 70/3*x^4 - 14/3*x^2"),
+]
+
+
+def _recorded_columns(monkeypatch):
+    """The (w, L) of every column the Bernoulli sweep packs, in order."""
+    recorded, column = [], operators._packed_column
+
+    def record(images, bits):
+        packed = column(images, bits)
+        recorded.append(packed[:2])
+        return packed
+
+    monkeypatch.setattr(operators, "_packed_column", record)
+    return recorded
+
+
+def _counted(monkeypatch, name):
+    """A list that grows by one at each call of operators.<name>."""
+    calls, op = [], getattr(operators, name)
+    monkeypatch.setattr(operators, name, lambda *a: calls.append(a) or op(*a))
+    return calls
+
+
+def _built_right_sides(monkeypatch):
+    """A list that grows by one at each `_combine` of a several-term
+    right side; the zero image p x^0 makes an empty one."""
+    built, combine = [], operators._combine
+    monkeypatch.setattr(operators, "_combine",
+                        lambda pairs, den=1: (pairs and built.append(pairs)) or combine(pairs, den))
+    return built
+
+
+def _exact_only(monkeypatch):
+    """Every column packed at width 0, so that no case is within it and
+    every several-term right side is built by `_combine`."""
+    column = operators._packed_column
+    monkeypatch.setattr(operators, "_packed_column",
+                        lambda images, bits: (0, *column(images, bits)[1:]))
+
+
+def _lower_scaled_at(pair, M, last):
+    """pair with the lower image of x^M alone scaled by last, linearly."""
+    lower = pair.lower
+    return GhwPair(f"{pair.name}, lower image of x^{M} scaled",
+                   lambda f: lower(f) + (last - 1) * lower(Polynomial.monomial(M, f.coeff(M))),
+                   pair.raiser)
+
+
+class TestPackedBernoulliSettle:
+    """The Bernoulli sweep's cases whose lower image p x^m has several
+    terms, settled on one comparison of values packed at X = 2^w."""
+
+    @pytest.mark.parametrize("pair, text", PINNED_DELTA_REPORTS,
+                             ids=[p.name for p, _ in PINNED_DELTA_REPORTS])
+    def test_pinned_reports(self, monkeypatch, pair, text):
+        assert str(bernoulli_identity_sweep(pair, 10, 6)) == text
+        _exact_only(monkeypatch)
+        assert str(bernoulli_identity_sweep(pair, 10, 6)) == text
+
+    @pytest.mark.parametrize("pair", [delta_pair(), PINNED_DELTA_REPORTS[2][0], HALF_STEP_PAIR],
+                             ids=lambda p: p.name)
+    def test_the_width_holds_every_digit_of_both_sides(self, monkeypatch, pair):
+        # both sides of a case (m, n) are p S_n times den L and
+        # sum_j c_j T(j, n) L times the denominator of p S_n, built here
+        # from the operators composed directly; each coefficient must be a
+        # balanced base-2^w digit, also when the lower image of x^M alone
+        # is scaled past all the others
+        M, N = 10, 6
+        recorded = _recorded_columns(monkeypatch)
+        for last in (1, 10**40, F(1, 10**40)):
+            scaled = _lower_scaled_at(pair, M, last)
+            recorded.clear()
+            report = bernoulli_identity_sweep(scaled, M, N)
+            assert report.passed == (last == 1)
+            assert len(recorded) == N + 1
+            if last == 1:
+                assert any(L != 1 for _, L in recorded) == (pair is HALF_STEP_PAIR)
+            T = {}
+            for j in range(M + 1):
+                f = X**j
+                for n in range(N + 1):
+                    g = f
+                    for _ in range(n):
+                        g = -scaled.raiser(g)
+                    T[j, n] = g
+                    f = scaled.lower(f)
+            cases = [(m, n) for m in range(M + 1) for n in range(N + 1)]
+            for m, n in cases[: report.cases - (not report.passed)]:  # the passing ones
+                part = scaled.lower(X**m)
+                if sum(1 for c in part.coeffs if c) < 2:
+                    continue
+                w, L = recorded[n]
+                den = part._den
+                lhs = scaled.lower(sum((F(math.factorial(n), math.factorial(k)) * T[m, k]
+                                        for k in range(n + 1)), Polynomial()))
+                rhs = sum((c * T[j, n] for j, c in enumerate(part.coeffs)), Polynomial())
+                rhs *= den * L
+                assert rhs._den == 1
+                for side in ([v * den * L for v in lhs._num], [v * lhs._den for v in rhs._num]):
+                    assert all(-(1 << (w - 1)) <= v < 1 << (w - 1) for v in side), (last, m, n)
+
+    @pytest.mark.parametrize("wrong", [
+        lambda f, w: f * 10**40,
+        lambda f, w: f / 10**40,
+        # 2^w - x added: the same value at X = 2^w, one coefficient past
+        # the width
+        lambda f, w: f + (1 << w) - X,
+        # over D = 2^w + 1, with numerators the balanced base-2^w digits of
+        # D f(2^w): the left side's digits hold, but those of the right
+        # side, f D, do not
+        lambda f, w: poly._canonical(poly._unpack(poly._pack(f._num, w) * ((1 << w) + 1), w,
+                                                  len(f._num) + 2), (1 << w) + 1),
+    ], ids=["numerator", "denominator", "colliding numerator", "colliding denominator"])
+    def test_a_left_side_past_the_width_takes_the_exact_path(self, monkeypatch, wrong):
+        # p S_1 at x^5 made wrong, while p x^5, a part of the width, is not
+        recorded = _recorded_columns(monkeypatch)
+
+        def lower(f):
+            image = poly._difference(f, 1)
+            if f.degree == 5 and any(f.coeffs[:5]) and len(recorded) == 2:
+                return wrong(image, recorded[-1][0])
+            return image
+
+        built = _built_right_sides(monkeypatch)
+        report = bernoulli_identity_sweep(GhwPair("Delta, wrong at x^5", lower, poly._x_shift_back),
+                                          10, 6)
+        S1 = X**5 - poly._x_shift_back(poly._difference(X**5, 1))
+        ce = report.counterexample
+        assert (report.cases, ce.inputs, len(built)) == (37, "m=5, n=1", 1)
+        assert parse_poly(ce.rhs) == poly._difference(S1, 1)
+        assert parse_poly(ce.lhs) == wrong(parse_poly(ce.rhs), recorded[1][0])
+
+    def test_every_several_term_case_is_packed_or_built(self, monkeypatch):
+        # Delta at (10, 6): the cases m >= 2 of every order
+        built = _built_right_sides(monkeypatch)
+        assert bernoulli_identity_sweep(delta_pair(), 10, 6).passed and built == []
+        _exact_only(monkeypatch)
+        assert bernoulli_identity_sweep(delta_pair(), 10, 6).passed
+        assert len(built) == 9 * 7
+
+    def test_packed_sides_that_differ_where_the_exact_sides_agree(self, monkeypatch):
+        # every packed value one too large: at the first several-term case,
+        # p x^2 = 2x + 1 at n = 0, the packed sides differ by 2
+        monkeypatch.setattr(operators, "_pack", lambda cs, w: poly._pack(cs, w) + 1)
+        with pytest.raises(InternalError, match="^bernoulli at m=2, n=0: packed sides differ"):
+            bernoulli_identity_sweep(delta_pair(), 10, 6)
+
+    @pytest.mark.parametrize("pair", [psi_pair(parse_psi_spec(s)) for s in (
+        "classical", "fib", "q:3/2", "q:-2/3", CUSTOM_SPEC)] + [
+        derivative_pair(y) for y in (0, 1, -2)] + [delta_pair()], ids=lambda p: p.name)
+    def test_nothing_is_packed_without_a_several_term_image(self, monkeypatch, pair):
+        # a zero or one-term p x^m (every psi and derivative pair, and
+        # Delta up to x^1) takes its own route; packing a column for it
+        # would only cost time
+        packs = _counted(monkeypatch, "_pack")
+        M = 1 if pair.name.startswith("Delta") else 16
+        assert bernoulli_identity_sweep(pair, M, 8).passed and packs == []
+        if M == 1:
+            assert bernoulli_identity_sweep(pair, 2, 8).passed and packs
 
 
 class TestLeibniz:

@@ -98,6 +98,7 @@ class TestTaylorShift:
         low, high = -(1 << (b - 1)), (1 << (b - 1)) - 1
         for cs in ([low, high, 0, low], [high, low, low], [0, 0, high]):
             packed = sum(c << (b * i) for i, c in enumerate(cs))
+            assert poly._pack(cs, b) == packed
             assert poly._unpack(packed, b, len(cs)) == cs
 
     @given(polynomials(max_degree=20), st.just(1) | rationals,
