@@ -43,6 +43,19 @@ RUNS.update({
     "verify-bernoulli-degree-65": ["verify", "--suite", "bernoulli", "--max-degree", "65"],
     "verify-bernoulli-custom-short": ["verify", "--suite", "bernoulli", "--psi", "custom:1,2,3"],
 })
+# the commutator suite: the same matrix, and the classical run at the cap
+RUNS.update({
+    f"verify-commutator-{name}-{degree}-{fmt}": [
+        "verify", "--suite", "commutator", "--psi", spec,
+        *(["--max-degree", degree[1:]] if degree != "default" else []),
+        *(["--format", "json"] if fmt == "json" else []),
+    ]
+    for name, spec in SPECS.items()
+    for degree in ("default", "d0")
+    for fmt in ("text", "json")
+})
+RUNS["verify-commutator-classical-d64-text"] = [
+    "verify", "--suite", "commutator", "--psi", "classical", "--max-degree", "64"]
 
 
 def render(argv: list[str]) -> str:
