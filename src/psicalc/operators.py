@@ -23,8 +23,8 @@ from itertools import accumulate, compress
 
 from .errors import DomainError, InternalError
 from .poly import (
-    Polynomial, _aligned, _canonical, _combine, _difference, _digits, _pack, _perms, _rational,
-    _term, _x_shift_back,
+    _ZERO, Polynomial, _aligned, _canonical, _combine, _difference, _digits, _pack, _perms,
+    _rational, _term, _times_x_minus, _x_shift_back,
 )
 from .record import Record
 from .sequences import PsiContext
@@ -93,7 +93,7 @@ def _psi_power(
     count = top - k + 1  # the coefficients kept
     if count < 1:
         ctx.rows(max(d, 0))
-        return Polynomial()
+        return _ZERO
     rows = ctx.rows(top)
     cs = f._num
     zeros = cs.count(0)
@@ -170,7 +170,7 @@ def _star(ctx: PsiContext, f: Polynomial, g: Polynomial, top: int) -> Polynomial
     rows = ctx.rows(t)
     u = min(top, t)
     if u < 0:
-        return Polynomial()
+        return _ZERO
     d = min(d, u)
     a, b = rows.num_prod, rows.den_prod
     fact = list(accumulate(range(1, u + 1), operator.mul, initial=1))
@@ -248,13 +248,14 @@ class GhwPair(Record):
 
 
 def derivative_pair(y: Scalar = 0) -> GhwPair:
-    """The classical pair: d/dx with multiplication by (x - y)."""
+    """The classical pair: d/dx with multiplication by (x - y).  The raiser
+    is `poly._times_x_minus`, one pass over the numerators of f, with no gcd
+    when y is an int and one when it is not."""
     y = _rational(y)
-    x_y = Polynomial([-y, 1])  # built once per pair
     return GhwPair(
         name=f"D, x-({_digits(y)})",
         lower=lambda f: f.derivative(),
-        raiser=lambda f: x_y * f,
+        raiser=lambda f: _times_x_minus(f, y),
     )
 
 
@@ -350,10 +351,11 @@ def _one_term(f: Polynomial, j: int) -> int | None:
 def verify_commutator(pair: GhwPair, N: int) -> VerificationReport:
     """Check (lower raiser - raiser lower) x^m = x^m for all 0 <= m <= N.
 
-    When both a = lower(raiser(x^m)) and b = raiser(lower(x^m)) are 0 or
-    one term at x^m, as for the psi pairs and (D, x), the case is settled
-    on one integer comparison, a_m b_den - b_m a_den == a_den b_den; any
-    other case compares a - b with x^m."""
+    A passing case, with a = lower(raiser(x^m)) and b = raiser(lower(x^m)),
+    has a - b = x^m, which changes one coefficient of b by an integer, so a
+    and b have the same denominator.  Every pair's passing cases are
+    settled on their numerators, with no a - b built (`_commutator_cases`);
+    any other case compares a - b with x^m."""
     _sweep_bounds(N)
     return _sweep("commutator", f"pair={pair.name}, N={N}", "m={}",
                   _commutator_cases(pair.lower, pair.raiser, N))
@@ -361,19 +363,22 @@ def verify_commutator(pair: GhwPair, N: int) -> VerificationReport:
 
 def _commutator_cases(lower: PolyOp, raiser: PolyOp, N: int) -> Iterable:
     """The cases of `verify_commutator` in m order: None for one settled
-    on one comparison, (m, a - b, x^m) otherwise.  The operators are
-    called in one order: raiser(x^m), lower, lower(x^m), raiser."""
+    on its numerators, (m, a - b, x^m) otherwise.  A case is settled when
+    a and b have one denominator, a has degree m and b at most m, their
+    numerators agree below x^m (one tuple-slice comparison), and at x^m
+    they differ by exactly the denominator, a b of degree below m counting
+    as 0 there; that is a - b = x^m.  The operators are called in one
+    order: raiser(x^m), lower, lower(x^m), raiser."""
     for m in range(N + 1):
         xm = Polynomial.monomial(m)
         a = lower(raiser(xm))
         b = raiser(lower(xm))
-        am = _one_term(a, m)
-        if am is not None:
-            bm = _one_term(b, m)
-            if bm is not None and am * b._den - bm * a._den == a._den * b._den:
-                yield None
-                continue
-        yield m, a - b, xm
+        an, bn, den = a._num, b._num, a._den
+        if (len(an) == m + 1 and len(bn) <= m + 1 and b._den == den and an[:m] == bn[:m]
+                and an[m] - (bn[m] if len(bn) > m else 0) == den):
+            yield None
+        else:
+            yield m, a - b, xm
 
 
 def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationReport:

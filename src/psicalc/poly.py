@@ -12,6 +12,9 @@ antiderivatives, operator weights), the integer combinations of
 `_difference` (f(x+1) - f(x) or f(x) - f(x-1)) and `_x_shift_back`
 (x f(x-1)), makes its result with one `_canonical`, its one reduction
 to lowest terms; a scalar operand of + or - is first made a constant.
+`_times_x_minus` ((x - y) f, the derivative pairs' raiser) makes one only
+when y is not an int, and needs no gcd when it is.  A zero result on a
+hot path is the one shared `_ZERO`.
 A one-term result c x^j / den -- `monomial`, `constant`, the product of
 two one-term operands, the derivative of one term, and the one-term
 operator images and sweep steps of `operators` -- is made by `_term`
@@ -139,7 +142,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self or not other:
-            return Polynomial()
+            return _ZERO
         a, b = self._num, other._num
         if a.count(0) == len(a) - 1 and b.count(0) == len(b) - 1:  # one term each
             return _term(len(a) + len(b) - 2, a[-1] * b[-1], self._den * other._den)
@@ -315,6 +318,14 @@ def _term(j: int, c: int, den: int) -> Polynomial:
     return p
 
 
+# The one zero that the hot paths return, built without `__init__`.  It is
+# shared, so it must never change: no code outside the constructors assigns
+# `_num`, `_den` or `_coeffs` on an existing polynomial, and the one lazy
+# write, the `.coeffs` cache, finds it filled here.
+_ZERO = Polynomial.__new__(Polynomial)
+_ZERO._num, _ZERO._den, _ZERO._coeffs = (), 1, ()
+
+
 def _aligned(f: Polynomial, g: Polynomial) -> tuple:
     """The numerators of f and of g over the lcm of their denominators,
     and that lcm."""
@@ -401,7 +412,7 @@ def _difference(f: Polynomial, h: int) -> Polynomial:
     lower operator and `discrete`'s two differences."""
     num = f._num
     if len(num) < 2:
-        return Polynomial()
+        return _ZERO
     shifted = _unit_shift(num, h)
     a, b = (shifted, num) if h > 0 else (num, shifted)
     return _canonical(list(map(operator.sub, a, b)), f._den)  # the leading terms cancel
@@ -412,6 +423,26 @@ def _x_shift_back(f: Polynomial) -> Polynomial:
     one place up, and one _canonical."""
     num = f._num
     return _canonical([0, *(_unit_shift(num, -1) if len(num) > 1 else num)], f._den)
+
+
+def _times_x_minus(f: Polynomial, y: Scalar) -> Polynomial:
+    """(x - y) f, the derivative pairs' raiser, in one pass: for y = p/s the
+    numerators s [0, *num] - p [*num, 0] over s den.  For s = 1 the result
+    is canonical as it stands, with no gcd: x - p is primitive, so by
+    Gauss's lemma the content stays that of f, which is prime to den.  For
+    s > 1 it makes one _canonical."""
+    num = f._num
+    if not num:
+        return _ZERO
+    p, s = y.numerator, y.denominator
+    if s == 1:
+        out = (0, *num) if not p else (
+            -p * num[0], *map(operator.sub, num, [p * c for c in num[1:]]), num[-1])
+        g = Polynomial.__new__(Polynomial)
+        g._num, g._den, g._coeffs = out, f._den, None
+        return g
+    return _canonical([-p * num[0], *[s * a - p * b for a, b in zip(num, num[1:])],
+                       s * num[-1]], s * f._den)
 
 
 def _powers(v: int, d: int) -> list[int]:

@@ -607,6 +607,69 @@ class TestPackedBernoulliSettle:
             assert bernoulli_identity_sweep(pair, 2, 8).passed and packs
 
 
+def _raiser_broken_at(pair, name, at, extra):
+    """pair with raiser(f) + extra(raiser(f)) for f == at alone: a break
+    that one commutator case sees, x^5 in a = lower(raiser(x^5)) or 5x^4
+    in b = raiser(lower(x^5))."""
+    raiser = pair.raiser
+    return GhwPair(f"{pair.name}, {name}", pair.lower,
+                   lambda f: raiser(f) + extra(raiser(f)) if f == at else raiser(f))
+
+
+# Dense pairs broken at m = 5 only, each so that one check of the
+# commutator's settle alone tells the case from a pass: with a and b as in
+# `verify_commutator`, D, x-(1) has a = 6x^5 - 5x^4 and b = 5x^5 - 5x^4
+BROKEN_DENSE_PAIRS = [
+    # a gains 5x^4: the numerators differ just below x^m
+    _raiser_broken_at(derivative_pair(1), "a moved below x^m", X**5, lambda g: X**5),
+    # a gains x^5: a - b = 2x^m
+    _raiser_broken_at(derivative_pair(1), "a - b = 2x^m", X**5, lambda g: X**6 / 6),
+    # a gains 7x^6, above x^m
+    _raiser_broken_at(derivative_pair(1), "a past x^m", X**5, lambda g: X**7),
+    # b gains x^6, above x^m
+    _raiser_broken_at(derivative_pair(1), "b past x^m", 5 * X**4, lambda g: X**6),
+    # b = (5x^5 - 5x^4) / 2: its numerators are those of a pass, over 2
+    _raiser_broken_at(derivative_pair(1), "b over 2", 5 * X**4, lambda g: -g / 2),
+]
+SETTLED_DENSE_PAIRS = [derivative_pair(1), derivative_pair(-2), derivative_pair(F(1, 2)),
+                       derivative_pair(F(-7, 3)), delta_pair(), HALF_STEP_PAIR]
+
+
+class TestCommutatorSettle:
+    """The commutator cases settled on their numerators, against per-case
+    computations of a - b that share no code with the settle."""
+
+    @pytest.mark.parametrize("pair", SETTLED_DENSE_PAIRS + BROKEN_DENSE_PAIRS,
+                             ids=lambda p: p.name)
+    def test_against_each_m(self, pair):
+        N = 8
+        report = verify_commutator(pair, N)
+        for m in range(N + 1):
+            xm = X**m
+            lhs = pair.lower(pair.raiser(xm)) - pair.raiser(pair.lower(xm))
+            if lhs != xm:
+                assert report.cases == m + 1
+                ce = report.counterexample
+                assert (ce.inputs, ce.lhs, ce.rhs) == (f"m={m}", str(lhs), str(xm))
+                break
+        else:
+            assert report.passed and report.cases == N + 1
+        assert report.passed == (pair in SETTLED_DENSE_PAIRS)
+        assert report.passed or report.cases == 6
+
+    @pytest.mark.parametrize("pair", SETTLED_DENSE_PAIRS + SETTLED_PAIRS, ids=lambda p: p.name)
+    def test_every_passing_case_is_settled(self, pair):
+        assert set(operators._commutator_cases(pair.lower, pair.raiser, 24)) == {None}
+
+    @pytest.mark.parametrize("pair", _realisations(), ids=lambda p: p.name)
+    def test_a_passing_case_has_one_denominator(self, pair):
+        for m in range(13):
+            xm = X**m
+            a, b = pair.lower(pair.raiser(xm)), pair.raiser(pair.lower(xm))
+            assert a - b == xm
+            assert a._den == b._den
+
+
 class TestLeibniz:
     @given(polynomials(max_degree=5), polynomials(max_degree=5))
     def test_classical(self, f, g):
@@ -1076,6 +1139,85 @@ class TestDeltaKernelOracle:
             made.clear()
             apply(f)
             assert len(made) == 1
+
+
+def times_x_minus_loop(cs, y):
+    """The coefficients of (x - y) f, Fractions lowest first, for those cs
+    of f: c_(i-1) - y c_i at x^i, with no trailing zero."""
+    out = [F(0)] * (len(cs) + 1)
+    for i, c in enumerate(cs):
+        out[i + 1] += c
+        out[i] -= y * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+raiser_ys = st.integers(-50, 50) | st.builds(F, st.integers(-50, 50), st.integers(2, 12)).filter(
+    lambda y: y.denominator > 1)
+
+
+class TestDerivativeRaiserOracle:
+    """`poly._times_x_minus`, the derivative pairs' raiser, against the
+    coefficient-by-coefficient Fraction product above, which calls no
+    `Polynomial` arithmetic."""
+
+    @given(st.one_of(
+        st.just([]),
+        rationals.map(lambda c: [c]),
+        st.builds(lambda j, c: [0] * j + [c], st.integers(0, 12), rationals),
+        st.lists(rationals, min_size=2, max_size=24),
+        st.lists(st.integers(-2**80, 2**80), min_size=2, max_size=12)), raiser_ys)
+    # content 2 and 6, which s = 2 and s = 3 share: the s > 1 gcd divides them out
+    @example([2, 4], F(1, 2))
+    @example([6, 0, -12, 18], F(-7, 3))
+    # the built-in pairs' y
+    @example([F(1, 2), -3, 0, F(5, 4)], 0)
+    @example([F(1, 2), -3, 0, F(5, 4)], 1)
+    @example([F(1, 2), -3, 0, F(5, 4)], -2)
+    def test_against_the_fraction_product(self, cs, y):
+        f = Polynomial(cs)
+        g = poly._times_x_minus(f, y)
+        want = times_x_minus_loop(cs, y)
+        den = math.lcm(*[c.denominator for c in want])
+        assert g._num == tuple(c.numerator * (den // c.denominator) for c in want)
+        assert g._den == den
+        assert all(type(c) is int for c in g._num) and type(g._den) is int
+        assert g._den > 0 and math.gcd(g._den, *g._num) == 1
+        assert not g._num or g._num[-1]
+
+    def test_the_gcd_divides_a_shared_content(self):
+        # (x - 1/2)(2 + 4x) = (2x - 1)(2 + 4x) / 2 = 4x^2 - 1
+        g = poly._times_x_minus(Polynomial([2, 4]), F(1, 2))
+        assert (g._num, g._den) == ((-1, 0, 4), 1)
+
+    def test_a_gcd_only_when_y_is_not_an_int(self, monkeypatch):
+        made = []
+        for name in ("_canonical", "_term"):
+            make = getattr(poly, name)
+            monkeypatch.setattr(poly, name,
+                                lambda *args, make=make: made.append(args) or make(*args))
+        f = Polynomial([F(1, 2), F(-3, 4), 5, F(7, 6)])
+        for y, calls in ((0, 0), (1, 0), (-2, 0), (F(1, 2), 1), (F(-7, 3), 1)):
+            made.clear()
+            poly._times_x_minus(f, y)
+            assert len(made) == calls
+
+    @pytest.mark.parametrize("y, name", [(0, "D, x-(0)"), (1, "D, x-(1)"), (-2, "D, x-(-2)"),
+                                         (F(1, 2), "D, x-(1/2)"), (F(-7, 3), "D, x-(-7/3)")])
+    def test_pairs_pass_both_sweeps_without_mul(self, monkeypatch, y, name):
+        pair = derivative_pair(y)
+        assert pair.name == name
+        cs = [F(1, 2), -3, 0, F(5, 4)]
+        assert list(pair.raiser(Polynomial(cs)).coeffs) == times_x_minus_loop(cs, y)
+
+        def refused(*args):
+            raise AssertionError("Polynomial.__mul__ called")
+
+        monkeypatch.setattr(Polynomial, "__mul__", refused)
+        monkeypatch.setattr(Polynomial, "__rmul__", refused)
+        assert verify_commutator(pair, 24).passed
+        assert bernoulli_identity_sweep(pair, 12, 6).passed
 
 
 def star_loop(ctx, f, g):

@@ -20,13 +20,16 @@ from psicalc import (
     falling_factorial_value,
     jackson_integral_numeric,
     parse_psi_spec,
+    psi_antiderivative,
     psi_bernoulli_taylor,
+    psi_derivative,
     psi_exp,
     taylor_classical,
     verify_exp_addition,
     verify_per_partes,
+    x_hat_psi,
 )
-from psicalc import poly
+from psicalc import operators, poly
 
 X = Polynomial.x()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -294,6 +297,44 @@ class TestOneTermResults:
         got = f * g
         assert_canonical(got)
         assert got.coeffs == schoolbook(f.coeffs, g.coeffs)
+
+
+class TestSharedZero:
+    """The zero results, most of them the one shared `poly._ZERO`, behave
+    as `Polynomial()` does, and reading one leaves every other as it was."""
+
+    @staticmethod
+    def zeros():
+        ctx, f = parse_psi_spec("q:3/2"), Polynomial([F(1, 2), -3, F(7, 5)])
+        shared = [
+            psi_derivative(ctx, Polynomial.constant(F(5, 3))),
+            *[op(ctx, Polynomial(), k) for op in (x_hat_psi, psi_antiderivative) for k in (1, 3)],
+            poly._difference(Polynomial.constant(7), 1),
+            poly._difference(Polynomial.constant(F(-2, 9)), -1),
+            Polynomial() * f,
+            f * Polynomial(),
+            operators._star(ctx, f, f, -1),
+            poly._times_x_minus(Polynomial(), F(1, 2)),
+        ]
+        return shared, [0 * f, f * 0, f - f]
+
+    def test_each_behaves_as_the_constructed_zero(self):
+        shared, built = self.zeros()
+        assert all(z is poly._ZERO for z in shared)
+        for z in shared + built:
+            assert z == Polynomial() and z == 0 and not z
+            assert (z.degree, z.coeffs, str(z), repr(z)) == (-1, (), "0", "Polynomial([])")
+            assert hash(z) == hash(Polynomial())
+
+    def test_reading_one_leaves_the_others(self):
+        shared, built = self.zeros()
+        zeros = shared + built
+        for z in zeros:
+            before = [(y._num, y._den, y._coeffs) for y in zeros]
+            assert z.coeffs == () and repr(z) == "Polynomial([])"
+            after = [(y._num, y._den, y._coeffs) for y in zeros]
+            assert all(a == b for y, a, b in zip(zeros, after, before) if y is not z)
+            assert (poly._ZERO._num, poly._ZERO._den, poly._ZERO._coeffs) == ((), 1, ())
 
 
 class TestTruncate:
