@@ -24,7 +24,7 @@ from itertools import accumulate, compress
 from .errors import DomainError, InternalError
 from .poly import (
     _ZERO, Polynomial, _aligned, _canonical, _combine, _difference, _digits, _pack, _perms,
-    _rational, _term, _times_x_minus, _x_shift_back,
+    _rational, _term, _x_shift_back,
 )
 from .record import Record
 from .sequences import PsiContext
@@ -248,14 +248,16 @@ class GhwPair(Record):
 
 
 def derivative_pair(y: Scalar = 0) -> GhwPair:
-    """The classical pair: d/dx with multiplication by (x - y).  The raiser
-    is `poly._times_x_minus`, one pass over the numerators of f, with no gcd
-    when y is an int and one when it is not."""
+    """The classical pair: d/dx with multiplication by (x - y).  The
+    raiser's product has a degree-1 factor, so `Polynomial.__mul__` makes
+    it in one pass over the numerators of f (`poly._times_line`), with no
+    gcd when y is an int and one when it is not."""
     y = _rational(y)
+    x_y = Polynomial([-y, 1])  # built once per pair
     return GhwPair(
         name=f"D, x-({_digits(y)})",
         lower=lambda f: f.derivative(),
-        raiser=lambda f: _times_x_minus(f, y),
+        raiser=lambda f: x_y * f,
     )
 
 

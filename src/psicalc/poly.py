@@ -12,9 +12,10 @@ antiderivatives, operator weights), the integer combinations of
 `_difference` (f(x+1) - f(x) or f(x) - f(x-1)) and `_x_shift_back`
 (x f(x-1)), makes its result with one `_canonical`, its one reduction
 to lowest terms; a scalar operand of + or - is first made a constant.
-`_times_x_minus` ((x - y) f, the derivative pairs' raiser) makes one only
-when y is not an int, and needs no gcd when it is.  A zero result on a
-hot path is the one shared `_ZERO`.
+A product with a degree-1 factor (b + a x)/d, as in the derivative
+pairs' raiser x - y, is one pass, `_times_line`, that needs no gcd when
+d = 1 and gcd(a, b) = 1.  A zero result on a hot path is the one shared
+`_ZERO`.
 A one-term result c x^j / den -- `monomial`, `constant`, the product of
 two one-term operands, the derivative of one term, and the one-term
 operator images and sweep steps of `operators` -- is made by `_term`
@@ -136,16 +137,20 @@ class Polynomial:
         return _coerce(other) - self
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return _canonical([c * p for c in self._num], self._den * other.denominator)
         if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                p = other.numerator
+                return _canonical([c * p for c in self._num], self._den * other.denominator)
             return NotImplemented
-        if not self or not other:
-            return _ZERO
         a, b = self._num, other._num
+        if not a or not b:
+            return _ZERO
         if a.count(0) == len(a) - 1 and b.count(0) == len(b) - 1:  # one term each
             return _term(len(a) + len(b) - 2, a[-1] * b[-1], self._den * other._den)
+        if len(a) == 2:
+            return _times_line(self, other)
+        if len(b) == 2:
+            return _times_line(other, self)
         out = [0] * (len(a) + len(b) - 1)
         for i, v in enumerate(a):
             if v:
@@ -302,28 +307,33 @@ def _canonical(num: list[int], den: int) -> Polynomial:
     return p
 
 
-def _term(j: int, c: int, den: int) -> Polynomial:
-    """c x^j / den in canonical form, for ints c and den != 0, from one
-    gcd of two ints: the sign of a negative den moves to c, and c = 0 gives
-    the zero polynomial."""
+def _raw(num: tuple[int, ...], den: int) -> Polynomial:
+    """The polynomial sum(num[i] x^i) / den for numerators and a
+    denominator already in canonical form, stored as they are.  `_raw`
+    and `_set` are the only code that assigns the slots, each on the
+    polynomial it is building."""
     p = Polynomial.__new__(Polynomial)
-    if c:
-        g = math.gcd(c, den)
-        if den < 0:
-            g = -g
-        p._num, p._den = (0,) * j + (c // g,), den // g
-    else:
-        p._num, p._den = (), 1
-    p._coeffs = None
+    p._num, p._den, p._coeffs = num, den, None
     return p
 
 
 # The one zero that the hot paths return, built without `__init__`.  It is
-# shared, so it must never change: no code outside the constructors assigns
-# `_num`, `_den` or `_coeffs` on an existing polynomial, and the one lazy
-# write, the `.coeffs` cache, finds it filled here.
-_ZERO = Polynomial.__new__(Polynomial)
-_ZERO._num, _ZERO._den, _ZERO._coeffs = (), 1, ()
+# shared, and nothing changes it: the slots are assigned only by `_raw` and
+# `_set` on the polynomial they build, and the `.coeffs` cache, the one lazy
+# write, always fills it with the same ().
+_ZERO = _raw((), 1)
+
+
+def _term(j: int, c: int, den: int) -> Polynomial:
+    """c x^j / den in canonical form, for ints c and den != 0, from one
+    gcd of two ints: the sign of a negative den moves to c, and c = 0 gives
+    `_ZERO`."""
+    if not c:
+        return _ZERO
+    g = math.gcd(c, den)
+    if den < 0:
+        g = -g
+    return _raw((0,) * j + (c // g,), den // g)
 
 
 def _aligned(f: Polynomial, g: Polynomial) -> tuple:
@@ -425,24 +435,19 @@ def _x_shift_back(f: Polynomial) -> Polynomial:
     return _canonical([0, *(_unit_shift(num, -1) if len(num) > 1 else num)], f._den)
 
 
-def _times_x_minus(f: Polynomial, y: Scalar) -> Polynomial:
-    """(x - y) f, the derivative pairs' raiser, in one pass: for y = p/s the
-    numerators s [0, *num] - p [*num, 0] over s den.  For s = 1 the result
-    is canonical as it stands, with no gcd: x - p is primitive, so by
-    Gauss's lemma the content stays that of f, which is prime to den.  For
-    s > 1 it makes one _canonical."""
-    num = f._num
-    if not num:
-        return _ZERO
-    p, s = y.numerator, y.denominator
-    if s == 1:
-        out = (0, *num) if not p else (
-            -p * num[0], *map(operator.sub, num, [p * c for c in num[1:]]), num[-1])
-        g = Polynomial.__new__(Polynomial)
-        g._num, g._den, g._coeffs = out, f._den, None
-        return g
-    return _canonical([-p * num[0], *[s * a - p * b for a, b in zip(num, num[1:])],
-                       s * num[-1]], s * f._den)
+def _times_line(line: Polynomial, f: Polynomial) -> Polynomial:
+    """line f in one pass, for line = (b + a x) / d of degree 1 and f != 0:
+    the numerators b [*num, 0] + a [0, *num] over d den.  When d = 1 and
+    gcd(a, b) = 1 the line is primitive, so by Gauss's lemma the content of
+    the product is that of f, which is prime to den: the result is
+    canonical as it stands, with no gcd.  Any other line makes one
+    _canonical.  The derivative pairs' raiser is x - y, for y = p/s the
+    line (s x - p) / s, primitive when s = 1."""
+    (b, a), d, num = line._num, line._den, f._num
+    out = [b * num[0], *[a * u + b * v for u, v in zip(num, num[1:])], a * num[-1]]
+    if d == 1 and math.gcd(a, b) == 1:
+        return _raw(tuple(out), f._den)
+    return _canonical(out, d * f._den)
 
 
 def _powers(v: int, d: int) -> list[int]:

@@ -1141,13 +1141,13 @@ class TestDeltaKernelOracle:
             assert len(made) == 1
 
 
-def times_x_minus_loop(cs, y):
-    """The coefficients of (x - y) f, Fractions lowest first, for those cs
-    of f: c_(i-1) - y c_i at x^i, with no trailing zero."""
+def times_line_loop(cs, b, a):
+    """The coefficients of (b + a x) f, Fractions lowest first, for those
+    cs of f: b c_i + a c_(i-1) at x^i, with no trailing zero."""
     out = [F(0)] * (len(cs) + 1)
     for i, c in enumerate(cs):
-        out[i + 1] += c
-        out[i] -= y * c
+        out[i] += b * c
+        out[i + 1] += a * c
     while out and not out[-1]:
         out.pop()
     return out
@@ -1155,10 +1155,16 @@ def times_x_minus_loop(cs, y):
 
 raiser_ys = st.integers(-50, 50) | st.builds(F, st.integers(-50, 50), st.integers(2, 12)).filter(
     lambda y: y.denominator > 1)
+# x - y, and any other line: over a denominator, or integer but not
+# primitive, as 2x + 4
+lines = raiser_ys.map(lambda y: (-y, 1)) | st.tuples(
+    rationals, rationals.filter(bool)) | st.tuples(
+    st.integers(-6, 6), st.integers(1, 6)).map(lambda ba: (6 * ba[0], 6 * ba[1]))
 
 
-class TestDerivativeRaiserOracle:
-    """`poly._times_x_minus`, the derivative pairs' raiser, against the
+class TestLineProductOracle:
+    """`Polynomial.__mul__` with a degree-1 factor, which makes the
+    derivative pairs' raiser in one pass (`poly._times_line`), against the
     coefficient-by-coefficient Fraction product above, which calls no
     `Polynomial` arithmetic."""
 
@@ -1167,57 +1173,75 @@ class TestDerivativeRaiserOracle:
         rationals.map(lambda c: [c]),
         st.builds(lambda j, c: [0] * j + [c], st.integers(0, 12), rationals),
         st.lists(rationals, min_size=2, max_size=24),
-        st.lists(st.integers(-2**80, 2**80), min_size=2, max_size=12)), raiser_ys)
+        st.lists(st.integers(-2**80, 2**80), min_size=2, max_size=12)), lines)
     # content 2 and 6, which s = 2 and s = 3 share: the s > 1 gcd divides them out
-    @example([2, 4], F(1, 2))
-    @example([6, 0, -12, 18], F(-7, 3))
+    @example([2, 4], (F(-1, 2), 1))
+    @example([6, 0, -12, 18], (F(7, 3), 1))
+    # 2x + 4 has content 2, which the denominator of f shares
+    @example([0, F(1, 2)], (4, 2))
     # the built-in pairs' y
-    @example([F(1, 2), -3, 0, F(5, 4)], 0)
-    @example([F(1, 2), -3, 0, F(5, 4)], 1)
-    @example([F(1, 2), -3, 0, F(5, 4)], -2)
-    def test_against_the_fraction_product(self, cs, y):
-        f = Polynomial(cs)
-        g = poly._times_x_minus(f, y)
-        want = times_x_minus_loop(cs, y)
+    @example([F(1, 2), -3, 0, F(5, 4)], (0, 1))
+    @example([F(1, 2), -3, 0, F(5, 4)], (-1, 1))
+    @example([F(1, 2), -3, 0, F(5, 4)], (2, 1))
+    def test_against_the_fraction_product(self, cs, line):
+        f, g = Polynomial(cs), Polynomial(line)
+        want = times_line_loop(cs, *line)
         den = math.lcm(*[c.denominator for c in want])
-        assert g._num == tuple(c.numerator * (den // c.denominator) for c in want)
-        assert g._den == den
-        assert all(type(c) is int for c in g._num) and type(g._den) is int
-        assert g._den > 0 and math.gcd(g._den, *g._num) == 1
-        assert not g._num or g._num[-1]
+        for h in (g * f, f * g):
+            assert h._num == tuple(c.numerator * (den // c.denominator) for c in want)
+            assert h._den == den
+            assert all(type(c) is int for c in h._num) and type(h._den) is int
+            assert h._den > 0 and math.gcd(h._den, *h._num) == 1
+            assert not h._num or h._num[-1]
 
-    def test_the_gcd_divides_a_shared_content(self):
+    @pytest.mark.parametrize("line, f, want", [
         # (x - 1/2)(2 + 4x) = (2x - 1)(2 + 4x) / 2 = 4x^2 - 1
-        g = poly._times_x_minus(Polynomial([2, 4]), F(1, 2))
-        assert (g._num, g._den) == ((-1, 0, 4), 1)
+        ([F(-1, 2), 1], [2, 4], ((-1, 0, 4), 1)),
+        # (2x + 4) x / 2 = x^2 + 2x
+        ([4, 2], [0, F(1, 2)], ((0, 2, 1), 1)),
+    ])
+    def test_the_gcd_divides_a_shared_content(self, line, f, want):
+        g = Polynomial(line) * Polynomial(f)
+        assert (g._num, g._den) == want
 
-    def test_a_gcd_only_when_y_is_not_an_int(self, monkeypatch):
+    def test_a_gcd_only_when_the_line_is_not_primitive(self, monkeypatch):
         made = []
         for name in ("_canonical", "_term"):
             make = getattr(poly, name)
             monkeypatch.setattr(poly, name,
                                 lambda *args, make=make: made.append(args) or make(*args))
         f = Polynomial([F(1, 2), F(-3, 4), 5, F(7, 6)])
-        for y, calls in ((0, 0), (1, 0), (-2, 0), (F(1, 2), 1), (F(-7, 3), 1)):
-            made.clear()
-            poly._times_x_minus(f, y)
-            assert len(made) == calls
+        for line, calls in (([-1, 1], 0), ([2, 1], 0), ([3, -2], 0), ([F(-1, 2), 1], 1),
+                            ([F(7, 3), 1], 1), ([4, 2], 1)):
+            g = Polynomial(line)
+            for product in (lambda: g * f, lambda: f * g):
+                made.clear()
+                product()
+                assert len(made) == calls
 
     @pytest.mark.parametrize("y, name", [(0, "D, x-(0)"), (1, "D, x-(1)"), (-2, "D, x-(-2)"),
                                          (F(1, 2), "D, x-(1/2)"), (F(-7, 3), "D, x-(-7/3)")])
-    def test_pairs_pass_both_sweeps_without_mul(self, monkeypatch, y, name):
+    def test_pairs_pass_both_sweeps(self, y, name):
         pair = derivative_pair(y)
         assert pair.name == name
         cs = [F(1, 2), -3, 0, F(5, 4)]
-        assert list(pair.raiser(Polynomial(cs)).coeffs) == times_x_minus_loop(cs, y)
-
-        def refused(*args):
-            raise AssertionError("Polynomial.__mul__ called")
-
-        monkeypatch.setattr(Polynomial, "__mul__", refused)
-        monkeypatch.setattr(Polynomial, "__rmul__", refused)
+        assert list(pair.raiser(Polynomial(cs)).coeffs) == times_line_loop(cs, -y, 1)
         assert verify_commutator(pair, 24).passed
         assert bernoulli_identity_sweep(pair, 12, 6).passed
+
+    @pytest.mark.parametrize("y", [0, 1, -2, F(1, 2), F(-7, 3)])
+    def test_a_wrong_product_fails_the_commutator(self, monkeypatch, y):
+        # the raiser is a `Polynomial.__mul__`, so a wrong product of two
+        # nonconstant polynomials shows in the derivative pairs' sweeps
+        mul = Polynomial.__mul__
+
+        def wrong(f, g):
+            h = mul(f, g)
+            return h + X if isinstance(g, Polynomial) and f.degree > 0 and g.degree > 0 else h
+
+        monkeypatch.setattr(Polynomial, "__mul__", wrong)
+        monkeypatch.setattr(Polynomial, "__rmul__", wrong)
+        assert not verify_commutator(derivative_pair(y), 8).passed
 
 
 def star_loop(ctx, f, g):

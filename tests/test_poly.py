@@ -314,7 +314,7 @@ class TestSharedZero:
             Polynomial() * f,
             f * Polynomial(),
             operators._star(ctx, f, f, -1),
-            poly._times_x_minus(Polynomial(), F(1, 2)),
+            Polynomial.monomial(4, 0),
         ]
         return shared, [0 * f, f * 0, f - f]
 
