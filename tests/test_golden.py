@@ -2,13 +2,18 @@
 
 Each file under tests/golden/ holds one run: its argv, its exit code, its
 stdout and its stderr, as plain text, so a failing test shows a diff of
-what moved.  A change that moves any of them says which and why.  To
-rewrite every file from the current code:
+what moved.  A change that moves any of them says which and why.  The
+runs of `RUNS` are tier-1 tests; those of `SLOW_RUNS`, verify --suite all
+at the degree cap, take seconds and are kept under tests/golden/slow/.
+To rewrite every file from the current code, or to check every run
+against its file (exit 1 on any that moved, with a diff):
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --check
 """
 
 import contextlib
+import difflib
 import io
 import sys
 from pathlib import Path
@@ -18,44 +23,58 @@ import pytest
 from psicalc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SLOW = GOLDEN / "slow"
 
 # negative factors, as in the CI line of the bernoulli suite
 CUSTOM_SPEC = "custom:-2,3,-5,7,-11,13,-17,19,-23,29,-31,37,-41,43,-47,53,-59"
 SPECS = {"classical": "classical", "fib": "fib", "q3_2": "q:3/2", "q-2_3": "q:-2/3",
          "custom": CUSTOM_SPEC}
 
-# file stem -> argv: the bernoulli suite at the default degree and at 0,
-# in text and JSON
-RUNS = {
-    f"verify-bernoulli-{name}-{degree}-{fmt}": [
-        "verify", "--suite", "bernoulli", "--psi", spec,
-        *(["--max-degree", degree[1:]] if degree != "default" else []),
-        *(["--format", "json"] if fmt == "json" else []),
-    ]
-    for name, spec in SPECS.items()
-    for degree in ("default", "d0")
-    for fmt in ("text", "json")
-}
-# and the errors it can end on: admissibility (exit 3), the degree cap and
-# a custom spec too short for the sweep (exit 2)
+# file stem -> argv: each suite on every spec, at the default degree and
+# at 0, in text and JSON
+RUNS = {}
+for suite in ("bernoulli", "commutator", "all"):
+    for name, spec in SPECS.items():
+        for degree in ("default", "d0"):
+            for fmt in ("text", "json"):
+                RUNS[f"verify-{suite}-{name}-{degree}-{fmt}"] = [
+                    "verify", "--suite", suite, "--psi", spec,
+                    *(["--max-degree", degree[1:]] if degree != "default" else []),
+                    *(["--format", "json"] if fmt == "json" else []),
+                ]
 RUNS.update({
+    # the errors the bernoulli suite can end on: admissibility (exit 3),
+    # the degree cap and a custom spec too short for the sweep (exit 2)
     "verify-bernoulli-q-1": ["verify", "--suite", "bernoulli", "--psi", "q:-1"],
     "verify-bernoulli-degree-65": ["verify", "--suite", "bernoulli", "--max-degree", "65"],
     "verify-bernoulli-custom-short": ["verify", "--suite", "bernoulli", "--psi", "custom:1,2,3"],
+    "verify-commutator-classical-d64-text": [
+        "verify", "--suite", "commutator", "--psi", "classical", "--max-degree", "64"],
+    # one error of each other subcommand: admissibility, parse, size cap
+    "verify-all-q-1": ["verify", "--psi", "q:-1"],
+    "expand-parse-error": ["expand", "--f", "x+", "--order", "1"],
+    "table-n-257": ["table", "--n", "257"],
+    # the four expand kinds at order 12, each with a nonzero remainder or tail
+    "expand-taylor": ["expand", "--kind", "taylor", "--f", "3/2*x^14 - x^5 + 2",
+                      "--alpha", "1/3", "--order", "12"],
+    "expand-psi": ["expand", "--kind", "psi", "--psi", "q:3/2", "--f", "(1+x)^14 - x^3",
+                   "--alpha", "1/2", "--x-eval", "2", "--order", "12"],
+    "expand-newton": ["expand", "--kind", "newton", "--f", "(1+x)^14 - x^3", "--order", "12"],
+    "expand-maclaurin": ["expand", "--kind", "maclaurin", "--f", "x^14 - 2*x^3",
+                         "--alpha", "5", "--order", "12"],
+    "jackson": ["jackson", "--f", "x^3 - 2*x", "--q", "1/2", "--z", "3/2"],
 })
-# the commutator suite: the same matrix, and the classical run at the cap
-RUNS.update({
-    f"verify-commutator-{name}-{degree}-{fmt}": [
-        "verify", "--suite", "commutator", "--psi", spec,
-        *(["--max-degree", degree[1:]] if degree != "default" else []),
-        *(["--format", "json"] if fmt == "json" else []),
-    ]
-    for name, spec in SPECS.items()
-    for degree in ("default", "d0")
-    for fmt in ("text", "json")
-})
-RUNS["verify-commutator-classical-d64-text"] = [
-    "verify", "--suite", "commutator", "--psi", "classical", "--max-degree", "64"]
+# table on every spec, and on q:-1, whose 2_q = 0 fails admissibility (exit 3)
+for name, spec in {**SPECS, "q-1": "q:-1"}.items():
+    RUNS[f"table-{name}-n40"] = ["table", "--psi", spec, "--n", "40"]
+
+# verify --suite all at the degree cap, about 2 s in all: checked in CI by
+# `--check`, not in tier-1
+SLOW_RUNS = {
+    f"verify-all-{name}-d64-text": ["verify", "--suite", "all", "--psi", SPECS[name],
+                                    "--max-degree", "64"]
+    for name in ("fib", "q3_2", "q-2_3", "custom")
+}
 
 
 def render(argv: list[str]) -> str:
@@ -75,12 +94,28 @@ def test_output_matches_the_committed_file(stem):
 
 def test_every_committed_file_has_a_run():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(RUNS)
+    assert sorted(p.stem for p in SLOW.glob("*.txt")) == sorted(SLOW_RUNS)
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.glob("*.txt"):
-        old.unlink()
-    for stem, argv in RUNS.items():
-        (GOLDEN / f"{stem}.txt").write_text(render(argv), encoding="utf-8")
-    print(f"wrote {len(RUNS)} files to {GOLDEN}", file=sys.stderr)
+    check = sys.argv[1:] == ["--check"]
+    moved = 0
+    for folder, runs in ((GOLDEN, RUNS), (SLOW, SLOW_RUNS)):
+        if not check:
+            folder.mkdir(exist_ok=True)
+            for old in folder.glob("*.txt"):
+                old.unlink()
+        for stem, argv in runs.items():
+            path, got = folder / f"{stem}.txt", render(argv)
+            if not check:
+                path.write_text(got, encoding="utf-8")
+                continue
+            want = path.read_text(encoding="utf-8")
+            if got != want:
+                moved += 1
+                sys.stdout.writelines(difflib.unified_diff(
+                    want.splitlines(True), got.splitlines(True), str(path), "now"))
+    count = len(RUNS) + len(SLOW_RUNS)
+    print(f"{moved} of {count} runs moved" if check else f"wrote {count} files under {GOLDEN}",
+          file=sys.stderr)
+    sys.exit(1 if moved else 0)
