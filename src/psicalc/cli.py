@@ -57,16 +57,33 @@ MAX_DEGREE = 64  # the largest verify --max-degree
 MAX_TABLE_N = 256  # the largest table --n
 MAX_REPORT_BITS = 1 << 23  # the largest expand size estimate, about 2.5 MB of digits
 
+# The fixed grids of the verify suites, read by `_SUITES` and by the help text.
+_SHIFTS = (0, 1, -2)  # the y of the derivative pairs D, x - y
+_BERNOULLI_M, _BERNOULLI_N, _TELESCOPING_N, _HISTORICAL_DEGREE = 16, 8, 6, 12
+_EXP_ALPHAS = (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
+_EXP_BETAS = (Fraction(1), Fraction(1, 3))
+_INTERVALS = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(3, 2)))
+_HAHN_QS = (Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(-2))
+_HAHN_HS = (Fraction(0), Fraction(1), Fraction(-3), Fraction(7, 5))
+_JACKSON_QS = (Fraction(2), Fraction(1, 2), Fraction(3, 5))
+
+
+def _listed(values) -> str:
+    return ", ".join(map(str, values))
+
+
 VERIFY_SWEEPS_HELP = (
-    "Fixed sweeps: commutator checks monomials up to --max-degree for the "
-    "classical pairs (shifts 0, 1, -2), the difference pair, and the psi "
-    "pair; bernoulli sweeps m <= min(--max-degree, 16) and orders n <= 8 "
-    "on the same pairs; telescoping uses n <= 6 on a seeded "
-    "degree-<=--max-degree corpus; leibniz, per-partes, fundamental and "
-    "historical use the same corpus; exp-addition uses alpha, beta in "
-    "{1, 1/2, -2/3} to degree --max-degree; hahn-reduction runs q in "
-    "{2, 1/2, 3/2, -2} x h in {0, 1, -3, 7/5}; jackson-inverse runs q in "
-    "{2, 1/2, 3/5}. The corpus seed is fixed, so runs are reproducible."
+    "Fixed sweeps: commutator checks monomials up to --max-degree for the classical pairs "
+    f"(shifts {_listed(_SHIFTS)}), the difference pair, and the psi pair; bernoulli sweeps "
+    f"m <= min(--max-degree, {_BERNOULLI_M}) and orders n <= {_BERNOULLI_N} on the same pairs; "
+    f"telescoping uses n <= {_TELESCOPING_N} on a seeded degree-<=--max-degree corpus; leibniz, "
+    "per-partes, fundamental and historical use the same corpus, per-partes on the intervals "
+    f"{' and '.join(f'[{_listed(ab)}]' for ab in _INTERVALS)}, historical with each f "
+    f"truncated to degree {_HISTORICAL_DEGREE}; exp-addition uses alpha in "
+    f"{{{_listed(_EXP_ALPHAS)}}} and beta in {{{_listed(_EXP_BETAS)}}} to degree --max-degree; "
+    f"hahn-reduction runs q in {{{_listed(_HAHN_QS)}}} x h in {{{_listed(_HAHN_HS)}}}; "
+    f"jackson-inverse runs q in {{{_listed(_JACKSON_QS)}}}. The corpus seed is fixed, so runs "
+    "are reproducible."
 )
 
 # argparse takes a token that starts with "-" for a value, not an unknown
@@ -241,13 +258,8 @@ def _check_report_size(f: Polynomial, *points: Fraction | None) -> None:
 
 
 def _pairs(ctx: PsiContext):
-    return (
-        operators.derivative_pair(0),
-        operators.derivative_pair(1),
-        operators.derivative_pair(-2),
-        operators.delta_pair(),
-        operators.psi_pair(ctx),
-    )
+    return (*map(operators.derivative_pair, _SHIFTS), operators.delta_pair(),
+            operators.psi_pair(ctx))
 
 
 # suite name -> (ctx, max_degree, corpus) -> reports, in the order `--suite all` runs them
@@ -255,30 +267,28 @@ _SUITES = {
     "commutator": lambda ctx, d, corpus: [
         operators.verify_commutator(pair, d) for pair in _pairs(ctx)],
     "telescoping": lambda ctx, d, corpus: [
-        operators.verify_telescoping(ctx, n, f) for n in range(7) for f in corpus[:3]],
+        operators.verify_telescoping(ctx, n, f)
+        for n in range(_TELESCOPING_N + 1) for f in corpus[:3]],
     "bernoulli": lambda ctx, d, corpus: [
-        operators.bernoulli_identity_sweep(pair, min(d, 16), 8) for pair in _pairs(ctx)],
+        operators.bernoulli_identity_sweep(pair, min(d, _BERNOULLI_M), _BERNOULLI_N)
+        for pair in _pairs(ctx)],
     "leibniz": lambda ctx, d, corpus: [
         operators.verify_leibniz(ctx, f, g) for f in corpus[:3] for g in corpus[3:]],
     "exp-addition": lambda ctx, d, corpus: [
         operators.verify_exp_addition(ctx, alpha, beta, d)
-        for alpha in (Fraction(1), Fraction(1, 2), Fraction(-2, 3))
-        for beta in (Fraction(1), Fraction(1, 3))],
+        for alpha in _EXP_ALPHAS for beta in _EXP_BETAS],
     "per-partes": lambda ctx, d, corpus: [
         operators.verify_per_partes(ctx, f, g, a, b)
-        for f in corpus[:2] for g in corpus[2:4]
-        for a, b in ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(3, 2)))],
+        for f in corpus[:2] for g in corpus[2:4] for a, b in _INTERVALS],
     "fundamental": lambda ctx, d, corpus: [
         operators.verify_fundamental_theorem(ctx, f) for f in corpus],
     "historical": lambda ctx, d, corpus: [
-        operators.verify_historical_series(f.truncate(12)) for f in corpus],
+        operators.verify_historical_series(f.truncate(_HISTORICAL_DEGREE)) for f in corpus],
     "hahn-reduction": lambda ctx, d, corpus: [
         hahn.verify_hahn_reduction(hahn.HahnParams(q, h), d)
-        for q in (Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(-2))
-        for h in (Fraction(0), Fraction(1), Fraction(-3), Fraction(7, 5))],
+        for q in _HAHN_QS for h in _HAHN_HS],
     "jackson-inverse": lambda ctx, d, corpus: [
-        hahn.verify_jackson_inverse(f, q)
-        for q in (Fraction(2), Fraction(1, 2), Fraction(3, 5)) for f in corpus[:3]],
+        hahn.verify_jackson_inverse(f, q) for q in _JACKSON_QS for f in corpus[:3]],
 }
 SUITES = tuple(_SUITES)
 
@@ -317,13 +327,13 @@ def _run_jackson(args) -> int:
     exact = hahn.jackson_integral_exact(f, args.q, args.z)
 
     try:
-        float_coeffs = [float(c) for c in f.coeffs]
+        floats = [float(c) for c in f.coeffs]
     except OverflowError:
         raise DomainError("a coefficient of f is too large for a float") from None
 
     def fn(t: float) -> float:
         acc = 0.0
-        for c in reversed(float_coeffs):
+        for c in reversed(floats):
             acc = acc * t + c
         return acc
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .operators import (VerificationReport, _sweep, _sweep_bounds, psi_antiderivative,
                         psi_derivative)
-from .poly import Polynomial, _canonical, _digits, _rational
+from .poly import Polynomial, _canonical, _digits, _one_term, _rational
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
@@ -156,8 +156,8 @@ def _hahn_cases(p: HahnParams, N: int) -> Iterator:
     ctx = _gauss_q(p.q)
     ctx.rows(N)  # grown once to N_q, not one index per monomial
     images = [psi_derivative(ctx, Polynomial.monomial(n)) for n in range(N + 1)]
-    one_term = {n: (f._num[-1] if f else 0, f._den)  # k x^(n-1), or 0 at n = 0
-                for n, f in enumerate(images) if len(f._num) == n and not any(f._num[:-1])}
+    one_term = {n: (k, f._den) for n, f in enumerate(images)  # k x^(n-1), or 0
+                if (k := _one_term(f, n - 1)) is not None}
     a, b, c, e = p.q.numerator, p.q.denominator, p.h.numerator, p.h.denominator
     sigma, tau, D = s.numerator, s.denominator, b * e
     A, B, L, M = tau * a * e, tau * c * b - sigma * D, e * (b - a), -c * b

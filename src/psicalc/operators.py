@@ -23,8 +23,8 @@ from itertools import accumulate, compress
 
 from .errors import DomainError, InternalError
 from .poly import (
-    _ZERO, Polynomial, _aligned, _canonical, _combine, _difference, _digits, _pack, _perms,
-    _rational, _term, _x_shift_back,
+    _ZERO, Polynomial, _aligned, _canonical, _combine, _difference, _digits, _one_term, _pack,
+    _perms, _rational, _term, _x_shift_back,
 )
 from .record import Record
 from .sequences import PsiContext
@@ -122,9 +122,7 @@ def _psi_power(
     else:
         lcm = math.lcm(*(num if raising else den))
     if not raising:
-        ws = num if lcm == 1 else [x * (lcm // y) for x, y in zip(num[:count], den)]
-        return f._diagonal(ws, lcm, -k)
-    # no shortcut for lcm = 1 here: a divisor num[m] may still be -1
+        return f._diagonal([x * (lcm // y) for x, y in zip(num[:count], den)], lcm, -k)
     if falling:  # times (m+k)!/m!
         ws = [i * y * (lcm // x) for i, x, y in zip(_perms(top + 1, k), num, den)]
     else:
@@ -233,7 +231,7 @@ def exp_poly(alpha: Scalar, N: int) -> Polynomial:
 
 def divided_difference_zero(f: Polynomial) -> Polynomial:
     """x^n -> x^(n-1) for n >= 1, constants -> 0; equals (f(x) - f(0))/x."""
-    return Polynomial(f.coeffs[1:])
+    return _canonical(list(f._num[1:]), f._den)
 
 
 # -- GHW pairs -------------------------------------------------------------
@@ -250,8 +248,8 @@ class GhwPair(Record):
 def derivative_pair(y: Scalar = 0) -> GhwPair:
     """The classical pair: d/dx with multiplication by (x - y).  The
     raiser's product has a degree-1 factor, so `Polynomial.__mul__` makes
-    it in one pass over the numerators of f (`poly._times_line`), with no
-    gcd when y is an int and one when it is not."""
+    it in one pass over the numerators of f and one gcd
+    (`poly._times_line`)."""
     y = _rational(y)
     x_y = Polynomial([-y, 1])  # built once per pair
     return GhwPair(
@@ -339,15 +337,6 @@ def _sweep_bounds(*bounds: int) -> None:
     """Refuse a negative sweep bound, which would pass with no case."""
     if min(bounds) < 0:
         raise ValueError("sweep bound must be nonnegative")
-
-
-def _one_term(f: Polynomial, j: int) -> int | None:
-    """f's numerator at x^j when f is 0 or the one term c x^j, else None:
-    what lets a sweep settle a case on one cross-multiplied comparison."""
-    num = f._num
-    if len(num) == j + 1 and num.count(0) == j:
-        return num[j]
-    return None if num else 0
 
 
 def verify_commutator(pair: GhwPair, N: int) -> VerificationReport:

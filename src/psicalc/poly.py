@@ -13,15 +13,17 @@ antiderivatives, operator weights), the integer combinations of
 (x f(x-1)), makes its result with one `_canonical`, its one reduction
 to lowest terms; a scalar operand of + or - is first made a constant.
 A product with a degree-1 factor (b + a x)/d, as in the derivative
-pairs' raiser x - y, is one pass, `_times_line`, that needs no gcd when
-d = 1 and gcd(a, b) = 1.  A zero result on a hot path is the one shared
-`_ZERO`.
+pairs' raiser x - y, is one pass, `_times_line`.  A zero result on a hot
+path is the one shared `_ZERO`.
 A one-term result c x^j / den -- `monomial`, `constant`, the product of
 two one-term operands, the derivative of one term, and the one-term
 operator images and sweep steps of `operators` -- is made by `_term`
-instead, from one gcd of two ints and no pass over its zeros.
-`.coeffs` is a read-only `Fraction` tuple built on first use.  Floats are
-refused: nothing in this module touches floating point.
+instead, from one gcd of two ints and no pass over its zeros; `_one_term`
+reads such a term back.  A polynomial is written once: `_set` and `_term`
+are the only code that assigns its two slots, each on the object it has
+just made, so a result can be shared.  `.coeffs` is a `Fraction` tuple
+built on each read.  Floats are refused: nothing in this module touches
+floating point.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ if TYPE_CHECKING:
 
 
 class Polynomial:
-    __slots__ = ("_num", "_den", "_coeffs")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_rational(c) for c in coeffs]
@@ -59,7 +61,6 @@ class Polynomial:
                 den //= g
         self._num = tuple(num)
         self._den = den
-        self._coeffs = None
 
     # -- constructors ----------------------------------------------------
 
@@ -87,11 +88,10 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, index i holding that of x^i."""
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple([Fraction(c, den) for c in self._num])
-        return self._coeffs
+        """The coefficients as Fractions, index i holding that of x^i,
+        built on each read."""
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._num])
 
     @property
     def degree(self) -> int:
@@ -280,9 +280,9 @@ class Polynomial:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        pieces = []
+        pieces, cs = [], self.coeffs
         for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
+            c = cs[d]
             if not c:
                 continue
             # a bare leading minus would not re-parse, so keep the
@@ -307,21 +307,10 @@ def _canonical(num: list[int], den: int) -> Polynomial:
     return p
 
 
-def _raw(num: tuple[int, ...], den: int) -> Polynomial:
-    """The polynomial sum(num[i] x^i) / den for numerators and a
-    denominator already in canonical form, stored as they are.  `_raw`
-    and `_set` are the only code that assigns the slots, each on the
-    polynomial it is building."""
-    p = Polynomial.__new__(Polynomial)
-    p._num, p._den, p._coeffs = num, den, None
-    return p
-
-
-# The one zero that the hot paths return, built without `__init__`.  It is
-# shared, and nothing changes it: the slots are assigned only by `_raw` and
-# `_set` on the polynomial they build, and the `.coeffs` cache, the one lazy
-# write, always fills it with the same ().
-_ZERO = _raw((), 1)
+# The one zero that the hot paths return.  It is shared, and nothing
+# changes it: only `_set` and `_term` assign the slots, each on the
+# polynomial it has just made.
+_ZERO = _canonical([], 1)
 
 
 def _term(j: int, c: int, den: int) -> Polynomial:
@@ -333,7 +322,19 @@ def _term(j: int, c: int, den: int) -> Polynomial:
     g = math.gcd(c, den)
     if den < 0:
         g = -g
-    return _raw((0,) * j + (c // g,), den // g)
+    p = Polynomial.__new__(Polynomial)
+    p._num, p._den = (0,) * j + (c // g,), den // g
+    return p
+
+
+def _one_term(f: Polynomial, j: int) -> int | None:
+    """f's numerator at x^j when f is 0 or the one term c x^j, else None:
+    what lets the Bernoulli and Hahn-reduction sweeps settle a case on one
+    cross-multiplied comparison."""
+    num = f._num
+    if len(num) == j + 1 and num.count(0) == j:
+        return num[j]
+    return None if num else 0
 
 
 def _aligned(f: Polynomial, g: Polynomial) -> tuple:
@@ -437,16 +438,11 @@ def _x_shift_back(f: Polynomial) -> Polynomial:
 
 def _times_line(line: Polynomial, f: Polynomial) -> Polynomial:
     """line f in one pass, for line = (b + a x) / d of degree 1 and f != 0:
-    the numerators b [*num, 0] + a [0, *num] over d den.  When d = 1 and
-    gcd(a, b) = 1 the line is primitive, so by Gauss's lemma the content of
-    the product is that of f, which is prime to den: the result is
-    canonical as it stands, with no gcd.  Any other line makes one
-    _canonical.  The derivative pairs' raiser is x - y, for y = p/s the
-    line (s x - p) / s, primitive when s = 1."""
+    the numerators b [*num, 0] + a [0, *num] over d den, made canonical
+    once.  The derivative pairs' raiser is x - y, for y = p/s the line
+    (s x - p) / s."""
     (b, a), d, num = line._num, line._den, f._num
     out = [b * num[0], *[a * u + b * v for u, v in zip(num, num[1:])], a * num[-1]]
-    if d == 1 and math.gcd(a, b) == 1:
-        return _raw(tuple(out), f._den)
     return _canonical(out, d * f._den)
 
 

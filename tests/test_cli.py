@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -127,6 +128,33 @@ class TestVerify:
         assert code == 0
         out = " ".join(out.split())
         assert "bernoulli sweeps m <= min(--max-degree, 16) and orders n <= 8" in out
+
+    def test_help_names_every_grid_a_suite_runs(self, capsys):
+        # the values the reports of --suite all show, against the sets the
+        # help names for them
+        _, out, _ = run(capsys, "verify", "--max-degree", "1", "--format", "json")
+        ran = {}
+        for row in json.loads(out):
+            if row["suite"] in ("exp-addition", "per-partes", "hahn-reduction", "jackson-inverse"):
+                params = dict(kv.split("=") for kv in row["params"].split(", "))
+                for key, value in params.items():
+                    ran.setdefault((row["suite"], key), set()).add(value)
+                if row["suite"] == "per-partes":
+                    ran.setdefault("intervals", set()).add((params["a"], params["b"]))
+        _, out, _ = run(capsys, "verify", "--help")
+        text = " ".join(out.split())
+
+        def named(pattern):
+            return set(re.search(pattern, text).group(1).split(", "))
+
+        assert ran["exp-addition", "alpha"] == named(r"alpha in \{(.*?)\}")
+        assert ran["exp-addition", "beta"] == named(r"beta in \{(.*?)\}")
+        assert ran["hahn-reduction", "q"] == named(r"hahn-reduction runs q in \{(.*?)\}")
+        assert ran["hahn-reduction", "h"] == named(r" x h in \{(.*?)\}")
+        assert ran["jackson-inverse", "q"] == named(r"jackson-inverse runs q in \{(.*?)\}")
+        intervals = re.search(r"per-partes on the intervals (.*?), historical", text).group(1)
+        assert ran["intervals"] == set(re.findall(r"\[(\S+), (\S+)\]", intervals))
+        assert "historical with each f truncated to degree 12" in text
 
     def test_negative_max_degree_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--max-degree", "-1")

@@ -327,14 +327,16 @@ class TestSharedZero:
             assert hash(z) == hash(Polynomial())
 
     def test_reading_one_leaves_the_others(self):
+        # no slot but the two written when a polynomial is made
+        assert Polynomial.__slots__ == ("_num", "_den")
         shared, built = self.zeros()
         zeros = shared + built
-        for z in zeros:
-            before = [(y._num, y._den, y._coeffs) for y in zeros]
-            assert z.coeffs == () and repr(z) == "Polynomial([])"
-            after = [(y._num, y._den, y._coeffs) for y in zeros]
-            assert all(a == b for y, a, b in zip(zeros, after, before) if y is not z)
-            assert (poly._ZERO._num, poly._ZERO._den, poly._ZERO._coeffs) == ((), 1, ())
+        before = [(y._num, y._den) for y in zeros]
+        for z in shared:
+            for read in (lambda: z.coeffs, lambda: str(z), lambda: repr(z), lambda: hash(z)):
+                read()
+                assert [(y._num, y._den) for y in zeros] == before
+        assert (poly._ZERO._num, poly._ZERO._den) == ((), 1)
 
 
 class TestTruncate:
@@ -385,6 +387,13 @@ class TestStructure:
 
     def test_canonical_form_strips_trailing_zeros(self):
         assert Polynomial([1, 2, 0, 0]).coeffs == (F(1), F(2))
+
+    def test_coeffs_read_twice_are_equal_fraction_tuples(self):
+        for f in (Polynomial(), X, Polynomial([F(1, 2), -3, 0, F(-7, 5)]), 0 * X):
+            first, second = f.coeffs, f.coeffs
+            assert type(first) is type(second) is tuple and first == second
+            assert all(type(c) is F for c in first + second)
+        assert Polynomial([F(1, 2), -3, 0, F(-7, 5)]).coeffs == (F(1, 2), F(-3), F(0), F(-7, 5))
 
     def test_exact_division(self):
         f = X**3 - 1
