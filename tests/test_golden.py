@@ -98,6 +98,8 @@ def test_every_committed_file_has_a_run():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit(f"usage: python {sys.argv[0]} [--check]")
     check = sys.argv[1:] == ["--check"]
     moved = 0
     for folder, runs in ((GOLDEN, RUNS), (SLOW, SLOW_RUNS)):
