@@ -63,6 +63,12 @@ RUNS.update({
     "expand-maclaurin": ["expand", "--kind", "maclaurin", "--f", "x^14 - 2*x^3",
                          "--alpha", "5", "--order", "12"],
     "jackson": ["jackson", "--f", "x^3 - 2*x", "--q", "1/2", "--z", "3/2"],
+    # one-term inputs to the unit-shift kernels and the psi operators
+    "expand-taylor-one-term": ["expand", "--kind", "taylor", "--f", "3*x^17",
+                               "--alpha", "1/3", "--order", "5"],
+    "expand-newton-one-term": ["expand", "--kind", "newton", "--f", "x^20", "--order", "6"],
+    "expand-psi-one-term": ["expand", "--kind", "psi", "--psi", "q:-2/3", "--f", "5*x^12",
+                            "--alpha", "1/2", "--x-eval", "1/2", "--order", "12"],
 })
 # table on every spec, and on q:-1, whose 2_q = 0 fails admissibility (exit 3)
 for name, spec in {**SPECS, "q-1": "q:-1"}.items():
