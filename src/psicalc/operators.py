@@ -43,20 +43,20 @@ if TYPE_CHECKING:
 def psi_derivative(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial:
     """x^n -> n_psi x^(n-1), extended linearly; constants map to 0.  The
     k-th power is one pass too: x^n -> (n_psi!/(n-k)_psi!) x^(n-k)."""
-    return _psi_power(ctx, f, k, raising=False)
+    return _psi_power(ctx, f, k, False)
 
 
 def x_hat_psi(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial:
     """x^n -> ((n+1)/(n+1)_psi) x^(n+1); images have zero constant term.
     The k-th power is one pass too:
     x^n -> ((n+k)!/n!) (n_psi!/(n+k)_psi!) x^(n+k)."""
-    return _psi_power(ctx, f, k, raising=True, falling=True)
+    return _psi_power(ctx, f, k, True, True)
 
 
 def psi_antiderivative(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial:
     """x^n -> x^(n+1)/(n+1)_psi; the right inverse of the psi-derivative.
     The k-th power is one pass too: x^n -> (n_psi!/(n+k)_psi!) x^(n+k)."""
-    return _psi_power(ctx, f, k, raising=True)
+    return _psi_power(ctx, f, k, True)
 
 
 def _psi_power(
@@ -72,14 +72,15 @@ def _psi_power(
     x^(m+k) -> r_m x^m, the antiderivative power x^m -> x^(m+k) / r_m,
     and the x_hat power that times (m+k)!/m!.  The rows are grown to the
     top index the k single steps would reach, so a bad factor raises the
-    same error.  A one-term f = c x^d maps over the divisor of its own
-    run r_m, m = top - k, to one `poly._term`: no lcm, and one gcd of two
-    ints.  Any other f is weighed over the lcm of the whole run (for
-    k = 1 the cached one), except that a raising power of an f that is
-    mostly zeros weighs only the runs of its terms: their divisors, the
-    numerators of the n_psi, share few factors (for Gauss q they are
-    those of the q-integers), so the lcm of a few of them is far smaller
-    than that of all, and each weight of a zero coefficient is
+    same error; a snapshot `ctx._rows` that already reaches top is read with
+    no call.  A one-term f = c x^d, its degree read as len - 1, maps over
+    the divisor of its own run r_m, m = top - k, to one `poly._term`: no
+    lcm, and one gcd of two ints.  Any other f is weighed over the lcm of
+    the whole run (for k = 1 the cached one), except that a raising power of
+    an f that is mostly zeros weighs only the runs of its terms: their
+    divisors, the numerators of the n_psi, share few factors (for Gauss q
+    they are those of the q-integers), so the lcm of a few of them is far
+    smaller than that of all, and each weight of a zero coefficient is
     multiplied by 0 whether or not it is exact.  The derivative power's
     divisors are the denominators, whose lcm for every built-in family is
     that of the top index, one of f's terms, so it keeps the whole run.
@@ -88,14 +89,16 @@ def _psi_power(
         raise ValueError("operator power must be nonnegative")
     if not k:
         return f
-    d = f.degree
+    cs = f._num
+    d = len(cs) - 1
     top = d + k if raising else d
     count = top - k + 1  # the coefficients kept
     if count < 1:
         ctx.rows(max(d, 0))
         return _ZERO
-    rows = ctx.rows(top)
-    cs = f._num
+    rows = ctx._rows
+    if len(rows.num) < top:
+        rows = ctx.rows(top)
     zeros = cs.count(0)
     if zeros == d:  # one term c x^d: r_m = x / y
         m = count - 1
@@ -264,7 +267,8 @@ def delta_pair() -> GhwPair:
     both on `poly`'s packed unit shift: the lower f(x+1) - f(x) is
     `poly._difference`, one shift and one subtraction of the numerators,
     and the raiser x E^-1 f is `poly._x_shift_back`, the numerators of
-    f(x - 1) one place up; each makes one gcd."""
+    f(x - 1) one place up; each makes at most one gcd, none for an integer
+    f, and the shift of a one-term f is one `pow`."""
     return GhwPair(
         name="Delta, x*E^-1",
         lower=lambda f: _difference(f, 1),
@@ -361,7 +365,7 @@ def _commutator_cases(lower: PolyOp, raiser: PolyOp, N: int) -> Iterable:
     as 0 there; that is a - b = x^m.  The operators are called in one
     order: raiser(x^m), lower, lower(x^m), raiser."""
     for m in range(N + 1):
-        xm = Polynomial.monomial(m)
+        xm = _term(m, 1, 1)
         a = lower(raiser(xm))
         b = raiser(lower(xm))
         an, bn, den = a._num, b._num, a._den
@@ -426,10 +430,13 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     T(., n) = -(q rhs(., n-1)) rides along in the integer passes that
     build S_n and rhs(m, n), each with one gcd.  S_n is one aligned pass
     over the numerators of S_(n-1) and T(m, n), or, when both are 0 or one
-    term at x^m, one integer step over their denominators.  When p x^m is
-    one term c_j x^j, as for the derivative and psi pairs, rhs(m, n) is one
-    scaled copy of T(j, n).  For the psi pairs and (D, x), T(j, n)
-    and p S_n are one term at x^j as well: the case is settled on one
+    term at x^m, one integer step over their denominators.  S_(n-1)'s
+    numerator at x^m is kept from the `_term` that made it, and each
+    T(m, n) is read for its one term (`_one_term`) once per order, so a
+    one-term case scans two numerator tuples, T(m, n)'s and p S_n's.
+    When p x^m is one term c_j x^j, as for the derivative and psi pairs,
+    rhs(m, n) is one scaled copy of T(j, n).  For the psi pairs and
+    (D, x), T(j, n) and p S_n are one term at x^j as well: the case is settled on one
     cross-multiplied comparison of their coefficients, with no right side
     built, and the next column is raised from p S_n, which equals it.
     When p x^m has several terms (the Delta pair), the column T(., n) is
@@ -450,7 +457,7 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     DomainError.
     """
     _sweep_bounds(max_m, max_n)
-    images = [Polynomial.monomial(m) for m in range(max_m + 1)]  # T(m, n) up to its sign
+    images = [_term(m, 1, 1) for m in range(max_m + 1)]  # T(m, n) up to its sign
     parts = []  # p x^m as ([numerators c_j != 0], [their j], denominator)
     for m, xm in enumerate(images):
         image = pair.lower(xm)
@@ -465,34 +472,37 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     sbits = max((sum(map(abs, cs)).bit_length() for cs, _ in several), default=0)
     dbits = max((den.bit_length() for _, den in several), default=0)
     partials = [Polynomial()] * (max_m + 1)  # S_(n-1) for each x^m
+    heads = [0] * (max_m + 1)  # its numerator at x^m, None unless it is 0 or one term there
     cases = [None] * ((max_m + 1) * (max_n + 1))  # in (m, n) order
     top = max_m
     for n in range(max_n + 1):
         sign = -1 if n else 1  # T(., n) = sign * images
         add = operator.sub if n else operator.add
         rhss, column = [], None  # column: T(., n) packed, on its first several-term case
+        ones = []  # _one_term(T(m, n), m) for each m so far
         for m in range(top + 1):
             partial, image = partials[m], images[m]  # S_n = n S_(n-1) + sign T
-            s = _one_term(partial, m)
-            t = None if s is None else _one_term(image, m)
-            if t is not None:  # s x^m / sd and t x^m / td
+            s, t = heads[m], _one_term(image, m)
+            ones.append(t)
+            if s is not None and t is not None:  # s x^m / sd and t x^m / td
                 sd, td = partial._den, image._den
                 g = math.gcd(sd, td)
                 partial = _term(m, n * s * (td // g) + sign * t * (sd // g), sd // g * td)
+                heads[m] = partial._num[-1] if partial._num else 0
             else:
                 s, t, den = _aligned(partial, image)
                 s = [n * c for c in s]
                 s += [0] * (len(t) - len(s))
                 s[: len(t)] = map(add, s, t)
                 partial = _canonical(s, den)
+                heads[m] = None
             partials[m] = partial
             lhs = pair.lower(partial)
             cs, js, den = parts[m]
             differ = False  # packed sides that differ within the width
             if len(cs) == 1:  # rhs = sign c T(j, n) / den, one scaled image
                 c, j = sign * cs[0], js[0]
-                image = images[j]
-                r = _one_term(image, j)
+                image, r = images[j], ones[j]
                 if r is not None:  # both sides one term at x^j: settled on lhs
                     w = _one_term(lhs, j)
                     if w is not None and w * den * image._den == c * r * lhs._den:

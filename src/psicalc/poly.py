@@ -4,7 +4,8 @@ A polynomial is stored in one canonical form, FLINT's `fmpq_poly` layout:
 a tuple of `int` numerators (index i for x^i) over one positive `int`
 denominator, with gcd(den, *num) = 1 and no trailing zero; the zero
 polynomial has no numerators, denominator 1 and degree -1.  All arithmetic
-runs on the integers and pays one gcd per result, not one per coefficient:
+runs on the integers and pays at most one gcd per result, not one per
+coefficient, and none over denominator 1:
 each of +, -, *, a scalar multiple, divmod (one per quotient and
 remainder), compose_affine, the diagonal maps (derivatives,
 antiderivatives, operator weights), the integer combinations of
@@ -12,6 +13,7 @@ antiderivatives, operator weights), the integer combinations of
 `_difference` (f(x+1) - f(x) or f(x) - f(x-1)) and `_x_shift_back`
 (x f(x-1)), makes its result with one `_canonical`, its one reduction
 to lowest terms; a scalar operand of + or - is first made a constant.
+The unit shift of a one-term input c x^d is one `pow` on a packed integer.
 A product with a degree-1 factor (b + a x)/d, as in the derivative
 pairs' raiser x - y, is one pass, `_times_line`.  A zero result on a hot
 path is the one shared `_ZERO`.
@@ -375,10 +377,14 @@ def _unit_shift(cs: Sequence[int], h: int) -> list[int]:
     coefficients.  Each coefficient of f(t + h) is at most
     sum_i C(i, k) |c_i| <= C(d+1, k+1) max|c_i| < 2^(B+d) in size, for B
     the largest coefficient bit length, so b = B + d + 1 bits hold it
-    with its sign.
+    with its sign.  A one-term f = c t^d packs as G = c (X + h)^d, one
+    `pow` in place of the d steps over its zeros, at the same b; the
+    test of cs[d-1] comes first, so a dense f pays O(1) for it.
     """
     d = len(cs) - 1
     b = max(map(int.bit_length, cs)) + d + 1
+    if not cs[-2] and cs.count(0) == d:
+        return _unpack(cs[-1] * pow((1 << b) + h, d), b, d + 1)
     g = 0
     if h > 0:
         for c in reversed(cs):

@@ -55,6 +55,7 @@ from psicalc import (
 )
 from psicalc import expansions, hahn, operators, poly
 from psicalc.operators import _sweep
+from psicalc.sequences import PsiRows
 
 X = Polynomial.x()
 CLASSICAL = parse_psi_spec("classical")
@@ -412,6 +413,16 @@ class TestOneTermSettle:
         assert ce.inputs == f"m={m}, n={n}"
         assert ce.lhs == str(scale * parse_poly(direct.counterexample.lhs))
         assert ce.rhs == str(scale * parse_poly(direct.counterexample.rhs))
+
+    @pytest.mark.parametrize("pair", [psi_pair(FIB), derivative_pair(0)], ids=lambda p: p.name)
+    def test_bernoulli_reads_at_most_two_terms_per_case(self, pair, monkeypatch):
+        # S_(n-1)'s numerator at x^m is kept from the term that made it, and
+        # each image is read once per order, so a case reads T(m, n) and p S_n
+        calls = _counted(monkeypatch, "_one_term")
+        M, N = 9, 5
+        report = bernoulli_identity_sweep(pair, M, N)
+        assert report.passed and report.cases == (M + 1) * (N + 1)
+        assert len(calls) <= 2 * report.cases
 
 
 def _delta_pair(name, k=1, raiser_break=None, lower_break=None):
@@ -940,6 +951,33 @@ def _repeated(op, f, k):
     for _ in range(k):
         f = op(f)
     return f
+
+
+class TestRowReadParity:
+    """`_psi_power` reads the context's row snapshot itself and calls
+    `ctx.rows(top)` only when the snapshot is shorter than top.  On a
+    context short of top, fresh or grown part way, each operator raises
+    what that call raises, or nothing, and leaves the same rows."""
+
+    SPEC = "custom:1,2,3"  # 4_psi and beyond are missing
+
+    @pytest.mark.parametrize("grown", [0, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("op, raising", [(psi_derivative, False), (x_hat_psi, True),
+                                             (psi_antiderivative, True)],
+                             ids=["derivative", "x_hat", "antiderivative"])
+    def test_errors_and_rows_match_a_rows_call(self, op, raising, k, grown):
+        for f in (Polynomial.constant(3), X**2, X**3 / 5, X**4, X**4 + X, (1 + X)**5):
+            top = f.degree + k if raising else f.degree
+            ctx, ref = parse_psi_spec(self.SPEC), parse_psi_spec(self.SPEC)
+            ctx.rows(grown)
+            ref.rows(grown)
+            want, got = _outcome(lambda: ref.rows(top)), _outcome(lambda: op(ctx, f, k))
+            if not isinstance(want, PsiRows):  # the type and text rows raised
+                assert got == want, (str(f), top)
+            else:
+                assert isinstance(got, Polynomial), (str(f), top, got)
+            assert ctx._rows == ref._rows, (str(f), top)
 
 
 class TestOperatorPowers:

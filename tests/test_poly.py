@@ -112,6 +112,64 @@ class TestTaylorShift:
         assert f.compose_affine(q, h) == want
 
 
+def binomial_shift(cs, a):
+    """The coefficients of f(x + a), Fractions lowest first, for those cs
+    of f: sum over i of c_i C(i, k) a^(i-k) at x^k, by `math.comb`."""
+    out = [F(0)] * len(cs)
+    for i, c in enumerate(cs):
+        if c:
+            for k in range(i + 1):
+                out[k] += c * math.comb(i, k) * F(a) ** (i - k)
+    return out
+
+
+# one term c x^d / den: c of either sign and up to 300 bits, d <= 130
+shift_ints = st.integers(-(2**300), 2**300).filter(bool)
+shift_terms = st.tuples(shift_ints, st.integers(1, 130), st.integers(1, 10**6)).map(
+    lambda t: [F(0)] * t[1] + [F(t[0], t[2])])
+dense_shift_cs = st.lists(rationals, min_size=2, max_size=24).filter(lambda cs: cs[-1]) | st.lists(
+    st.integers(-(2**300), 2**300), min_size=2, max_size=24).filter(lambda cs: cs[-1])
+
+
+class TestUnitShiftOracle:
+    """The packed unit shift and the kernels on it, one-term inputs (one
+    `pow`) and dense ones (Horner) alike, against the binomial expansion
+    of f(x + h) over Fractions, which shares no code with either."""
+
+    @given(shift_ints, st.integers(1, 130), st.sampled_from([1, -1]))
+    @example(-(2**300), 130, -1)
+    @example(1, 1, 1)
+    def test_one_term_against_math_comb(self, c, d, h):
+        got = poly._unit_shift([0] * d + [c], h)
+        assert got == [c * math.comb(d, k) * h ** (d - k) for k in range(d + 1)]
+
+    @given(st.lists(st.integers(-(2**300), 2**300), min_size=2, max_size=40).filter(
+        lambda cs: cs[-1]), st.sampled_from([1, -1]))
+    def test_dense_against_math_comb(self, cs, h):
+        assert poly._unit_shift(cs, h) == binomial_shift(cs, h)
+
+    @given(shift_terms | dense_shift_cs, st.sampled_from([1, -1]))
+    def test_kernels_against_the_binomial_expansion(self, cs, h):
+        f = Polynomial(cs)
+        shifted = binomial_shift(cs, h)
+        got = f.compose_affine(1, h)
+        assert_canonical(got)
+        assert got.coeffs == _fraction_coeffs(shifted)
+        diff = poly._difference(f, h)
+        assert_canonical(diff)
+        pairs = zip(shifted, cs) if h > 0 else zip(cs, binomial_shift(cs, -1))
+        assert diff.coeffs == _fraction_coeffs([u - v for u, v in pairs])
+        back = poly._x_shift_back(f)
+        assert_canonical(back)
+        assert back.coeffs == _fraction_coeffs([F(0), *binomial_shift(cs, -1)])
+
+    @given(shift_terms | dense_shift_cs, rationals)
+    def test_rational_shift_against_the_binomial_expansion(self, cs, a):
+        got = Polynomial(cs).compose_affine(1, a)
+        assert_canonical(got)
+        assert got.coeffs == _fraction_coeffs(binomial_shift(cs, a))
+
+
 class TestCombine:
     """The one-pass integer combination against a sum of scalar multiples."""
 
