@@ -431,14 +431,14 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     build S_n and rhs(m, n), each with one gcd.  S_n is one aligned pass
     over the numerators of S_(n-1) and T(m, n), or, when both are 0 or one
     term at x^m, one integer step over their denominators.  S_(n-1)'s
-    numerator at x^m is kept from the `_term` that made it, and each
-    T(m, n) is read for its one term (`_one_term`) once per order, so a
-    one-term case scans two numerator tuples, T(m, n)'s and p S_n's.
-    When p x^m is one term c_j x^j, as for the derivative and psi pairs,
-    rhs(m, n) is one scaled copy of T(j, n).  For the psi pairs and
-    (D, x), T(j, n) and p S_n are one term at x^j as well: the case is settled on one
-    cross-multiplied comparison of their coefficients, with no right side
-    built, and the next column is raised from p S_n, which equals it.
+    numerator at x^m is kept from the `_term` that made it, and each T(m, n)
+    is read for its one term (`_one_term`) once per order, so a one-term
+    case scans two numerator tuples, T(m, n)'s and p S_n's.  When p x^m is
+    one term c_j x^j, as for the derivative and psi pairs, rhs(m, n) is one
+    scaled copy of T(j, n).  For the psi pairs and (D, x), T(j, n) and p S_n
+    are one term at x^j as well: the case is settled on one cross-multiplied
+    comparison of their coefficients, with no right side built, and the next
+    column is raised from p S_n, which equals it.
     When p x^m has several terms (the Delta pair), the column T(., n) is
     brought to the lcm L of its denominators and packed at X = 2^w once
     per order (`_packed_column`), on its first such case; then
@@ -472,7 +472,7 @@ def bernoulli_identity_sweep(pair: GhwPair, max_m: int, max_n: int) -> Verificat
     sbits = max((sum(map(abs, cs)).bit_length() for cs, _ in several), default=0)
     dbits = max((den.bit_length() for _, den in several), default=0)
     partials = [Polynomial()] * (max_m + 1)  # S_(n-1) for each x^m
-    heads = [0] * (max_m + 1)  # its numerator at x^m, None unless it is 0 or one term there
+    heads = [0] * (max_m + 1)  # S_(n-1)'s numerator at x^m, None after an aligned pass
     cases = [None] * ((max_m + 1) * (max_n + 1))  # in (m, n) order
     top = max_m
     for n in range(max_n + 1):

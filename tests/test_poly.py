@@ -127,8 +127,10 @@ def binomial_shift(cs, a):
 shift_ints = st.integers(-(2**300), 2**300).filter(bool)
 shift_terms = st.tuples(shift_ints, st.integers(1, 130), st.integers(1, 10**6)).map(
     lambda t: [F(0)] * t[1] + [F(t[0], t[2])])
-dense_shift_cs = st.lists(rationals, min_size=2, max_size=24).filter(lambda cs: cs[-1]) | st.lists(
-    st.integers(-(2**300), 2**300), min_size=2, max_size=24).filter(lambda cs: cs[-1])
+# dense f of degree >= 1: rational, or integer up to 300 bits
+dense_shift_cs = (st.lists(rationals, min_size=2, max_size=24)
+                  | st.lists(st.integers(-(2**300), 2**300), min_size=2, max_size=24)).filter(
+    lambda cs: cs[-1])
 
 
 class TestUnitShiftOracle:
@@ -150,18 +152,13 @@ class TestUnitShiftOracle:
 
     @given(shift_terms | dense_shift_cs, st.sampled_from([1, -1]))
     def test_kernels_against_the_binomial_expansion(self, cs, h):
-        f = Polynomial(cs)
-        shifted = binomial_shift(cs, h)
-        got = f.compose_affine(1, h)
-        assert_canonical(got)
-        assert got.coeffs == _fraction_coeffs(shifted)
-        diff = poly._difference(f, h)
-        assert_canonical(diff)
-        pairs = zip(shifted, cs) if h > 0 else zip(cs, binomial_shift(cs, -1))
-        assert diff.coeffs == _fraction_coeffs([u - v for u, v in pairs])
-        back = poly._x_shift_back(f)
-        assert_canonical(back)
-        assert back.coeffs == _fraction_coeffs([F(0), *binomial_shift(cs, -1)])
+        f, shifted = Polynomial(cs), binomial_shift(cs, h)
+        # f(x + 1) - f(x) for h = 1, f(x) - f(x - 1) for h = -1
+        diff = [h * (u - v) for u, v in zip(shifted, cs)]
+        for got, want in ((f.compose_affine(1, h), shifted), (poly._difference(f, h), diff),
+                          (poly._x_shift_back(f), [F(0), *binomial_shift(cs, -1)])):
+            assert_canonical(got)
+            assert got.coeffs == _fraction_coeffs(want)
 
     @given(shift_terms | dense_shift_cs, rationals)
     def test_rational_shift_against_the_binomial_expansion(self, cs, a):
