@@ -69,6 +69,25 @@ RUNS.update({
     "expand-newton-one-term": ["expand", "--kind", "newton", "--f", "x^20", "--order", "6"],
     "expand-psi-one-term": ["expand", "--kind", "psi", "--psi", "q:-2/3", "--f", "5*x^12",
                             "--alpha", "1/2", "--x-eval", "1/2", "--order", "12"],
+    # the expansions' scalars in JSON: negative factors and a nonzero
+    # remainder, a negative alpha, an order past the degree, a fractional
+    # f at an integer alpha, and the zero f
+    "expand-psi-custom-json": [
+        "expand", "--kind", "psi", "--psi", "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9,11,-13/2,6",
+        "--f=3/7*x^9 - 5*x^4 + 2/3", "--alpha=-5/2", "--x-eval", "7/3", "--order", "6",
+        "--format", "json"],
+    "expand-taylor-negative-alpha-json": [
+        "expand", "--kind", "taylor", "--f=-2/9*x^11 + 4*x^6 - 1", "--alpha=-7/4",
+        "--order", "7", "--format", "json"],
+    "expand-newton-past-degree-json": [
+        "expand", "--kind", "newton", "--f=5/6*x^9 - x^2 + 3", "--order", "12",
+        "--format", "json"],
+    "expand-maclaurin-json": [
+        "expand", "--kind", "maclaurin", "--f=1/7*x^9 - 4*x^5 + 1/3", "--alpha", "6",
+        "--order", "4", "--format", "json"],
+    "expand-psi-zero-json": [
+        "expand", "--kind", "psi", "--psi", "fib", "--f", "0", "--alpha", "1/2",
+        "--x-eval=-3", "--order", "2", "--format", "json"],
 })
 # table on every spec, and on q:-1, whose 2_q = 0 fails admissibility (exit 3)
 for name, spec in {**SPECS, "q-1": "q:-1"}.items():
