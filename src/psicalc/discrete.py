@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, RangeError
 from .expansions import _check_order
-from .poly import Polynomial, _combine, _difference, _digits, _rational
+from .poly import _ZERO, Polynomial, _canonical, _combine, _difference, _digits, _rational, _value
 from .record import Record
 
 TYPE_CHECKING = False
@@ -191,12 +191,17 @@ def newton_expansion(
         raise RangeError("newton_expansion requires a polynomial-backed function")
     _check_order(n)
     terms = []
-    dk = f
+    dk, fact = f, 1  # Delta^k f, and k!
     top = min(n, f.polynomial.degree)
     for k, falling in zip(range(top + 1), _falling_factorials(top)):
-        terms.append(falling * (dk(0) / math.factorial(k)))
+        if k:
+            fact *= k
+        num = dk.polynomial._num  # Delta^k f(0) is num[0] / den
+        c = num[0] if num else 0
+        terms.append(_canonical([c * v for v in falling._num], dk.polynomial._den * fact)
+                     if c else _ZERO)
         dk = forward_difference(dk)
-    terms += [Polynomial()] * (n + 1 - len(terms))  # Delta^k f = 0 beyond deg f
+    terms += [_ZERO] * (n + 1 - len(terms))  # Delta^k f = 0 beyond deg f
     partial = _combine((1, t) for t in terms)
 
     # dk is now Delta^(n+1) f; the remainder is its (n+1)-fold sum
@@ -258,16 +263,20 @@ def bernoulli_maclaurin(
     terms = []
     dk = f
     for k in range(n + 1):
-        terms.append((-1) ** (k + flip) * math.comb(alpha, k) * dk(alpha))
+        v, d = _value(dk.polynomial, alpha, 1)
+        terms.append(Fraction((-1) ** (k + flip) * math.comb(alpha, k) * v, d))
         dk = backward_nabla(dk)
 
-    # dk is now nabla^(n+1) f.  iterated_sum(g, n + 1, alpha) sums
+    # dk is now nabla^(n+1) f.  The (n+1)-fold sum of g at alpha sums
     # C(alpha - s - 1, n) g(s) over s < alpha in integers; at
     # g(s) = dk(alpha - s) and r = alpha - 1 - s that is the remainder's
     # sum of C(r, n) dk(r + 1) over r < alpha
     back = LatticeFunction.from_polynomial(dk.polynomial.compose_affine(-1, alpha))
-    remainder = (-1) ** (n + 1 - flip) * iterated_sum(back, n + 1, alpha)
+    (rem,), den = _iterated_sums(back, n + 1, (alpha,))
+    remainder = Fraction((-1) ** (n + 1 - flip) * rem, den)
 
-    total = sum(terms, Fraction(0)) + remainder
+    parts = [*terms, remainder]
+    den = math.lcm(*[t.denominator for t in parts])
+    total = Fraction(sum([t.numerator * (den // t.denominator) for t in parts]), den)
     target = f(0)
     return MaclaurinReport(alpha, n, tuple(terms), remainder, total, target, total == target)

@@ -27,11 +27,11 @@ from .errors import DomainError
 from .operators import (
     VerificationReport,
     _sweep,
-    psi_definite_integral,
+    psi_antiderivative,
     psi_derivative,
     x_hat_psi,
 )
-from .poly import Polynomial, _combine, _digits, _rational
+from .poly import _ZERO, Polynomial, _canonical, _combine, _digits, _rational, _term, _value
 from .record import Record
 from .sequences import PsiContext
 
@@ -89,15 +89,17 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
     _check_order(n)
     alpha = Fraction(_rational(alpha))
     g = f.compose_affine(1, alpha)
-    step = Polynomial([-alpha, 1])  # x - alpha
+    p, s = alpha.numerator, alpha.denominator
 
     terms = []
-    power = Polynomial.constant(1)  # (x - alpha)^k
+    row, den = [1], g._den  # (s x - p)^k, and g's den times s^k
     for k in range(min(n, g.degree) + 1):
         if k:
-            power = power * step
-        terms.append(power * g.coeff(k))
-    terms += [Polynomial()] * (n + 1 - len(terms))  # f^(k) = 0 beyond deg f
+            row = [s * u - p * v for u, v in zip([0, *row], [*row, 0])]
+            den *= s
+        c = g._num[k]
+        terms.append(_canonical([c * v for v in row], den) if c else _ZERO)
+    terms += [_ZERO] * (n + 1 - len(terms))  # f^(k) = 0 beyond deg f
     partial = _combine((1, t) for t in terms)
 
     h = g.derivative(n + 1)
@@ -128,21 +130,29 @@ def psi_bernoulli_taylor(
     phi = f.compose_affine(1, x_eval)  # phi(w) = f(x_eval + w)
     w0 = alpha - x_eval
 
-    values = []
-    dk = phi  # k-th psi-derivative of phi
+    p, q = w0.numerator, w0.denominator
+
+    terms = []
+    dk, sign = phi, 1  # the k-th psi-derivative of phi, and (-1)^k k!
     for k in range(min(n, phi.degree) + 1):
-        values.append(x_hat_psi(ctx, dk, k)(w0) / ((-1) ** k * math.factorial(k)))
+        if k:
+            sign *= -k
+        v, d = _value(x_hat_psi(ctx, dk, k), p, q)
+        terms.append(_term(0, v, d * sign))
         dk = psi_derivative(ctx, dk)
-    values += [Fraction(0)] * (n + 1 - len(values))  # dk = 0 beyond deg f
+    terms += [_ZERO] * (n + 1 - len(terms))  # dk = 0 beyond deg f
+    den = math.lcm(*[t._den for t in terms])
+    total = sum([c * (den // t._den) for t in terms for c in t._num])
+    partial = _term(0, total, den)
 
-    # dk is now the (n+1)-st psi-derivative of phi
-    img = x_hat_psi(ctx, dk, n)
-    rem_value = psi_definite_integral(ctx, img, w0, 0) / ((-1) ** n * math.factorial(n))
-
-    terms = [Polynomial.constant(v) for v in values]
-    partial = Polynomial.constant(sum(values))
-    remainder = Polynomial.constant(rem_value)
-    oracle = f(x_eval) - partial
+    # dk is now the (n+1)-st psi-derivative of phi.  The psi-integral from
+    # w0 to 0 is anti(0) - anti(w0) = -anti(w0): a psi-antiderivative has
+    # no constant term
+    anti = psi_antiderivative(ctx, x_hat_psi(ctx, dk, n))
+    v, d = _value(anti, p, q)
+    remainder = _term(0, -v, d * (-1) ** n * math.factorial(n))
+    v, d = _value(f, x_eval.numerator, x_eval.denominator)
+    oracle = _term(0, v * den - total * d, d * den)  # f(x_eval) - partial
     return ExpansionReport(ctx.label, alpha, n, tuple(terms), partial, remainder, oracle,
                            remainder == oracle, x_eval)
 

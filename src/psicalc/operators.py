@@ -24,7 +24,7 @@ from itertools import accumulate, compress
 from .errors import DomainError, InternalError
 from .poly import (
     _ZERO, Polynomial, _aligned, _canonical, _combine, _difference, _digits, _one_term, _pack,
-    _perms, _rational, _term, _x_shift_back,
+    _perms, _rational, _term, _value, _x_shift_back,
 )
 from .record import Record
 from .sequences import PsiContext
@@ -134,8 +134,13 @@ def _psi_power(
 
 
 def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) -> Fraction:
+    """F(b) - F(a) for F the psi-antiderivative of f: both endpoints are
+    `poly._value` pairs, and their difference is reduced once."""
     anti = psi_antiderivative(ctx, f)
-    return anti(b) - anti(a)
+    a, b = _rational(a), _rational(b)
+    u, s = _value(anti, b.numerator, b.denominator)
+    v, t = _value(anti, a.numerator, a.denominator)
+    return Fraction(u * t - v * s, s * t)
 
 
 def star_psi(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Polynomial:

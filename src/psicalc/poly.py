@@ -204,14 +204,9 @@ class Polynomial:
     # -- calculus and evaluation ------------------------------------------
 
     def __call__(self, a: Scalar) -> Fraction:
-        """Horner evaluation at a = p/q, homogenised so that only the
-        final division makes a Fraction."""
+        """The value at a as a Fraction: `_value`'s pair, reduced once."""
         a = _rational(a)
-        p, q = a.numerator, a.denominator
-        acc, qk = 0, 1
-        for c in reversed(self._num):
-            acc, qk = acc * p + c * qk, qk * q
-        return Fraction(acc * q, self._den * qk)  # acc / (den q^d); qk = q^(d+1)
+        return Fraction(*_value(self, a.numerator, a.denominator))
 
     def _numerator_values(self, points: Iterable[int]) -> list[int]:
         """den * f(r) at each integer r, by Horner on the numerators."""
@@ -327,6 +322,17 @@ def _term(j: int, c: int, den: int) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p._num, p._den = (0,) * j + (c // g,), den // g
     return p
+
+
+def _value(f: Polynomial, p: int, q: int) -> tuple[int, int]:
+    """f(p/q) as an unreduced pair (num, den), den > 0, for ints p and
+    q > 0: Horner on the numerators, homogenised, so that no step divides.
+    The one evaluation kernel: `Polynomial.__call__` reduces its pair
+    once, and the expansions reduce theirs where the report stores them."""
+    acc, qk = 0, 1
+    for c in reversed(f._num):
+        acc, qk = acc * p + c * qk, qk * q
+    return acc * q, f._den * qk  # acc / (den q^d); qk = q^(d+1)
 
 
 def _one_term(f: Polynomial, j: int) -> int | None:
