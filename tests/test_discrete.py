@@ -152,6 +152,19 @@ class TestIteratedSum:
         assert total == 0 and type(total) is F
 
 
+def at(f, a):
+    """f(a) as the sum of c_i a^i over f.coeffs: no Horner kernel."""
+    return sum((c * F(a) ** i for i, c in enumerate(f.coeffs)), F(0))
+
+
+def falling_coeffs(k):
+    """The coefficients of x(x-1)...(x-k+1), multiplied out on lists."""
+    out = [F(1)]
+    for j in range(k):
+        out = [b - j * a for a, b in zip([*out, 0], [0, *out])]
+    return out
+
+
 def newton_oracle(f, n, x):
     """partial(x) and R(x) of the order-n Newton expansion from values of f
     alone: Delta^k f(r) = sum_j (-1)^(k-j) C(k, j) f(r+j), the binomial
@@ -166,6 +179,40 @@ def newton_oracle(f, n, x):
     partial = sum((delta(k, 0) * binom(x, k) for k in range(n + 1)), F(0))
     remainder = sum((math.comb(x - r - 1, n) * delta(n + 1, r) for r in range(x)), F(0))
     return partial, remainder
+
+
+class TestTermOracles:
+    """Each Newton and Maclaurin term from values of f alone, each value a
+    sum of c_i a^i over .coeffs: no difference operator, no Horner kernel,
+    no Polynomial product."""
+
+    @given(st.one_of(st.just(Polynomial()), polynomials(max_degree=8)), st.integers(0, 12))
+    @example(Polynomial(), 3)
+    @example(F(5, 6) * X**9 - X**2 + 3, 12)
+    def test_newton_terms(self, f, n):
+        # Delta^k f(0) = sum_i (-1)^(k-i) C(k, i) f(i)
+        r = newton_expansion(lat(f), n)
+        assert len(r.terms) == n + 1
+        for k, term in enumerate(r.terms):
+            dk = sum((-1) ** (k - i) * math.comb(k, i) * at(f, i) for i in range(k + 1))
+            assert term == Polynomial([dk / math.factorial(k) * c for c in falling_coeffs(k)])
+        assert r.exact
+
+    @given(st.one_of(st.just(Polynomial()), polynomials(max_degree=6)),
+           st.integers(1, 8), st.integers(0, 10), st.booleans())
+    @example(F(1, 7) * X**9 - 4 * X**5 + F(1, 3), 6, 4, False)
+    @example(Polynomial(), 3, 2, True)
+    def test_maclaurin_terms(self, f, alpha, n, legacy):
+        # nabla^k f(alpha) = sum_i (-1)^i C(k, i) f(alpha - i)
+        r = bernoulli_maclaurin(lat(f), alpha, n, legacy)
+        flip = 1 if legacy else 0
+        assert len(r.terms) == n + 1
+        for k, term in enumerate(r.terms):
+            nabla = sum((-1) ** i * math.comb(k, i) * at(f, alpha - i) for i in range(k + 1))
+            assert term == (-1) ** (k + flip) * math.comb(alpha, k) * nabla
+        assert r.target == at(f, 0)
+        assert r.total == sum(r.terms, F(0)) + r.remainder
+        assert r.exact is (r.total == r.target)
 
 
 class TestFallingFactorial:

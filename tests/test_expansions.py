@@ -3,24 +3,38 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
 from psicalc import (
     Polynomial,
     parse_psi_spec,
+    psi_antiderivative,
     psi_bernoulli_taylor,
+    psi_definite_integral,
     taylor_classical,
     verify_expansion,
 )
 from psicalc.expansions import ExpansionReport
+from psicalc.poly import _value
 
 X = Polynomial.x()
 CLASSICAL = parse_psi_spec("classical")
 FIB = parse_psi_spec("fib")
+SPECS = ["classical", "q:2", "q:1/2", "q:3/2", "fib", "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9"]
 
 small_orders = st.integers(min_value=0, max_value=10)
+
+
+def with_zero(max_degree):
+    """Polynomials up to max_degree, the zero one drawn on its own too."""
+    return st.one_of(st.just(Polynomial()), polynomials(max_degree=max_degree))
+
+
+def at(f, a):
+    """f(a) as the sum of c_i a^i over f.coeffs: no Horner kernel."""
+    return sum((c * F(a) ** i for i, c in enumerate(f.coeffs)), F(0))
 
 
 class TestTaylorClassical:
@@ -117,12 +131,13 @@ class TestPsiFreeClosedForm:
     f(x_eval + w) expanded binomially and w0 = alpha - x_eval."""
 
     @given(
-        st.sampled_from(["classical", "q:2", "q:1/2", "q:3/2", "fib", "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9"]),
-        polynomials(max_degree=6),
+        st.sampled_from(SPECS),
+        with_zero(6),
         rationals,
         rationals,
         st.integers(min_value=0, max_value=8),
     )
+    @example("fib", Polynomial(), F(1, 2), F(-3), 2)
     def test_terms(self, spec, f, alpha, x_eval, n):
         cs = f.coeffs
         phi = [sum((c * math.comb(i, m) * x_eval ** (i - m) for i, c in enumerate(cs) if i >= m), F(0))
@@ -133,7 +148,58 @@ class TestPsiFreeClosedForm:
         r = psi_bernoulli_taylor(parse_psi_spec(spec), f, alpha, x_eval, n)
         assert all(t.degree <= 0 for t in r.terms)
         assert [t.coeff(0) for t in r.terms] == want
+        # the partial sum is the sum of those terms, and the remainder,
+        # built through the psi-integral, is what they leave of f(x_eval)
+        assert r.partial_sum == Polynomial.constant(sum(want, F(0)))
+        assert r.cauchy_remainder == Polynomial.constant(at(f, x_eval) - sum(want, F(0)))
+        assert r.oracle_remainder == r.cauchy_remainder
         assert r.exact
+
+
+class TestTaylorTermOracle:
+    """Term k of the classical expansion is f^(k)(alpha)/k! (x - alpha)^k,
+    from Fraction coefficients and math.comb: no shift, no product."""
+
+    @given(with_zero(8), rationals, st.integers(min_value=0, max_value=11))
+    @example(Polynomial(), F(-7, 4), 3)
+    @example(F(-2, 9) * X**11 + 4 * X**6 - 1, F(-7, 4), 7)
+    def test_terms(self, f, alpha, n):
+        cs = f.coeffs
+        r = taylor_classical(f, alpha, n)
+        assert len(r.terms) == n + 1
+        for k, term in enumerate(r.terms):
+            gk = sum((c * math.comb(i, k) * alpha ** (i - k) for i, c in enumerate(cs) if i >= k), F(0))
+            power = [math.comb(k, j) * (-alpha) ** (k - j) for j in range(k + 1)]
+            assert term == Polynomial([gk * c for c in power])
+        assert r.partial_sum + r.cauchy_remainder == f
+        assert r.exact
+
+
+class TestEvaluationKernels:
+    """`poly._value` and `psi_definite_integral` against the sum of
+    c_i a^i over .coeffs."""
+
+    @given(with_zero(10), rationals)
+    @example(Polynomial(), F(-5, 2))
+    def test_value_is_the_sum_of_powers(self, f, a):
+        v, d = _value(f, a.numerator, a.denominator)
+        assert d > 0
+        assert F(v, d) == at(f, a) == f(a)
+
+    @given(st.sampled_from(SPECS), with_zero(6), rationals, rationals)
+    @example("q:3/2", X**3 - 2, 0, 1)
+    def test_psi_definite_integral(self, spec, f, a, b):
+        ctx = parse_psi_spec(spec)
+        anti = psi_antiderivative(ctx, f)
+        assert psi_definite_integral(ctx, f, a, b) == at(anti, b) - at(anti, a)
+
+    @given(st.sampled_from(SPECS), with_zero(4), st.integers(min_value=1, max_value=3))
+    def test_an_antiderivative_vanishes_at_zero(self, spec, f, k):
+        # the psi-Bernoulli-Taylor remainder reads its integral from w0
+        # to 0 as -anti(w0), which needs anti(0) = 0
+        anti = psi_antiderivative(parse_psi_spec(spec), f, k)
+        assert anti.coeff(0) == 0
+        assert _value(anti, 0, 1)[0] == 0
 
 
 class TestTaylorRemainderOracle:
