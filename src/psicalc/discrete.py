@@ -186,7 +186,10 @@ def newton_expansion(
     f: LatticeFunction, n: int, sweep=range(17)
 ) -> DeltaExpansionReport:
     """Newton forward-difference expansion about 0 to order n with the
-    summed Cauchy-type remainder, checked for exactness on `sweep`."""
+    summed Cauchy-type remainder, checked for exactness on `sweep`.  Term
+    k is the falling factorial x^(falling k), whose coefficients are ints,
+    times the constant numerator of Delta^k f over its den times k!: one
+    `_canonical`, and no Fraction."""
     if not f.is_polynomial:
         raise RangeError("newton_expansion requires a polynomial-backed function")
     _check_order(n)
@@ -250,7 +253,10 @@ def bernoulli_maclaurin(
     remainder is the negative of this one and totals -f(0); pass
     legacy_signs=True to reproduce it (its report is exact only when
     f(0) = 0).  alpha above MAX_ALPHA is a DomainError, raised before
-    any work, since the remainder sums alpha terms.
+    any work, since the remainder sums alpha terms.  Each term is one
+    Fraction of ints, its value the `poly._value` pair of nabla^k f at
+    alpha; the remainder is the iterated-sum kernel's pair, and the total
+    one integer sum over the lcm of the denominators, each reduced once.
     """
     if not f.is_polynomial:
         raise RangeError("bernoulli_maclaurin requires a polynomial-backed function")
@@ -272,8 +278,8 @@ def bernoulli_maclaurin(
     # g(s) = dk(alpha - s) and r = alpha - 1 - s that is the remainder's
     # sum of C(r, n) dk(r + 1) over r < alpha
     back = LatticeFunction.from_polynomial(dk.polynomial.compose_affine(-1, alpha))
-    (rem,), den = _iterated_sums(back, n + 1, (alpha,))
-    remainder = Fraction((-1) ** (n + 1 - flip) * rem, den)
+    (rem,), rem_den = _iterated_sums(back, n + 1, (alpha,))
+    remainder = Fraction((-1) ** (n + 1 - flip) * rem, rem_den)
 
     parts = [*terms, remainder]
     den = math.lcm(*[t.denominator for t in parts])

@@ -15,7 +15,9 @@ psi-derivative, so an order-n expansion makes O(n) operator passes.
 
 Each expansion returns an ExpansionReport carrying both the constructed
 remainder and the independently forced one (f minus the partial sum);
-`exact` records their equality.
+`exact` records their equality.  Every scalar of an expansion -- a
+coefficient of a term, a value, the partial sum, the remainder -- is
+built as an integer pair and reduced once, where the report stores it.
 """
 
 from __future__ import annotations
@@ -79,9 +81,11 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
     polynomial integral of (x-t)^n f^(n+1)(t)/n! from alpha to x.
 
     One Taylor shift g(u) = f(alpha + u) gives every term: its
-    coefficient k is f^(k)(alpha)/k!.  With x = alpha + s the remainder
-    is the integral of (s-u)^n h(u)/n! over 0 <= u <= s, h = g^(n+1) the
-    shifted f^(n+1), and the Beta integral
+    coefficient k is f^(k)(alpha)/k!.  With alpha = a/b, term k is
+    g_k (b x - a)^k / b^k: an integer binomial row, one step per k, times
+    g's numerator k over its den times b^k, made canonical once.  With
+    x = alpha + s the remainder is the integral of (s-u)^n h(u)/n! over
+    0 <= u <= s, h = g^(n+1) the shifted f^(n+1), and the Beta integral
     int_0^s (s-u)^n u^j du = s^(n+j+1) n! j!/(n+j+1)!
     makes it one weight pass u^j -> j!/(n+j+1)! s^(n+j+1) on h, shifted
     back by -alpha.
@@ -89,14 +93,14 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
     _check_order(n)
     alpha = Fraction(_rational(alpha))
     g = f.compose_affine(1, alpha)
-    p, s = alpha.numerator, alpha.denominator
+    a, b = alpha.numerator, alpha.denominator
 
     terms = []
-    row, den = [1], g._den  # (s x - p)^k, and g's den times s^k
+    row, den = [1], g._den  # (b x - a)^k, and g's den times b^k
     for k in range(min(n, g.degree) + 1):
         if k:
-            row = [s * u - p * v for u, v in zip([0, *row], [*row, 0])]
-            den *= s
+            row = [b * u - a * v for u, v in zip([0, *row], [*row, 0])]
+            den *= b
         c = g._num[k]
         terms.append(_canonical([c * v for v in row], den) if c else _ZERO)
     terms += [_ZERO] * (n + 1 - len(terms))  # f^(k) = 0 beyond deg f
@@ -123,13 +127,16 @@ def psi_bernoulli_taylor(
     and the remainder is (1/n!) times the psi-integral of
     (-w_hat)^n (n+1-st psi-derivative of phi) from alpha - x_eval to 0.
     Their total equals f(x_eval) exactly.  Terms and remainder are stored
-    as constant polynomials.
+    as constant polynomials, each one `poly._term`: term k is the
+    `poly._value` pair of its x_hat image at w0 over a running (-1)^k k!,
+    the partial sum one integer sum over the lcm of the terms'
+    denominators, and the remainder the pair of the psi-antiderivative
+    at w0, negated (it vanishes at 0) and over (-1)^n n!.
     """
     _check_order(n)
     alpha, x_eval = Fraction(_rational(alpha)), Fraction(_rational(x_eval))
     phi = f.compose_affine(1, x_eval)  # phi(w) = f(x_eval + w)
     w0 = alpha - x_eval
-
     p, q = w0.numerator, w0.denominator
 
     terms = []

@@ -21,11 +21,13 @@ A one-term result c x^j / den -- `monomial`, `constant`, the product of
 two one-term operands, the derivative of one term, and the one-term
 operator images and sweep steps of `operators` -- is made by `_term`
 instead, from one gcd of two ints and no pass over its zeros; `_one_term`
-reads such a term back.  A polynomial is written once: `_set` and `_term`
-are the only code that assigns its two slots, each on the object it has
-just made, so a result can be shared.  `.coeffs` is a `Fraction` tuple
-built on each read.  Floats are refused: nothing in this module touches
-floating point.
+reads such a term back.  Evaluation has one kernel, `_value`, whose
+unreduced integer pair `__call__` reduces once; the expansions reduce
+each of their scalars once too, where the report stores it.  A
+polynomial is written once: `_set` and `_term` are the only code that
+assigns its two slots, each on the object it has just made, so a result
+can be shared.  `.coeffs` is a `Fraction` tuple built on each read.
+Floats are refused: nothing in this module touches floating point.
 """
 
 from __future__ import annotations

@@ -168,7 +168,8 @@ class TestTaylorTermOracle:
         r = taylor_classical(f, alpha, n)
         assert len(r.terms) == n + 1
         for k, term in enumerate(r.terms):
-            gk = sum((c * math.comb(i, k) * alpha ** (i - k) for i, c in enumerate(cs) if i >= k), F(0))
+            gk = sum((c * math.comb(i, k) * alpha ** (i - k) for i, c in enumerate(cs) if i >= k),
+                     F(0))
             power = [math.comb(k, j) * (-alpha) ** (k - j) for j in range(k + 1)]
             assert term == Polynomial([gk * c for c in power])
         assert r.partial_sum + r.cauchy_remainder == f
