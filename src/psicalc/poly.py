@@ -385,13 +385,15 @@ def _unit_shift(cs: Sequence[int], h: int) -> list[int]:
     coefficients.  Each coefficient of f(t + h) is at most
     sum_i C(i, k) |c_i| <= C(d+1, k+1) max|c_i| < 2^(B+d) in size, for B
     the largest coefficient bit length, so b = B + d + 1 bits hold it
-    with its sign.  A one-term f = c t^d packs as G = c (X + h)^d, one
-    `pow` in place of the d steps over its zeros, at the same b; the
-    test of cs[d-1] comes first, so a dense f pays O(1) for it.
+    with its sign.  A one-term f = c t^d, c != 0, packs as G = c (X + h)^d,
+    one `pow` in place of the d steps over its zeros, at the same b; the
+    test of cs[d-1] comes first, so a dense f pays O(1) for it.  A list
+    whose one nonzero entry sits below the top, such as [1, 0, 0], takes
+    the Horner loop.
     """
     d = len(cs) - 1
     b = max(map(int.bit_length, cs)) + d + 1
-    if not cs[-2] and cs.count(0) == d:
+    if not cs[-2] and cs[-1] and cs.count(0) == d:
         return _unpack(cs[-1] * pow((1 << b) + h, d), b, d + 1)
     g = 0
     if h > 0:

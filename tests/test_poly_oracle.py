@@ -10,7 +10,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import polynomials, rationals
@@ -69,6 +69,8 @@ def test_compose_affine_unit_shift(f, q, h):
 @given(st.integers(1, 40).flatmap(
     lambda d: st.lists(st.integers(-2**80, 2**80), min_size=d + 1, max_size=d + 1)),
     st.sampled_from([1, -1]))
+@example([1, 0, 0], 1)
+@example([-3, 0, 0, 0], -1)
 def test_unit_shift_against_the_binomial_sum(cs, h):
     """The packed shift, at X + 1 or X - 1, against
     [t^k] f(t + h) = sum_i C(i, k) h^(i-k) c_i summed as Fractions."""
