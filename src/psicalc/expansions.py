@@ -33,7 +33,9 @@ from .operators import (
     psi_derivative,
     x_hat_psi,
 )
-from .poly import _ZERO, Polynomial, _canonical, _combine, _digits, _rational, _term, _value
+from .poly import (
+    _ZERO, Polynomial, _canonical, _combine, _diagonal, _digits, _rational, _term, _value,
+)
 from .record import Record
 from .sequences import PsiContext
 
@@ -109,7 +111,7 @@ def taylor_classical(f: Polynomial, alpha: Scalar, n: int) -> ExpansionReport:
     h = g.derivative(n + 1)
     beta = [math.perm(n + j + 1, n + 1) for j in range(h.degree + 1)]  # (n+j+1)!/j!
     lcm = math.lcm(*beta)
-    remainder = h._diagonal([lcm // w for w in beta], lcm, n + 1).compose_affine(1, -alpha)
+    remainder = _diagonal(h, [lcm // w for w in beta], lcm, n + 1).compose_affine(1, -alpha)
 
     oracle = f - partial
     return ExpansionReport("classical", alpha, n, tuple(terms), partial, remainder, oracle,

@@ -11,7 +11,9 @@ series for the divided-difference and evaluation functionals).
 Everything here is exact; verifiers return reports instead of raising on
 a failed identity.  Every verifier of the package, here and in `hahn`
 and `expansions`, hands its cases to one driver, `_sweep`, which stops
-at the first failing case and builds the report.
+at the first failing case and builds the report.  Four verifiers build
+their sides as unreduced integer pairs, `poly._Raw`, and compare them
+with no gcd of a polynomial; a mismatch builds them canonical (`_settle`).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from itertools import accumulate, compress
 
 from .errors import DomainError, InternalError
 from .poly import (
-    _ZERO, Polynomial, _aligned, _canonical, _combine, _difference, _digits, _one_term, _pack,
-    _perms, _rational, _term, _value, _x_shift_back,
+    _ZERO, Polynomial, _Raw, _aligned, _canonical, _combine, _diagonal, _difference, _digits,
+    _one_term, _pack, _perms, _rational, _raw_equal, _term, _value, _x_shift_back,
 )
 from .record import Record
 from .sequences import PsiContext
@@ -60,7 +62,7 @@ def psi_antiderivative(ctx: PsiContext, f: Polynomial, k: int = 1) -> Polynomial
 
 
 def _psi_power(
-    ctx: PsiContext, f: Polynomial, k: int, raising: bool, falling: bool = False
+    ctx: PsiContext, f: Polynomial, k: int, raising: bool, falling: bool = False, raw: bool = False
 ) -> Polynomial:
     """The k-th power of the psi-derivative (raising=False), of the
     psi-antiderivative, or of x_hat (falling=True) in one integer pass;
@@ -84,6 +86,7 @@ def _psi_power(
     multiplied by 0 whether or not it is exact.  The derivative power's
     divisors are the denominators, whose lcm for every built-in family is
     that of the top index, one of f's terms, so it keeps the whole run.
+    f may be a `poly._Raw` pair; raw=True leaves a weighed one unreduced.
     """
     if k < 0:
         raise ValueError("operator power must be nonnegative")
@@ -125,22 +128,25 @@ def _psi_power(
     else:
         lcm = math.lcm(*(num if raising else den))
     if not raising:
-        return f._diagonal([x * (lcm // y) for x, y in zip(num[:count], den)], lcm, -k)
+        return _diagonal(f, [x * (lcm // y) for x, y in zip(num[:count], den)], lcm, -k, raw)
     if falling:  # times (m+k)!/m!
         ws = [i * y * (lcm // x) for i, x, y in zip(_perms(top + 1, k), num, den)]
     else:
         ws = [y * (lcm // x) for x, y in zip(num[:count], den)]
-    return f._diagonal(ws, lcm, k)
+    return _diagonal(f, ws, lcm, k, raw)
 
 
 def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) -> Fraction:
     """F(b) - F(a) for F the psi-antiderivative of f: both endpoints are
     `poly._value` pairs, and their difference is reduced once."""
-    anti = psi_antiderivative(ctx, f)
-    a, b = _rational(a), _rational(b)
-    u, s = _value(anti, b.numerator, b.denominator)
-    v, t = _value(anti, a.numerator, a.denominator)
-    return Fraction(u * t - v * s, s * t)
+    return Fraction(*_between(psi_antiderivative(ctx, f), _rational(a), _rational(b)))
+
+
+def _between(f: Polynomial, a: Scalar, b: Scalar) -> tuple[int, int]:
+    """f(b) - f(a), f canonical or `_Raw`, as an unreduced pair of ints."""
+    u, s = _value(f, b.numerator, b.denominator)
+    v, t = _value(f, a.numerator, a.denominator)
+    return u * t - v * s, s * t
 
 
 def star_psi(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -153,26 +159,33 @@ def star_psi(ctx: PsiContext, f: Polynomial, g: Polynomial) -> Polynomial:
     of a degree-2N product, so it calls `_star` at N and forms those
     over A_N.
     """
-    return _star(ctx, f, g, f.degree + g.degree)
+    return _star(ctx, f, g)
 
 
-def _star(ctx: PsiContext, f: Polynomial, g: Polynomial, top: int) -> Polynomial:
-    """star_psi(ctx, f, g).truncate(top), forming only the degrees <= top.
+def _star(
+    ctx: PsiContext, f: Polynomial, g: Polynomial, top: int | None = None, raw: bool = False
+) -> Polynomial:
+    """star_psi(ctx, f, g).truncate(top), forming only the degrees <= top,
+    all of them for top=None.
 
     With n_psi! = A_n / B_n from the prefix-product rows, t = deg f + deg g,
     u = min(top, t) the degrees formed and d = min(deg g, u): T^-1 g has
     the numerators g_n A_n (B_d / B_n) (d!/n!), n <= d, over B_d d!; their
     schoolbook product with f's numerators, pairs i + n <= u only, maps
     forward by x^j -> j! B_j (A_u / A_j) over A_u, and the result is made
-    canonical once.  The rows are grown to t, the top index deg f single
-    x_hat steps would reach, whatever top is, so a bad factor raises the
-    same error as the whole product; a constant f or a zero g needs none.
+    canonical once (left `poly._Raw` for raw=True; f and g may be `_Raw`).
+    The rows are grown to t, the top index deg f single x_hat steps would
+    reach, whatever top is, so a bad factor raises the same error as the
+    whole product; a constant f or a zero g needs none.
     """
-    if len(f._num) < 2 or not g:
-        out = _combine([(c, g) for c in f._num], f._den)
-        return out if out.degree <= top else out.truncate(top)
-    d = g.degree
-    t = f.degree + d
+    fn, gn = f._num, g._num
+    if top is None:
+        top = len(fn) + len(gn)
+    if len(fn) < 2 or not gn:
+        out = [fn[0] * c for c in gn[: max(top + 1, 0)]] if fn else []
+        return (_Raw if raw else _canonical)(out, f._den * g._den)
+    d = len(gn) - 1
+    t = len(fn) - 1 + d
     rows = ctx.rows(t)
     u = min(top, t)
     if u < 0:
@@ -182,15 +195,15 @@ def _star(ctx: PsiContext, f: Polynomial, g: Polynomial, top: int) -> Polynomial
     fact = list(accumulate(range(1, u + 1), operator.mul, initial=1))
     bd, fd = b[d], fact[d]
     # a tuple, so that a row's slice of all of it is h itself, not a copy
-    h = tuple([c * a[n] * (bd // b[n]) * (fd // fact[n]) for n, c in enumerate(g._num[: d + 1])])
+    h = tuple([c * a[n] * (bd // b[n]) * (fd // fact[n]) for n, c in enumerate(gn[: d + 1])])
     out = [0] * (u + 1)
-    for i, c in enumerate(f._num[: u + 1]):
+    for i, c in enumerate(fn[: u + 1]):
         if c:
             for j, v in enumerate(h[: u + 1 - i], i):
                 out[j] += c * v
     au = a[u]
     out = [v * fact[j] * b[j] * (au // a[j]) for j, v in enumerate(out)]
-    return _canonical(out, f._den * g._den * bd * fd * au)
+    return (_Raw if raw else _canonical)(out, f._den * g._den * bd * fd * au)
 
 
 def psi_power(ctx: PsiContext, n: int) -> Polynomial:
@@ -207,22 +220,26 @@ def umbral_tilde(ctx: PsiContext, g: Polynomial) -> Polynomial:
     d = max(g.degree, 0)
     rows = ctx.rows(d)
     a, b = rows.num_prod, rows.den_prod
-    return g._diagonal([math.factorial(n) * b[n] * (a[d] // a[n]) for n in range(d + 1)], a[d], 0)
+    return _diagonal(g, [math.factorial(n) * b[n] * (a[d] // a[n]) for n in range(d + 1)], a[d], 0)
 
 
 def psi_exp(ctx: PsiContext, alpha: Scalar, N: int) -> Polynomial:
     """Degree-N truncation of the psi-exponential: sum a^n x^n / n_psi!.
     With a = p/s and n_psi! = A_n / B_n from the prefix-product rows, the
     x^n coefficient is p^n s^(N-n) B_n (A_N / A_n) over s^N A_N."""
+    return _psi_exp(ctx, alpha, N)
+
+
+def _psi_exp(ctx: PsiContext, alpha: Scalar, N: int, raw: bool = False) -> Polynomial:
+    """`psi_exp`, left `poly._Raw` for raw=True."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     alpha = Fraction(_rational(alpha))
     p, s = alpha.numerator, alpha.denominator
     rows = ctx.rows(N)
     a, b = rows.num_prod, rows.den_prod
-    return _canonical(
-        [p**n * s ** (N - n) * b[n] * (a[N] // a[n]) for n in range(N + 1)], s**N * a[N]
-    )
+    num = [p**n * s ** (N - n) * b[n] * (a[N] // a[n]) for n in range(N + 1)]
+    return (_Raw if raw else _canonical)(num, s**N * a[N])
 
 
 def exp_poly(alpha: Scalar, N: int) -> Polynomial:
@@ -340,6 +357,17 @@ def _sweep(identity: str, params: str, inputs: str, cases: Iterable) -> Verifica
     return VerificationReport(identity, params, count, None)
 
 
+def _settle(identity: str, params: str, inputs: str, values: tuple, sides: Callable):
+    """The report of a one-case verifier whose two sides sides(raw) builds:
+    as `poly._Raw` pairs first, compared by `poly._raw_equal`, so a pass
+    reduces no polynomial, and canonical only on a mismatch, through the
+    same kernels in the same order, for the counterexample.  A raw pair has
+    the degree of its value, so the rows grow as far and fail alike."""
+    if _raw_equal(*sides(True)):
+        return _sweep(identity, params, inputs, [None])
+    return _sweep(identity, params, inputs, [(values, *sides(False))])
+
+
 # -- identity verifiers ------------------------------------------------------
 
 def _sweep_bounds(*bounds: int) -> None:
@@ -383,18 +411,22 @@ def _commutator_cases(lower: PolyOp, raiser: PolyOp, N: int) -> Iterable:
 
 def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationReport:
     """Sum_k a^k (1 - ab) b^k f = f - a^(n+1) b^(n+1) f, with a the
-    psi-antiderivative and b the psi-derivative."""
+    psi-antiderivative and b the psi-derivative (`_settle`)."""
     _sweep_bounds(n)
-    terms = []
-    bk = f  # b^k f
-    for k in range(n + 1):
-        nxt = psi_derivative(ctx, bk)
-        terms.append((1, psi_antiderivative(ctx, bk - psi_antiderivative(ctx, nxt), k)))
-        bk = nxt
-    # bk is now b^(n+1) f
-    rhs = f - psi_antiderivative(ctx, bk, n + 1)
-    return _sweep("telescoping", f"psi={ctx.label}, n={n}", "n={}, f={}",
-                  [((n, f), _combine(terms), rhs)])
+
+    def sides(raw):
+        terms = []
+        bk = f  # b^k f
+        for k in range(n + 1):
+            nxt = _psi_power(ctx, bk, 1, False, raw=raw)
+            step = _combine([(1, bk), (-1, _psi_power(ctx, nxt, 1, True, raw=raw))], 1, raw)
+            terms.append((1, _psi_power(ctx, step, k, True, raw=raw)))
+            bk = nxt
+        # bk is now b^(n+1) f
+        rhs = _combine([(1, f), (-1, _psi_power(ctx, bk, n + 1, True, raw=raw))], 1, raw)
+        return _combine(terms, 1, raw), rhs
+
+    return _settle("telescoping", f"psi={ctx.label}, n={n}", "n={}, f={}", (n, f), sides)
 
 
 def verify_bernoulli_identity(pair: GhwPair, n: int, f: Polynomial) -> VerificationReport:
@@ -558,21 +590,33 @@ def _packed_column(images: list[Polynomial], bits: int) -> tuple:
 
 def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> VerificationReport:
     """psi-derivative of f * g = (Df) * g + f * (psi-derivative of g),
-    with * the star product and D the classical derivative."""
-    lhs = psi_derivative(ctx, star_psi(ctx, f, g))
-    rhs = star_psi(ctx, f.derivative(), g) + star_psi(ctx, f, psi_derivative(ctx, g))
-    return _sweep("leibniz", f"psi={ctx.label}", "f={}, g={}", [((f, g), lhs, rhs)])
+    with * the star product and D the classical derivative (`_settle`)."""
+
+    def sides(raw):
+        lhs = _psi_power(ctx, _star(ctx, f, g, raw=raw), 1, False, raw=raw)
+        left = _star(ctx, f.derivative(), g, raw=raw)
+        right = _star(ctx, f, _psi_power(ctx, g, 1, False, raw=raw), raw=raw)
+        return lhs, _combine([(1, left), (1, right)], 1, raw)
+
+    return _settle("leibniz", f"psi={ctx.label}", "f={}, g={}", (f, g), sides)
 
 
 def verify_exp_addition(ctx: PsiContext, alpha: Scalar, beta: Scalar, N: int) -> VerificationReport:
     """exp(a x) * (psi-exp of b) agrees with the psi-exp of a+b up to degree N;
     the cases are the degrees 0..N, all settled at once by equal sides.
-    The star product forms only its degrees <= N, over A_N (`_star`)."""
+    The star product forms only its degrees <= N, over A_N (`_star`); the
+    sides are compared as `_settle` compares them."""
     alpha, beta = Fraction(_rational(alpha)), Fraction(_rational(beta))
-    lhs = _star(ctx, exp_poly(alpha, N), psi_exp(ctx, beta, N), N)
-    rhs = psi_exp(ctx, alpha + beta, N)
-    cases = ([None] * (N + 1) if lhs == rhs else
-             (((alpha, beta, j), lhs.coeff(j), rhs.coeff(j)) for j in range(N + 1)))
+
+    def sides(raw):
+        lhs = _star(ctx, exp_poly(alpha, N), _psi_exp(ctx, beta, N, raw), N, raw)
+        return lhs, _psi_exp(ctx, alpha + beta, N, raw)
+
+    if _raw_equal(*sides(True)):
+        cases = [None] * (N + 1)
+    else:
+        lhs, rhs = sides(False)
+        cases = (((alpha, beta, j), lhs.coeff(j), rhs.coeff(j)) for j in range(N + 1))
     params = f"psi={ctx.label}, alpha={_digits(alpha)}, beta={_digits(beta)}, N={N}"
     return _sweep("exp-addition", params, "alpha={}, beta={}, degree={}", cases)
 
@@ -580,15 +624,22 @@ def verify_exp_addition(ctx: PsiContext, alpha: Scalar, beta: Scalar, N: int) ->
 def verify_per_partes(
     ctx: PsiContext, f: Polynomial, g: Polynomial, a: Scalar, b: Scalar
 ) -> VerificationReport:
-    """Integration by parts for the psi-integral and star product."""
+    """Integration by parts for the psi-integral and star product; each side
+    is one number, an unreduced constant (`_settle`)."""
     a, b = Fraction(_rational(a)), Fraction(_rational(b))
-    lhs = psi_definite_integral(ctx, star_psi(ctx, f, psi_derivative(ctx, g)), a, b)
-    boundary = star_psi(ctx, f, g)
-    rhs = (boundary(b) - boundary(a)) - psi_definite_integral(
-        ctx, star_psi(ctx, f.derivative(), g), a, b
-    )
-    return _sweep("per-partes", f"psi={ctx.label}, a={_digits(a)}, b={_digits(b)}",
-                  "f={}, g={}, a={}, b={}", [((f, g, a, b), lhs, rhs)])
+
+    def integral(h, raw):  # over [a, b]
+        return _between(_psi_power(ctx, h, 1, True, raw=raw), a, b)
+
+    def sides(raw):
+        lhs = integral(_star(ctx, f, _psi_power(ctx, g, 1, False, raw=raw), raw=raw), raw)
+        u, s = _between(_star(ctx, f, g, raw=raw), a, b)
+        v, t = integral(_star(ctx, f.derivative(), g, raw=raw), raw)
+        side = _Raw if raw else _canonical  # a constant
+        return side([lhs[0]], lhs[1]), side([u * t - v * s], s * t)
+
+    return _settle("per-partes", f"psi={ctx.label}, a={_digits(a)}, b={_digits(b)}",
+                   "f={}, g={}, a={}, b={}", (f, g, a, b), sides)
 
 
 def verify_fundamental_theorem(ctx: PsiContext, f: Polynomial) -> VerificationReport:

@@ -27,6 +27,9 @@ each of their scalars once too, where the report stores it.  A
 polynomial is written once: `_set` and `_term` are the only code that
 assigns its two slots, each on the object it has just made, so a result
 can be shared.  `.coeffs` is a `Fraction` tuple built on each read.
+A verifier's two sides may be `_Raw` pairs instead, the same two slots
+unreduced (the `raw` flag of `_diagonal` and `_combine`), compared by
+`_raw_equal` with one gcd of the two denominators and none of the rest.
 Floats are refused: nothing in this module touches floating point.
 """
 
@@ -229,31 +232,13 @@ class Polynomial:
         n = len(num) - 1
         if n >= k and num.count(0) == n:
             return _term(n - k, num[n] * math.perm(n, k), self._den)
-        return self._diagonal(_perms(n + 1, k), 1, -k)
+        return _diagonal(self, _perms(n + 1, k), 1, -k)
 
     def antiderivative(self) -> "Polynomial":
         """Classical antiderivative with zero constant term."""
         n = len(self._num)
         lcm = math.lcm(*range(1, n + 1))
-        return self._diagonal([lcm // k for k in range(1, n + 1)], lcm, 1)
-
-    def _diagonal(self, weights: Iterable[int], den: int, step: int) -> "Polynomial":
-        """x^n -> (w / den) x^(n+step), extended linearly, for any int
-        step; the terms below x^(-step) vanish when step < 0.  w is the
-        i-th weight for the i-th coefficient kept: that of x^(i-step) when
-        step < 0 and of x^i otherwise.  The weights are ints over the one
-        nonzero int den and must cover every kept coefficient; extra ones
-        are ignored.  Every derivative, antiderivative, x_hat and umbral
-        scaling of the calculus, and every power of one, is one of these:
-        one integer product per coefficient and one gcd in all; only a
-        one-term input skips it, for one `_term` (in `derivative` and
-        `operators._psi_power`, which know its one weight).
-        """
-        num = self._num[-step:] if step < 0 else self._num
-        out = list(map(operator.mul, num, weights))
-        if step > 0:
-            out[:0] = [0] * step
-        return _canonical(out, self._den * den)
+        return _diagonal(self, [lcm // k for k in range(1, n + 1)], lcm, 1)
 
     def compose_affine(self, q: Scalar, h: Scalar) -> "Polynomial":
         """The polynomial x -> f(qx + h).  With h = r/s and q = a/b,
@@ -304,6 +289,29 @@ def _canonical(num: list[int], den: int) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     p._set(num, den)
     return p
+
+
+class _Raw:
+    """sum(num[i] x^i) / den unreduced, den != 0 of either sign, with no
+    trailing zero: a verifier's side.  It has a `Polynomial`'s two slots,
+    so every kernel that reads them takes it; only `_raw_equal` compares it."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: list[int], den: int):
+        while num and not num[-1]:  # so that the next operator sees the degree
+            num.pop()
+        self._num, self._den = num, den
+
+
+def _raw_equal(f: "Polynomial | _Raw", g: "Polynomial | _Raw") -> bool:
+    """f == g, each canonical or `_Raw`, with no reduction: their numerators
+    a and b have one length and a_i (e/h) == b_i (d/h) for their
+    denominators d and e, of either sign, and h = gcd(d, e)."""
+    a, b, d, e = f._num, g._num, f._den, g._den
+    h = math.gcd(d, e)
+    return len(a) == len(b) and all(map(operator.eq, map(operator.mul, a, repeat(e // h)),
+                                        map(operator.mul, b, repeat(d // h))))
 
 
 # The one zero that the hot paths return.  It is shared, and nothing
@@ -358,10 +366,13 @@ def _aligned(f: Polynomial, g: Polynomial) -> tuple:
     return a, b, den
 
 
-def _combine(pairs: Iterable[tuple[int, Polynomial]], den: int = 1) -> Polynomial:
+def _combine(
+    pairs: Iterable[tuple[int, Polynomial]], den: int = 1, raw: bool = False
+) -> Polynomial:
     """The integer linear combination sum(c * f for c, f in pairs) / den
     in one pass: every f is brought to the one lcm of their denominators,
-    and the sum is made canonical once.  den is a nonzero int."""
+    and the sum is made canonical once (`_Raw` for raw=True).  den is a
+    nonzero int; c is an int and f a polynomial or `_Raw`."""
     pairs = [(c, f) for c, f in pairs if c and f._num]
     lcm = math.lcm(*[f._den for _, f in pairs])
     out = []  # the first scaled row, then the running sum
@@ -372,7 +383,29 @@ def _combine(pairs: Iterable[tuple[int, Polynomial]], den: int = 1) -> Polynomia
         if len(row) > len(out):
             out, row = row, out
         out[: len(row)] = map(operator.add, out, row)
-    return _canonical(out, lcm * den)
+    return (_Raw if raw else _canonical)(out, lcm * den)
+
+
+def _diagonal(
+    f: Polynomial, weights: Iterable[int], den: int, step: int, raw: bool = False
+) -> Polynomial:
+    """x^n -> (w / den) x^(n+step), extended linearly, for any int
+    step; the terms below x^(-step) vanish when step < 0.  w is the
+    i-th weight for the i-th coefficient kept: that of x^(i-step) when
+    step < 0 and of x^i otherwise.  The weights are ints over the one
+    nonzero int den and must cover every kept coefficient; extra ones
+    are ignored.  Every derivative, antiderivative, x_hat and umbral
+    scaling of the calculus, and every power of one, is one of these:
+    one integer product per coefficient and one gcd in all, none for
+    raw=True, which leaves the result `_Raw` (f may be one); only a
+    one-term input skips it, for one `_term` (in `derivative` and
+    `operators._psi_power`).
+    """
+    num = f._num[-step:] if step < 0 else f._num
+    out = list(map(operator.mul, num, weights))
+    if step > 0:
+        out[:0] = [0] * step
+    return (_Raw if raw else _canonical)(out, f._den * den)
 
 
 def _unit_shift(cs: Sequence[int], h: int) -> list[int]:
