@@ -28,7 +28,8 @@ raised before it is computed.  An expand run whose size estimate
 maclaurin --alpha above `discrete.MAX_ALPHA` = 10 000, are domain
 errors, raised before any work.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error,
-3 admissibility error.
+3 admissibility error, 130 interrupted (SIGINT, one line on stderr),
+141 stdout closed by its reader, as by `| head` (no text).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -52,6 +54,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ADMISSIBILITY = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, the shell's code for it
 
 MAX_DEGREE = 64  # the largest verify --max-degree
 MAX_TABLE_N = 256  # the largest table --n
@@ -414,6 +418,25 @@ def main(argv=None) -> int:
     # limit on int-to-str conversion; the caller's limit is restored on exit
     digit_limit = sys.get_int_max_str_digits()
     try:
+        code = _main(argv)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader went away: the rest, and the flush at
+        # exit, go to os.devnull (the `signal` docs' recipe), on this path only
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+
+
+def _main(argv) -> int:
+    """Run argv's subcommand: its exit code, or its error's, with one line."""
+    try:
         args = build_parser().parse_args(argv)
         sys.set_int_max_str_digits(0)
         return args.run(args)
@@ -426,8 +449,6 @@ def main(argv=None) -> int:
         label = "internal error" if isinstance(exc, InternalError) else "error"
         print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -178,6 +178,12 @@ class TestJackson:
         code, _, _ = run(capsys, "jackson", "--f", "x", "--q", "2", "--z", "1")
         assert code == 2
 
+    def test_tolerance_given(self, capsys):
+        code, out, err = run(capsys, "jackson", "--f", "x^2", "--q", "1/2", "--z", "1",
+                             "--tol", "1e-9")
+        assert (code, err) == (0, "")
+        assert "exact: 4/7\n" in out and out.endswith("tail_tol: 1e-09\n")
+
     @pytest.mark.parametrize("tol", ["inf", "0", "nan", "-1", "1e-400"])
     def test_tolerance_rejected_when_parsed(self, capsys, tol):
         code, out, err = run(capsys, "jackson", "--f", "x", "--q", "1/2", "--z", "1", "--tol", tol)
@@ -655,8 +661,13 @@ class TestValidationMessages:
         (["expand", "--f", "x", "--order", "1", "--kind", "maclaurin", "--alpha", "0"],
          "--alpha must be a positive integer for maclaurin"),
         (["table", "--n", "0"], "--n must be >= 1"),
+        # in-process, at each cap plus one: the limits' own lines in `cli`
+        (["expand", "--f", "x", "--order", "10001"], "--order must be at most 10000"),
+        (["expand", "--f", "x", "--order", "1", "--kind", "maclaurin", "--alpha", "10001"],
+         "--alpha must be at most 10000 for maclaurin"),
     ], ids=["negative-order", "psi-without-x-eval", "maclaurin-alpha-1/2",
-            "maclaurin-alpha-0", "table-n-0"])
+            "maclaurin-alpha-0", "table-n-0", "order-above-the-cap",
+            "maclaurin-alpha-above-the-cap"])
     def test_domain_errors(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
@@ -682,3 +693,58 @@ class TestValidationMessages:
         monkeypatch.setitem(cli._SUITES, "fundamental", broken)
         assert run(capsys, "verify", "--suite", "fundamental") == (
             code, "", f"{prefix}: broken suite\n")
+
+
+class TestClosedStdoutAndInterrupt:
+    """A reader that closes stdout early, as `| head -c 20` does, ends the
+    run with exit code 141 and no text; an interrupt (SIGINT) with 130 and
+    one line on stderr.  Neither reaches a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--psi", "q:3/2", "--n", "256"],  # 4.4 MB of rows
+        ["verify", "--suite", "all", "--psi", "fib", "--format", "json"],  # 15 KB, one write
+    ], ids=["table", "verify-json"])
+    def test_reader_closes_after_20_bytes(self, argv):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("the pipe's capacity cannot be set here")
+        read, write = os.pipe()
+        # one page, so that the output outgrows the pipe before the reader
+        # closes it, whatever the output's size
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "psicalc.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        os.close(write)
+        try:
+            head = b""
+            while len(head) < 20:
+                chunk = os.read(read, 20 - len(head))
+                assert chunk, "the output ended before 20 bytes"
+                head += chunk
+        finally:
+            os.close(read)
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141, err
+        assert err == ""
+        assert head.startswith(b"psi = q:3/2" if argv[0] == "table" else b"[")
+
+    def test_interrupt_is_one_line_and_exit_130(self, capsys, monkeypatch):
+        from psicalc import cli
+
+        def interrupted(args):
+            print("partial", flush=True)
+            raise KeyboardInterrupt
+
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(cli, "_run_verify", interrupted)
+        assert run(capsys, "verify", "--suite", "leibniz") == (130, "partial\n", "interrupted\n")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_codes_are_the_documented_ones(self):
+        from psicalc import cli
+
+        assert (cli.EXIT_INTERRUPTED, cli.EXIT_CLOSED_STDOUT) == (130, 141)
+        assert "130 interrupted" in cli.__doc__ and "141 stdout closed" in cli.__doc__
