@@ -13,7 +13,7 @@ a failed identity.  Every verifier of the package, here and in `hahn`
 and `expansions`, hands its cases to one driver, `_sweep`, which stops
 at the first failing case and builds the report.  Four verifiers build
 their sides as unreduced integer pairs, `poly._Raw`, and compare them
-with no gcd of a polynomial; a mismatch builds them canonical (`_settle`).
+with no gcd of a polynomial; a mismatch reduces each once (`_settle`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import accumulate, compress
 from .errors import DomainError, InternalError
 from .poly import (
     _ZERO, Polynomial, _Raw, _aligned, _canonical, _combine, _diagonal, _difference, _digits,
-    _one_term, _pack, _perms, _rational, _raw_equal, _term, _value, _x_shift_back,
+    _one_term, _pack, _perms, _rational, _raw_equal, _reduced, _term, _value, _x_shift_back,
 )
 from .record import Record
 from .sequences import PsiContext
@@ -143,7 +143,8 @@ def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) 
 
 
 def _between(f: Polynomial, a: Scalar, b: Scalar) -> tuple[int, int]:
-    """f(b) - f(a), f canonical or `_Raw`, as an unreduced pair of ints."""
+    """f(b) - f(a), f canonical or `_Raw`, as an unreduced pair of ints;
+    its denominator is negative when a `_Raw` f's is (`poly._value`)."""
     u, s = _value(f, b.numerator, b.denominator)
     v, t = _value(f, a.numerator, a.denominator)
     return u * t - v * s, s * t
@@ -357,15 +358,12 @@ def _sweep(identity: str, params: str, inputs: str, cases: Iterable) -> Verifica
     return VerificationReport(identity, params, count, None)
 
 
-def _settle(identity: str, params: str, inputs: str, values: tuple, sides: Callable):
-    """The report of a one-case verifier whose two sides sides(raw) builds:
-    as `poly._Raw` pairs first, compared by `poly._raw_equal`, so a pass
-    reduces no polynomial, and canonical only on a mismatch, through the
-    same kernels in the same order, for the counterexample.  A raw pair has
-    the degree of its value, so the rows grow as far and fail alike."""
-    if _raw_equal(*sides(True)):
-        return _sweep(identity, params, inputs, [None])
-    return _sweep(identity, params, inputs, [(values, *sides(False))])
+def _settle(identity: str, params: str, inputs: str, values: tuple, lhs, rhs):
+    """The report of a one-case verifier from its two sides, `poly._Raw`
+    pairs compared by `poly._raw_equal`: a pass reduces no polynomial, and
+    a mismatch reduces both sides once, for the counterexample."""
+    case = None if _raw_equal(lhs, rhs) else (values, _reduced(lhs), _reduced(rhs))
+    return _sweep(identity, params, inputs, [case])
 
 
 # -- identity verifiers ------------------------------------------------------
@@ -413,20 +411,17 @@ def verify_telescoping(ctx: PsiContext, n: int, f: Polynomial) -> VerificationRe
     """Sum_k a^k (1 - ab) b^k f = f - a^(n+1) b^(n+1) f, with a the
     psi-antiderivative and b the psi-derivative (`_settle`)."""
     _sweep_bounds(n)
-
-    def sides(raw):
-        terms = []
-        bk = f  # b^k f
-        for k in range(n + 1):
-            nxt = _psi_power(ctx, bk, 1, False, raw=raw)
-            step = _combine([(1, bk), (-1, _psi_power(ctx, nxt, 1, True, raw=raw))], 1, raw)
-            terms.append((1, _psi_power(ctx, step, k, True, raw=raw)))
-            bk = nxt
-        # bk is now b^(n+1) f
-        rhs = _combine([(1, f), (-1, _psi_power(ctx, bk, n + 1, True, raw=raw))], 1, raw)
-        return _combine(terms, 1, raw), rhs
-
-    return _settle("telescoping", f"psi={ctx.label}, n={n}", "n={}, f={}", (n, f), sides)
+    terms = []
+    bk = f  # b^k f
+    for k in range(n + 1):
+        nxt = _psi_power(ctx, bk, 1, False, raw=True)
+        step = _combine([(1, bk), (-1, _psi_power(ctx, nxt, 1, True, raw=True))], 1, True)
+        terms.append((1, _psi_power(ctx, step, k, True, raw=True)))
+        bk = nxt
+    # bk is now b^(n+1) f
+    rhs = _combine([(1, f), (-1, _psi_power(ctx, bk, n + 1, True, raw=True))], 1, True)
+    return _settle("telescoping", f"psi={ctx.label}, n={n}", "n={}, f={}", (n, f),
+                   _combine(terms, 1, True), rhs)
 
 
 def verify_bernoulli_identity(pair: GhwPair, n: int, f: Polynomial) -> VerificationReport:
@@ -591,31 +586,25 @@ def _packed_column(images: list[Polynomial], bits: int) -> tuple:
 def verify_leibniz(ctx: PsiContext, f: Polynomial, g: Polynomial) -> VerificationReport:
     """psi-derivative of f * g = (Df) * g + f * (psi-derivative of g),
     with * the star product and D the classical derivative (`_settle`)."""
-
-    def sides(raw):
-        lhs = _psi_power(ctx, _star(ctx, f, g, raw=raw), 1, False, raw=raw)
-        left = _star(ctx, f.derivative(), g, raw=raw)
-        right = _star(ctx, f, _psi_power(ctx, g, 1, False, raw=raw), raw=raw)
-        return lhs, _combine([(1, left), (1, right)], 1, raw)
-
-    return _settle("leibniz", f"psi={ctx.label}", "f={}, g={}", (f, g), sides)
+    lhs = _psi_power(ctx, _star(ctx, f, g, raw=True), 1, False, raw=True)
+    left = _star(ctx, f.derivative(), g, raw=True)
+    right = _star(ctx, f, _psi_power(ctx, g, 1, False, raw=True), raw=True)
+    return _settle("leibniz", f"psi={ctx.label}", "f={}, g={}", (f, g),
+                   lhs, _combine([(1, left), (1, right)], 1, True))
 
 
 def verify_exp_addition(ctx: PsiContext, alpha: Scalar, beta: Scalar, N: int) -> VerificationReport:
     """exp(a x) * (psi-exp of b) agrees with the psi-exp of a+b up to degree N;
     the cases are the degrees 0..N, all settled at once by equal sides.
     The star product forms only its degrees <= N, over A_N (`_star`); the
-    sides are compared as `_settle` compares them."""
+    sides are unreduced pairs, compared and reduced as in `_settle`."""
     alpha, beta = Fraction(_rational(alpha)), Fraction(_rational(beta))
-
-    def sides(raw):
-        lhs = _star(ctx, exp_poly(alpha, N), _psi_exp(ctx, beta, N, raw), N, raw)
-        return lhs, _psi_exp(ctx, alpha + beta, N, raw)
-
-    if _raw_equal(*sides(True)):
+    lhs = _star(ctx, exp_poly(alpha, N), _psi_exp(ctx, beta, N, True), N, True)
+    rhs = _psi_exp(ctx, alpha + beta, N, True)
+    if _raw_equal(lhs, rhs):
         cases = [None] * (N + 1)
     else:
-        lhs, rhs = sides(False)
+        lhs, rhs = _reduced(lhs), _reduced(rhs)
         cases = (((alpha, beta, j), lhs.coeff(j), rhs.coeff(j)) for j in range(N + 1))
     params = f"psi={ctx.label}, alpha={_digits(alpha)}, beta={_digits(beta)}, N={N}"
     return _sweep("exp-addition", params, "alpha={}, beta={}, degree={}", cases)
@@ -628,18 +617,15 @@ def verify_per_partes(
     is one number, an unreduced constant (`_settle`)."""
     a, b = Fraction(_rational(a)), Fraction(_rational(b))
 
-    def integral(h, raw):  # over [a, b]
-        return _between(_psi_power(ctx, h, 1, True, raw=raw), a, b)
+    def integral(h):  # the psi-integral of h over [a, b], an unreduced pair
+        return _between(_psi_power(ctx, h, 1, True, raw=True), a, b)
 
-    def sides(raw):
-        lhs = integral(_star(ctx, f, _psi_power(ctx, g, 1, False, raw=raw), raw=raw), raw)
-        u, s = _between(_star(ctx, f, g, raw=raw), a, b)
-        v, t = integral(_star(ctx, f.derivative(), g, raw=raw), raw)
-        side = _Raw if raw else _canonical  # a constant
-        return side([lhs[0]], lhs[1]), side([u * t - v * s], s * t)
-
+    w, r = integral(_star(ctx, f, _psi_power(ctx, g, 1, False, raw=True), raw=True))
+    u, s = _between(_star(ctx, f, g, raw=True), a, b)
+    v, t = integral(_star(ctx, f.derivative(), g, raw=True))
     return _settle("per-partes", f"psi={ctx.label}, a={_digits(a)}, b={_digits(b)}",
-                   "f={}, g={}, a={}, b={}", (f, g, a, b), sides)
+                   "f={}, g={}, a={}, b={}", (f, g, a, b), _Raw([w], r),
+                   _Raw([u * t - v * s], s * t))
 
 
 def verify_fundamental_theorem(ctx: PsiContext, f: Polynomial) -> VerificationReport:

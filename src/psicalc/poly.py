@@ -314,6 +314,11 @@ def _raw_equal(f: "Polynomial | _Raw", g: "Polynomial | _Raw") -> bool:
                                         map(operator.mul, b, repeat(d // h))))
 
 
+def _reduced(f: "Polynomial | _Raw") -> Polynomial:
+    """f, canonical or `_Raw`, in canonical form: its one lowest-terms pair."""
+    return _canonical(list(f._num), f._den)
+
+
 # The one zero that the hot paths return.  It is shared, and nothing
 # changes it: only `_set` and `_term` assign the slots, each on the
 # polynomial it has just made.
@@ -335,8 +340,9 @@ def _term(j: int, c: int, den: int) -> Polynomial:
 
 
 def _value(f: Polynomial, p: int, q: int) -> tuple[int, int]:
-    """f(p/q) as an unreduced pair (num, den), den > 0, for ints p and
-    q > 0: Horner on the numerators, homogenised, so that no step divides.
+    """f(p/q) as an unreduced pair (num, den) for ints p and q > 0, den
+    = q^(d+1) times f's, of its sign (positive for a canonical f): Horner
+    on the numerators, homogenised, so that no step divides.
     The one evaluation kernel: `Polynomial.__call__` reduces its pair
     once, and the expansions reduce theirs where the report stores them."""
     acc, qk = 0, 1

@@ -19,8 +19,8 @@ def polynomials(max_degree=8):
     return st.lists(rationals, max_size=max_degree + 1).map(Polynomial)
 
 
-# faults on kernels that a verifier's unreduced sides and their canonical
-# rebuild both call, for monkeypatching
+# faults on kernels that a verifier's sides call whether they are built
+# canonical or unreduced, for monkeypatching
 _power, _derivative = operators._psi_power, Polynomial.derivative
 
 

@@ -1450,8 +1450,8 @@ BROKEN_VERIFIERS = {
     "commutator": (None, lambda: verify_commutator(SCALED_PAIR, 6), 4, "m=3"),
     "bernoulli sweep": (None, lambda: bernoulli_identity_sweep(SCALED_PAIR, 6, 3), 18, "m=4, n=1"),
     "bernoulli": (None, lambda: verify_bernoulli_identity(SCALED_PAIR, 1, X**4), 1, "n=1, f=x^4"),
-    # the next four break a kernel their sides' unreduced build and its
-    # canonical rebuild both call: the psi power, f's derivative, exp_poly
+    # the next four break a kernel that their canonical and their unreduced
+    # sides both call: the psi power, f's derivative, exp_poly
     "telescoping": ((operators, "_psi_power", antiderivative_power_one_short),
                     lambda: verify_telescoping(FIB, 2, X**3), 1, "n=2, f=x^3"),
     "leibniz": ((Polynomial, "derivative", doubled_derivative),

@@ -164,7 +164,8 @@ SHORT_NEGATIVE = "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9,11,-13/2,6,7/2,-3"
 _exp = operators.exp_poly
 
 
-# verifier: (the fault, on a kernel both builds of the sides call, and the run)
+# verifier: (the fault, on a kernel that the canonical sides called and the
+# unreduced ones still call, and the run)
 FAULTS = {
     "leibniz": ((Polynomial, "derivative", doubled_derivative),
                 lambda ctx: verify_leibniz(ctx, F_, G_)),
