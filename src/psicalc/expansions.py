@@ -18,6 +18,10 @@ remainder and the independently forced one (f minus the partial sum);
 `exact` records their equality.  Every scalar of an expansion -- a
 coefficient of a term, a value, the partial sum, the remainder -- is
 built as an integer pair and reduced once, where the report stores it.
+The polynomials the deformed expansion only evaluates -- each x_hat
+image, the remainder's image and its psi-antiderivative -- stay
+unreduced `poly._Raw` pairs; only phi and its psi-derivatives, which the
+next step reads, are made canonical.
 """
 
 from __future__ import annotations
@@ -26,13 +30,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .operators import (
-    VerificationReport,
-    _sweep,
-    psi_antiderivative,
-    psi_derivative,
-    x_hat_psi,
-)
+from .operators import VerificationReport, _psi_power, _sweep, psi_derivative
 from .poly import (
     _ZERO, Polynomial, _canonical, _combine, _diagonal, _digits, _rational, _term, _value,
 )
@@ -133,7 +131,10 @@ def psi_bernoulli_taylor(
     `poly._value` pair of its x_hat image at w0 over a running (-1)^k k!,
     the partial sum one integer sum over the lcm of the terms'
     denominators, and the remainder the pair of the psi-antiderivative
-    at w0, negated (it vanishes at 0) and over (-1)^n n!.
+    at w0, negated (it vanishes at 0) and over (-1)^n n!.  The images and
+    the antiderivative are read only there, so `_psi_power` leaves each an
+    unreduced pair (raw=True) and no gcd over its coefficients is taken;
+    the psi-derivatives go through the public `psi_derivative`.
     """
     _check_order(n)
     alpha, x_eval = Fraction(_rational(alpha)), Fraction(_rational(x_eval))
@@ -146,7 +147,7 @@ def psi_bernoulli_taylor(
     for k in range(min(n, phi.degree) + 1):
         if k:
             sign *= -k
-        v, d = _value(x_hat_psi(ctx, dk, k), p, q)
+        v, d = _value(_psi_power(ctx, dk, k, True, True, raw=True), p, q)
         terms.append(_term(0, v, d * sign))
         dk = psi_derivative(ctx, dk)
     terms += [_ZERO] * (n + 1 - len(terms))  # dk = 0 beyond deg f
@@ -157,7 +158,7 @@ def psi_bernoulli_taylor(
     # dk is now the (n+1)-st psi-derivative of phi.  The psi-integral from
     # w0 to 0 is anti(0) - anti(w0) = -anti(w0): a psi-antiderivative has
     # no constant term
-    anti = psi_antiderivative(ctx, x_hat_psi(ctx, dk, n))
+    anti = _psi_power(ctx, _psi_power(ctx, dk, n, True, True, raw=True), 1, True, raw=True)
     v, d = _value(anti, p, q)
     remainder = _term(0, -v, d * (-1) ** n * math.factorial(n))
     v, d = _value(f, x_eval.numerator, x_eval.denominator)

@@ -13,6 +13,9 @@ numerators by the fixed linear divisor in exact integer steps, in
 `_hahn_quotient`; no general polynomial division runs here.  The
 reduction sweep settles each degree on one comparison of packed
 integers, and calls hahn_derivative only for a degree it cannot settle.
+Its monomials are made by `poly._term`, one per degree, and the exact
+Jackson integral evaluates an unreduced antiderivative, reducing only
+the value.
 
 Everything is exact on polynomials; the only floating-point code in the
 package is the numeric Jackson quadrature, which sums the geometric
@@ -31,9 +34,9 @@ from .errors import (
     DomainError,
     InternalError,
 )
-from .operators import (VerificationReport, _sweep, _sweep_bounds, psi_antiderivative,
-                        psi_derivative)
-from .poly import Polynomial, _canonical, _digits, _one_term, _rational
+from .operators import (VerificationReport, _psi_power, _sweep, _sweep_bounds,
+                        psi_antiderivative, psi_derivative)
+from .poly import Polynomial, _canonical, _digits, _one_term, _rational, _term, _value
 from .record import Record
 from .sequences import AdmissibleSequence, PsiContext
 
@@ -151,11 +154,13 @@ def verify_hahn_reduction(p: HahnParams, N: int) -> VerificationReport:
 
 
 def _hahn_cases(p: HahnParams, N: int) -> Iterator:
-    """The cases n = 0..N of `verify_hahn_reduction`: None where the packed check holds."""
+    """The cases n = 0..N of `verify_hahn_reduction`: None where the packed
+    check holds.  The q-derivative sees each monomial x^n once, made by
+    `poly._term` with no conversion of its coefficient."""
     s = p.h / (1 - p.q)
     ctx = _gauss_q(p.q)
     ctx.rows(N)  # grown once to N_q, not one index per monomial
-    images = [psi_derivative(ctx, Polynomial.monomial(n)) for n in range(N + 1)]
+    images = [psi_derivative(ctx, _term(n, 1, 1)) for n in range(N + 1)]
     one_term = {n: (k, f._den) for n, f in enumerate(images)  # k x^(n-1), or 0
                 if (k := _one_term(f, n - 1)) is not None}
     a, b, c, e = p.q.numerator, p.q.denominator, p.h.numerator, p.h.denominator
@@ -206,8 +211,12 @@ def jackson_antiderivative(f: Polynomial, q: Scalar) -> Polynomial:
 
 
 def jackson_integral_exact(f: Polynomial, q: Scalar, z: Scalar) -> Fraction:
-    """The Jackson q-integral of a polynomial from 0 to z, in closed form."""
-    return jackson_antiderivative(f, q)(z)
+    """The Jackson q-integral of a polynomial from 0 to z, in closed form:
+    the `poly._value` pair of an unreduced antiderivative at z, reduced
+    once.  z must be exact; a float raises TypeError."""
+    anti = _psi_power(_gauss_q(q), f, 1, True, raw=True)
+    z = _rational(z)
+    return Fraction(*_value(anti, z.numerator, z.denominator))
 
 
 class JacksonQuadrature(Record):
@@ -234,8 +243,9 @@ def jackson_integral_numeric(
 
     q and z are accepted exactly (a float raises TypeError) and converted
     to float once, recorded in the result.  tail_tol must be finite and
-    positive.  Raises
-    ConvergenceError if the cap is hit first.
+    positive.  Raises ConvergenceError if the cap is hit first, and
+    DomainError if the sum is not a finite float: a term overflowed, or
+    the terms hold infinities of both signs, which `math.fsum` refuses.
     """
     if not (math.isfinite(tail_tol) and tail_tol > 0):
         raise DomainError(f"tail tolerance must be finite and > 0, got {tail_tol}")
@@ -262,7 +272,13 @@ def jackson_integral_numeric(
         # a run of them before trusting the geometric tail bound
         small_streak = small_streak + 1 if abs(term) < cutoff else 0
         if small_streak >= streak:
-            return JacksonQuadrature(math.fsum(terms), k + 1, tail_tol, qf, zf)
+            try:
+                value = math.fsum(terms)
+            except (ValueError, OverflowError):  # -inf + inf, or past the float range
+                value = math.nan
+            if not math.isfinite(value):
+                raise DomainError("the numeric Jackson sum overflows a float")
+            return JacksonQuadrature(value, k + 1, tail_tol, qf, zf)
         qk *= qf
     raise ConvergenceError(
         f"Jackson series did not meet the tail criterion within {max_terms} terms"

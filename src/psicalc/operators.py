@@ -137,9 +137,9 @@ def _psi_power(
 
 
 def psi_definite_integral(ctx: PsiContext, f: Polynomial, a: Scalar, b: Scalar) -> Fraction:
-    """F(b) - F(a) for F the psi-antiderivative of f: both endpoints are
-    `poly._value` pairs, and their difference is reduced once."""
-    return Fraction(*_between(psi_antiderivative(ctx, f), _rational(a), _rational(b)))
+    """F(b) - F(a) for F the psi-antiderivative of f, left unreduced: both
+    endpoints are `poly._value` pairs, and their difference is reduced once."""
+    return Fraction(*_between(_psi_power(ctx, f, 1, True, raw=True), _rational(a), _rational(b)))
 
 
 def _between(f: Polynomial, a: Scalar, b: Scalar) -> tuple[int, int]:

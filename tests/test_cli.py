@@ -184,6 +184,25 @@ class TestJackson:
         assert (code, err) == (0, "")
         assert "exact: 4/7\n" in out and out.endswith("tail_tol: 1e-09\n")
 
+    def test_tolerance_given_in_json(self, capsys):
+        code, out, err = run(capsys, "jackson", "--f", "x^2", "--q", "1/2", "--z", "1",
+                             "--tol", "1e-10", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["exact"], payload["tail_tol"]) == ("4/7", 1e-10)
+        assert abs(payload["numeric"] - 4 / 7) < 1e-9
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("f, z", [("x^128", "1000"), ("x^128 - 1000*x^127", "2000")],
+                             ids=["infinite-terms", "infinities-of-both-signs"])
+    def test_a_numeric_sum_past_the_float_range_is_a_domain_error(self, capsys, f, z, fmt):
+        # once printed "numeric": Infinity, which is not JSON, and exited 0;
+        # or ended on fsum's own "-inf + inf in fsum"
+        code, out, err = run(capsys, "jackson", "--f", f, "--q", "1/2", "--z", z,
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: the numeric Jackson sum overflows a float\n"
+
     @pytest.mark.parametrize("tol", ["inf", "0", "nan", "-1", "1e-400"])
     def test_tolerance_rejected_when_parsed(self, capsys, tol):
         code, out, err = run(capsys, "jackson", "--f", "x", "--q", "1/2", "--z", "1", "--tol", tol)

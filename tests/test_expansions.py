@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from conftest import polynomials, rationals
 from psicalc import (
     Polynomial,
+    jackson_antiderivative,
+    jackson_integral_exact,
     parse_psi_spec,
     psi_antiderivative,
     psi_bernoulli_taylor,
     psi_definite_integral,
+    psi_derivative,
     taylor_classical,
     verify_expansion,
 )
@@ -23,6 +26,8 @@ X = Polynomial.x()
 CLASSICAL = parse_psi_spec("classical")
 FIB = parse_psi_spec("fib")
 SPECS = ["classical", "q:2", "q:1/2", "q:3/2", "fib", "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9"]
+# SPECS' custom spec grown to degree 12, its factors of both signs
+LONG_CUSTOM = "custom:-2/3,5/4,-7,3/8,9,-1/5,4/9,-11/2,6,-13/7,1/3,-8,15/4"
 
 small_orders = st.integers(min_value=0, max_value=10)
 
@@ -131,13 +136,16 @@ class TestPsiFreeClosedForm:
     f(x_eval + w) expanded binomially and w0 = alpha - x_eval."""
 
     @given(
-        st.sampled_from(SPECS),
-        with_zero(6),
+        st.sampled_from([*SPECS[:-1], LONG_CUSTOM]),
+        with_zero(12),
         rationals,
         rationals,
-        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=14),
     )
     @example("fib", Polynomial(), F(1, 2), F(-3), 2)
+    @example(LONG_CUSTOM, F(-3, 7) * X**12 + 5 * X**7 - X**2 + F(2, 3), F(-5, 2), F(7, 3), 14)
+    @example(LONG_CUSTOM, (1 + X) ** 12 - 4 * X**5, F(1, 2), F(-2), 12)
+    @example("q:3/2", 3 * X**11 + X, F(3, 5), 2, 6)
     def test_terms(self, spec, f, alpha, x_eval, n):
         cs = f.coeffs
         phi = [sum((c * math.comb(i, m) * x_eval ** (i - m) for i, c in enumerate(cs) if i >= m), F(0))
@@ -154,6 +162,44 @@ class TestPsiFreeClosedForm:
         assert r.cauchy_remainder == Polynomial.constant(at(f, x_eval) - sum(want, F(0)))
         assert r.oracle_remainder == r.cauchy_remainder
         assert r.exact
+
+
+class TestUnreducedImages:
+    """The psi-expansion reads each x_hat image, the remainder's image and
+    its psi-antiderivative once, by `poly._value`, and so do the Jackson
+    and psi integrals their antiderivative: none of them is made canonical.
+    Every canonical polynomial is counted where `Polynomial._set` stores it."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made, store = [], Polynomial._set
+        monkeypatch.setattr(Polynomial, "_set",
+                            lambda p, num, den: made.append(1) or store(p, num, den))
+        return made
+
+    @pytest.mark.parametrize("spec", [*SPECS[:-1], LONG_CUSTOM])
+    @pytest.mark.parametrize("n", [0, 1, 4, 9, 12])
+    def test_psi_expansion(self, made, spec, n):
+        # only phi and its psi-derivative chain are canonical
+        ctx, f = parse_psi_spec(spec), F(3, 7) * X**9 - 5 * X**4 + X**2 + F(2, 3)
+        made.clear()
+        dk = f.compose_affine(1, 2)
+        for _ in range(min(n, dk.degree) + 1):
+            dk = psi_derivative(ctx, dk)
+        chain = len(made)
+        made.clear()
+        assert psi_bernoulli_taylor(ctx, f, F(-1, 2), 2, n).exact
+        assert len(made) == chain
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2), 2])
+    def test_integrals(self, made, q):
+        f = F(3, 7) * X**9 - 5 * X**4 + X**2 + F(2, 3)
+        made.clear()
+        exact = jackson_integral_exact(f, q, F(-5, 3))
+        definite = psi_definite_integral(parse_psi_spec(f"q:{q}"), f, F(1, 4), F(-5, 3))
+        assert made == []
+        anti = jackson_antiderivative(f, q)
+        assert (exact, definite) == (at(anti, F(-5, 3)), at(anti, F(-5, 3)) - at(anti, F(1, 4)))
 
 
 class TestTaylorTermOracle:

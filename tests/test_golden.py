@@ -10,6 +10,11 @@ against its file (exit 1 on any that moved, with a diff):
 
     PYTHONPATH=src python tests/test_golden.py
     PYTHONPATH=src python tests/test_golden.py --check
+
+Run as a script it needs only the stdlib, so that any CPython the
+package supports can replay the matrix: pytest reaches this file through
+its own collection, and the `pytest_generate_tests` hook below, not
+through an import.
 """
 
 import contextlib
@@ -17,8 +22,6 @@ import difflib
 import io
 import sys
 from pathlib import Path
-
-import pytest
 
 from psicalc.cli import main
 
@@ -111,7 +114,12 @@ def render(argv: list[str]) -> str:
             f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 
 
-@pytest.mark.parametrize("stem", RUNS)
+def pytest_generate_tests(metafunc):
+    """One test per run of `RUNS`, named by its stem."""
+    if "stem" in metafunc.fixturenames:
+        metafunc.parametrize("stem", RUNS)
+
+
 def test_output_matches_the_committed_file(stem):
     want = (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
     assert render(RUNS[stem]) == want

@@ -277,6 +277,15 @@ class TestHahnSweepPath:
             assert verify_hahn_reduction(HahnParams(q, h), 12).passed
         assert calls == []
 
+    def test_one_image_per_n(self, monkeypatch):
+        # the q-derivative under test sees the monomials x^0..x^N, each
+        # once and in order: the injection tests above rest on it
+        seen, derivative = [], hahn.psi_derivative
+        monkeypatch.setattr(hahn, "psi_derivative",
+                            lambda ctx, f: seen.append(f) or derivative(ctx, f))
+        assert verify_hahn_reduction(HahnParams(F(3, 2), F(7, 5)), 12).passed
+        assert seen == [X**n for n in range(13)]
+
     def test_left_side_against_sympy(self):
         # the left side of the sweep, and of a failing report, at n is the
         # Hahn derivative of (x - s)^n
@@ -430,6 +439,11 @@ class TestJacksonExact:
     def test_zero(self):
         assert jackson_integral_exact(Polynomial.zero(), F(5, 4), F(7, 2)) == 0
 
+    @pytest.mark.parametrize("z", [1.0, 0.5, -2.0])
+    def test_a_float_z_is_refused(self, z):
+        with pytest.raises(TypeError, match="is not an exact rational"):
+            jackson_integral_exact(X**2 + 1, F(1, 2), z)
+
     @given(polynomials(max_degree=6), rationals)
     def test_matches_psi_integral(self, f, z):
         ctx = parse_psi_spec("q:2")
@@ -474,6 +488,21 @@ class TestJacksonNumeric:
         exact = float(jackson_integral_exact(3 * (X - F(1, 2)) ** 6, q, z))
         assert abs(numeric.value - exact) < 1e-12
         assert numeric.terms_used <= 10_000
+
+    @pytest.mark.parametrize("coeffs, z", [
+        ([0] * 128 + [1], 1000),  # x^128: every term past 2^1024 is +inf
+        ([0] * 127 + [-1000, 1], 2000),  # +inf and -inf terms, which fsum refuses
+        ([1.7e308], 2),  # finite terms whose sum is past the float range
+    ], ids=["infinite-terms", "infinities-of-both-signs", "finite-terms-overflowing"])
+    def test_a_sum_that_is_not_a_finite_float_is_a_domain_error(self, coeffs, z):
+        def fn(t):
+            acc = 0.0
+            for c in reversed(coeffs):
+                acc = acc * t + c
+            return acc
+
+        with pytest.raises(DomainError, match="^the numeric Jackson sum overflows a float$"):
+            jackson_integral_numeric(fn, F(1, 2), z, 1e-13)
 
     def test_streak_spans_a_halving_of_the_sample_points(self):
         # ln 2 / -ln(1/2) = 1, so q = 1/2 keeps the run of three
