@@ -183,8 +183,6 @@ class TestJackson:
                              "--tol", "1e-9")
         assert (code, err) == (0, "")
         assert "exact: 4/7\n" in out and out.endswith("tail_tol: 1e-09\n")
-
-    def test_tolerance_given_in_json(self, capsys):
         code, out, err = run(capsys, "jackson", "--f", "x^2", "--q", "1/2", "--z", "1",
                              "--tol", "1e-10", "--format", "json")
         assert (code, err) == (0, "")

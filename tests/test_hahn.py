@@ -490,7 +490,7 @@ class TestJacksonNumeric:
         assert numeric.terms_used <= 10_000
 
     @pytest.mark.parametrize("coeffs, z", [
-        ([0] * 128 + [1], 1000),  # x^128: every term past 2^1024 is +inf
+        ([0] * 128 + [1], 1000),  # x^128: the first terms are past the float range, +inf
         ([0] * 127 + [-1000, 1], 2000),  # +inf and -inf terms, which fsum refuses
         ([1.7e308], 2),  # finite terms whose sum is past the float range
     ], ids=["infinite-terms", "infinities-of-both-signs", "finite-terms-overflowing"])
