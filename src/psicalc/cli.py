@@ -30,22 +30,27 @@ errors, raised before any work.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error,
 3 admissibility error, 130 interrupted (SIGINT, one line on stderr),
 141 stdout closed by its reader, as by `| head` (no text).
+
+A start imports, and so compiles, only the modules its subcommand runs.
+At import this module loads `errors`, `poly`, `record` and `sequences`,
+which are all that table needs; each run function imports the rest:
+expand `parsing` and, by --kind, `expansions` (psi, taylor) or
+`discrete` (newton, maclaurin); jackson `parsing` and `hahn`; verify
+`operators` and `hahn`.  `json` is imported only for --format json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
 
-from . import discrete, expansions, hahn, operators
-from .errors import AdmissibilityError, DomainError, InternalError, ParseError, PsiCalcError
-from .expansions import MAX_ORDER
-from .parsing import _bits, parse_poly
+from .errors import (
+    MAX_ORDER, AdmissibilityError, DomainError, InternalError, ParseError, PsiCalcError,
+)
 from .poly import Polynomial
 from .record import Record
 from .sequences import PsiContext, parse_psi_spec, parse_rational
@@ -192,6 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_expand(args) -> int:
+    from .parsing import parse_poly
+
     f = parse_poly(args.f)
     kind = args.kind or ("psi" if args.x_eval is not None else "taylor")
     # the expansions check the same bounds; this check only names the
@@ -210,6 +217,10 @@ def _run_expand(args) -> int:
     _check_report_size(f, None if kind == "newton" else args.alpha, args.x_eval)
     extra = {"kind": kind, "f": f}
 
+    if kind in ("taylor", "psi"):
+        from . import expansions
+    else:
+        from . import discrete
     if kind == "taylor":
         report = expansions.taylor_classical(f, args.alpha, args.order)
         keys = ("kind psi=psi_label f alpha order terms partial_sum "
@@ -248,6 +259,8 @@ def _check_report_size(f: Polynomial, *points: Fraction | None) -> None:
     many big-integer steps on numbers that size; maclaurin takes the same
     bound, beside `discrete.MAX_ALPHA`.  A point given as None (newton's
     unused alpha, a missing x_eval) is not counted."""
+    from .parsing import _bits
+
     d = max(f.degree, 0)
     bits = _bits(f) + d * sum(_bits(Polynomial.constant(v)) for v in points if v is not None)
     count = (d + 1) ** 2 // 2
@@ -298,6 +311,9 @@ SUITES = tuple(_SUITES)
 
 
 def _run_verify(args) -> int:
+    global hahn, operators  # read by `_SUITES` and `_pairs`; only verify imports them
+    from . import hahn, operators
+
     if args.max_degree < 0:
         raise DomainError("--max-degree must be nonnegative")
     if args.max_degree > MAX_DEGREE:
@@ -311,7 +327,7 @@ def _run_verify(args) -> int:
     if args.format == "json":
         rows = [{"suite": suite, **_fields(r, "identity params cases passed counterexample")}
                 for suite, r in results]
-        print(json.dumps(rows, indent=2))
+        _print_json(rows)
     else:
         for suite, r in results:
             print(f"{suite}: {r}")
@@ -327,6 +343,9 @@ def _run_verify(args) -> int:
 
 
 def _run_jackson(args) -> int:
+    from . import hahn
+    from .parsing import parse_poly
+
     f = parse_poly(args.f)
     exact = hahn.jackson_integral_exact(f, args.q, args.z)
 
@@ -369,7 +388,7 @@ def _run_table(args) -> int:
             }
         )
     if args.format == "json":
-        print(json.dumps({"psi": ctx.label, "rows": rows}, indent=2))
+        _print_json({"psi": ctx.label, "rows": rows})
     else:
         print(f"psi = {ctx.label}")
         print(f"{'n':>4} {'n_psi':>12} {'n_psi!':>16} {'power coeff':>14}")
@@ -405,9 +424,15 @@ def _fields(report, keys: str, extra: dict | None = None) -> dict:
     return fields
 
 
+def _print_json(value) -> None:
+    import json  # only --format json needs it; kept off the start-up path
+
+    print(json.dumps(value, indent=2))
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")

@@ -13,8 +13,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import DomainError, RangeError
-from .expansions import _check_order
+from .errors import DomainError, RangeError, _check_order
 from .poly import _ZERO, Polynomial, _canonical, _combine, _difference, _digits, _rational, _value
 from .record import Record
 

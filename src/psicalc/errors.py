@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all psicalc modules."""
+"""Exception hierarchy shared by all psicalc modules, and the expansion
+order bound that `expansions` and `discrete` both check."""
+
+# The largest order an expansion accepts.  Order 10 000 takes well under a
+# second for every kind on a small polynomial, while an order past the
+# machine's index range would end in an OverflowError, and a huge one
+# would run for ever.
+MAX_ORDER = 10_000
 
 
 class PsiCalcError(Exception):
@@ -35,3 +42,11 @@ class ParseError(PsiCalcError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
+
+
+def _check_order(n: int) -> None:
+    """Refuse an expansion order outside 0..MAX_ORDER before any work."""
+    if n < 0:
+        raise ValueError("expansion order must be nonnegative")
+    if n > MAX_ORDER:
+        raise DomainError(f"expansion order must be at most {MAX_ORDER}")

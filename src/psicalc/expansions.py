@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import MAX_ORDER, _check_order  # noqa: F401  (read as expansions.MAX_ORDER)
 from .operators import VerificationReport, _psi_power, _sweep, psi_derivative
 from .poly import (
     _ZERO, Polynomial, _canonical, _combine, _diagonal, _digits, _rational, _term, _value,
@@ -40,21 +40,6 @@ from .sequences import PsiContext
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .poly import Scalar
-
-
-# The largest order an expansion accepts.  Order 10 000 takes well under a
-# second for every kind on a small polynomial, while an order past the
-# machine's index range would end in an OverflowError, and a huge one
-# would run for ever.
-MAX_ORDER = 10_000
-
-
-def _check_order(n: int) -> None:
-    """Refuse an expansion order outside 0..MAX_ORDER before any work."""
-    if n < 0:
-        raise ValueError("expansion order must be nonnegative")
-    if n > MAX_ORDER:
-        raise DomainError(f"expansion order must be at most {MAX_ORDER}")
 
 
 class ExpansionReport(Record):

@@ -120,7 +120,11 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        # a constant equals its int or Fraction, so it hashes as that value
+        num = self._num
+        if len(num) > 1:
+            return hash((num, self._den))
+        return hash(Fraction(num[0], self._den)) if num else 0
 
     # -- ring operations -------------------------------------------------
 

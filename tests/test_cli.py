@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,7 +10,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from psicalc import cli
 from psicalc.cli import main
 from psicalc.errors import AdmissibilityError, InternalError, RangeError
 
@@ -304,6 +309,42 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_EVERY_START = {"cli", "errors", "poly", "record", "sequences"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ("table --n 3", set()),
+    ("expand --kind psi --f x^2 --order 2 --x-eval 1", {"parsing", "expansions", "operators"}),
+    ("expand --kind taylor --f x^2 --order 2", {"parsing", "expansions", "operators"}),
+    ("expand --kind newton --f x^2 --order 2", {"parsing", "discrete"}),
+    ("expand --kind maclaurin --f x^2 --order 2 --alpha 2", {"parsing", "discrete"}),
+    ("jackson --f x^2 --q 1/2 --z 1", {"parsing", "hahn", "operators"}),
+    ("verify --suite leibniz", {"hahn", "operators"}),
+    ("verify --suite hahn-reduction --max-degree 2", {"hahn", "operators"}),
+], ids=["table", "psi", "taylor", "newton", "maclaurin", "jackson", "verify", "verify-hahn"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_subcommand_imports_only_what_it_runs(argv, extra, fmt):
+    """A start compiles only the modules it imports, so each subcommand, in
+    a fresh interpreter, loads its own psicalc modules, and json only for
+    --format json."""
+    probe = (
+        "import io, sys\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "from psicalc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout = out\n"
+        "print(code, 'json' in sys.modules, *(m for m in sys.modules if m.startswith('psicalc.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv.split(), "--format", fmt],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, json_loaded, *modules = proc.stdout.split()
+    assert (code, json_loaded) == ("0", str(fmt == "json"))
+    assert {m.removeprefix("psicalc.") for m in modules} == _EVERY_START | extra
 
 
 def _json_text(value) -> str:
@@ -765,3 +806,70 @@ class TestClosedStdoutAndInterrupt:
 
         assert (cli.EXIT_INTERRUPTED, cli.EXIT_CLOSED_STDOUT) == (130, 141)
         assert "130 interrupted" in cli.__doc__ and "141 stdout closed" in cli.__doc__
+
+
+# -- an argv fuzz of main, in process ---------------------------------------------
+
+_small_rational = st.builds(
+    lambda a, b: f"{a}/{b}" if b != 1 else str(a), st.integers(-999, 999), st.integers(1, 999))
+_unit_rational = st.integers(2, 999).flatmap(
+    lambda b: st.integers(1, b - 1).map(lambda a: f"{a}/{b}"))
+_psi_specs = st.one_of(
+    st.sampled_from(["classical", "fib"]),
+    _small_rational.map("q:{}".format),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(
+        lambda cs: "custom:" + ",".join(map(str, cs))),
+)
+_polys = st.sampled_from(["x", "x^2 - x", "(1+x)^3", "3/7*x^5 - 2", "0", "x^", "1/0"])
+_formats = st.sampled_from(["text", "json"])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["expand", "verify", "jackson", "table"]))
+    argv = [command]
+
+    def flag(name, values):
+        argv.extend([name, draw(values)])
+
+    def maybe(name, values):
+        if draw(st.booleans()):
+            flag(name, values)
+
+    if command == "expand":
+        flag("--f", _polys)
+        flag("--order", st.integers(-1, 8).map(str))
+        maybe("--kind", st.sampled_from(["taylor", "psi", "newton", "maclaurin"]))
+        maybe("--psi", _psi_specs)
+        maybe("--alpha", _small_rational)
+        maybe("--x-eval", _small_rational)
+    elif command == "verify":
+        flag("--suite", st.sampled_from([*cli.SUITES, "all"]))
+        flag("--psi", _psi_specs)
+        flag("--max-degree", st.integers(-1, 6).map(str))
+    elif command == "jackson":
+        flag("--f", _polys)
+        flag("--q", _small_rational | _unit_rational)
+        flag("--z", _small_rational)
+        maybe("--tol", st.sampled_from(["1e-9", "0", "abc"]))
+    else:
+        flag("--psi", _psi_specs)
+        flag("--n", st.integers(-1, 24).map(str))
+    flag("--format", _formats)
+    return argv
+
+
+@settings(max_examples=300, deadline=2000)
+@given(_argvs())
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    """Every subcommand, kind, suite and format on small generated inputs:
+    an exit code the CLI documents, never a traceback, and JSON that parses
+    whenever a --format json run succeeds."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exits {code}")
+    assert code in (0, 2, 3) or (code == 1 and argv[0] == "verify"), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[-1] == "json":
+        json.loads(out.getvalue())

@@ -379,7 +379,7 @@ class TestSharedZero:
         for z in shared + built:
             assert z == Polynomial() and z == 0 and not z
             assert (z.degree, z.coeffs, str(z), repr(z)) == (-1, (), "0", "Polynomial([])")
-            assert hash(z) == hash(Polynomial())
+            assert hash(z) == hash(Polynomial()) == hash(0)
 
     def test_reading_one_leaves_the_others(self):
         # no slot but the two written when a polynomial is made
@@ -392,6 +392,30 @@ class TestSharedZero:
                 read()
                 assert [(y._num, y._den) for y in zeros] == before
         assert (poly._ZERO._num, poly._ZERO._den) == ((), 1)
+
+
+class TestHash:
+    """Equal objects hash equal: a constant polynomial equals its scalar."""
+
+    @pytest.mark.parametrize("p, c", [
+        (Polynomial([1]), 1), (Polynomial([F(1, 2)]), F(1, 2)), (Polynomial(), 0),
+        (Polynomial([F(-6, 4)]), F(-3, 2)), (Polynomial.constant(2**80), 2**80),
+        (Polynomial([F(7, 1)]), F(7)),
+    ])
+    def test_constant_hashes_as_its_scalar(self, p, c):
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+        assert {p: "v"}.get(c) == "v" and {c: "v"}.get(p) == "v"
+
+    @given(rationals)
+    def test_any_rational_constant(self, c):
+        p = Polynomial.constant(c)
+        assert p == c and hash(p) == hash(c) == hash(Polynomial([c]))
+
+    @given(polynomials(), polynomials())
+    def test_equal_polynomials_hash_equal(self, f, g):
+        assert hash(f + g) == hash(g + f)
+        assert (f == g) <= (hash(f) == hash(g))
 
 
 class TestTruncate:
