@@ -35,8 +35,10 @@ A start imports, and so compiles, only the modules its subcommand runs.
 At import this module loads `errors`, `poly`, `record` and `sequences`,
 which are all that table needs; each run function imports the rest:
 expand `parsing` and, by --kind, `expansions` (psi, taylor) or
-`discrete` (newton, maclaurin); jackson `parsing` and `hahn`; verify
-`operators` and `hahn`.  `json` is imported only for --format json.
+`discrete` (newton, maclaurin); jackson `parsing` and `hahn`.  The
+verify suites read `operators` and `hahn` as attributes of the package,
+which imports each on first access, so a suite loads only the one it
+runs.  `json` is imported only for --format json.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import re
 import sys
 from fractions import Fraction
 
+import psicalc  # its submodules load on first access, as `_SUITES` reads them
 from .errors import (
     MAX_ORDER, AdmissibilityError, DomainError, InternalError, ParseError, PsiCalcError,
 )
@@ -275,45 +278,42 @@ def _check_report_size(f: Polynomial, *points: Fraction | None) -> None:
 
 
 def _pairs(ctx: PsiContext):
-    return (*map(operators.derivative_pair, _SHIFTS), operators.delta_pair(),
-            operators.psi_pair(ctx))
+    return (*map(psicalc.operators.derivative_pair, _SHIFTS), psicalc.operators.delta_pair(),
+            psicalc.operators.psi_pair(ctx))
 
 
 # suite name -> (ctx, max_degree, corpus) -> reports, in the order `--suite all` runs them
 _SUITES = {
     "commutator": lambda ctx, d, corpus: [
-        operators.verify_commutator(pair, d) for pair in _pairs(ctx)],
+        psicalc.operators.verify_commutator(pair, d) for pair in _pairs(ctx)],
     "telescoping": lambda ctx, d, corpus: [
-        operators.verify_telescoping(ctx, n, f)
+        psicalc.operators.verify_telescoping(ctx, n, f)
         for n in range(_TELESCOPING_N + 1) for f in corpus[:3]],
     "bernoulli": lambda ctx, d, corpus: [
-        operators.bernoulli_identity_sweep(pair, min(d, _BERNOULLI_M), _BERNOULLI_N)
+        psicalc.operators.bernoulli_identity_sweep(pair, min(d, _BERNOULLI_M), _BERNOULLI_N)
         for pair in _pairs(ctx)],
     "leibniz": lambda ctx, d, corpus: [
-        operators.verify_leibniz(ctx, f, g) for f in corpus[:3] for g in corpus[3:]],
+        psicalc.operators.verify_leibniz(ctx, f, g) for f in corpus[:3] for g in corpus[3:]],
     "exp-addition": lambda ctx, d, corpus: [
-        operators.verify_exp_addition(ctx, alpha, beta, d)
+        psicalc.operators.verify_exp_addition(ctx, alpha, beta, d)
         for alpha in _EXP_ALPHAS for beta in _EXP_BETAS],
     "per-partes": lambda ctx, d, corpus: [
-        operators.verify_per_partes(ctx, f, g, a, b)
+        psicalc.operators.verify_per_partes(ctx, f, g, a, b)
         for f in corpus[:2] for g in corpus[2:4] for a, b in _INTERVALS],
     "fundamental": lambda ctx, d, corpus: [
-        operators.verify_fundamental_theorem(ctx, f) for f in corpus],
+        psicalc.operators.verify_fundamental_theorem(ctx, f) for f in corpus],
     "historical": lambda ctx, d, corpus: [
-        operators.verify_historical_series(f.truncate(_HISTORICAL_DEGREE)) for f in corpus],
+        psicalc.operators.verify_historical_series(f.truncate(_HISTORICAL_DEGREE)) for f in corpus],
     "hahn-reduction": lambda ctx, d, corpus: [
-        hahn.verify_hahn_reduction(hahn.HahnParams(q, h), d)
+        psicalc.hahn.verify_hahn_reduction(psicalc.hahn.HahnParams(q, h), d)
         for q in _HAHN_QS for h in _HAHN_HS],
     "jackson-inverse": lambda ctx, d, corpus: [
-        hahn.verify_jackson_inverse(f, q) for q in _JACKSON_QS for f in corpus[:3]],
+        psicalc.hahn.verify_jackson_inverse(f, q) for q in _JACKSON_QS for f in corpus[:3]],
 }
 SUITES = tuple(_SUITES)
 
 
 def _run_verify(args) -> int:
-    global hahn, operators  # read by `_SUITES` and `_pairs`; only verify imports them
-    from . import hahn, operators
-
     if args.max_degree < 0:
         raise DomainError("--max-degree must be nonnegative")
     if args.max_degree > MAX_DEGREE:
@@ -425,7 +425,9 @@ def _fields(report, keys: str, extra: dict | None = None) -> dict:
 
 
 def _print_json(value) -> None:
-    import json  # only --format json needs it; kept off the start-up path
+    # only --format json needs it: on top of this module's imports it
+    # adds about 2 ms to an uncached start
+    import json
 
     print(json.dumps(value, indent=2))
 

@@ -300,9 +300,16 @@ def test_zero_denominator_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+_HEAVY = ("dataclasses", "inspect", "typing")
+
+
 def test_import_leaves_out_dataclasses_inspect_and_typing():
-    """A CLI start pays for these modules only if psicalc imports them."""
-    probe = "import sys, psicalc.cli; print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    """A CLI start pays for these modules only if psicalc imports them, so
+    no submodule may import them; the package loads none on its own."""
+    probe = (
+        "import sys, psicalc.cli, psicalc.operators, psicalc.expansions, psicalc.discrete, "
+        f"psicalc.hahn, psicalc.parsing; print([m for m in {_HEAVY} if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=60,
@@ -321,29 +328,31 @@ _EVERY_START = {"cli", "errors", "poly", "record", "sequences"}
     ("expand --kind newton --f x^2 --order 2", {"parsing", "discrete"}),
     ("expand --kind maclaurin --f x^2 --order 2 --alpha 2", {"parsing", "discrete"}),
     ("jackson --f x^2 --q 1/2 --z 1", {"parsing", "hahn", "operators"}),
-    ("verify --suite leibniz", {"hahn", "operators"}),
+    ("verify --suite leibniz", {"operators"}),
     ("verify --suite hahn-reduction --max-degree 2", {"hahn", "operators"}),
 ], ids=["table", "psi", "taylor", "newton", "maclaurin", "jackson", "verify", "verify-hahn"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_each_subcommand_imports_only_what_it_runs(argv, extra, fmt):
     """A start compiles only the modules it imports, so each subcommand, in
-    a fresh interpreter, loads its own psicalc modules, and json only for
-    --format json."""
+    a fresh interpreter, loads its own psicalc modules, json only for
+    --format json, and none of dataclasses, inspect and typing."""
     probe = (
         "import io, sys\n"
         "out, sys.stdout = sys.stdout, io.StringIO()\n"
         "from psicalc.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "sys.stdout = out\n"
-        "print(code, 'json' in sys.modules, *(m for m in sys.modules if m.startswith('psicalc.')))\n"
+        f"print(code, 'json' in sys.modules, [m for m in {_HEAVY} if m in sys.modules])\n"
+        "print(*(m for m in sys.modules if m.startswith('psicalc.')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe, *argv.split(), "--format", fmt],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    code, json_loaded, *modules = proc.stdout.split()
-    assert (code, json_loaded) == ("0", str(fmt == "json"))
+    codes, modules = proc.stdout.splitlines()
+    assert codes == f"0 {fmt == 'json'} []"
+    modules = modules.split()
     assert {m.removeprefix("psicalc.") for m in modules} == _EVERY_START | extra
 
 

@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # the package's surface when `__init__` imported every submodule eagerly
 SURFACE = {
@@ -34,11 +35,13 @@ SURFACE = {
 }
 
 
-def fresh(probe: str) -> str:
-    """What `probe` prints in a new interpreter that has only src on its path."""
+def fresh(probe: str, *path: Path) -> str:
+    """What `probe` prints in a new interpreter that has only src, and any
+    further `path` entries, on its path."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (SRC, *path)))},
+        capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
@@ -117,3 +120,24 @@ def test_unknown_name_raises_the_usual_errors():
         "ImportError cannot import name 'no_such_name' from 'psicalc'",
         "False",
     ]
+
+
+def test_traced_benchmark_leaves_the_package_names_unwrapped(tmp_path):
+    """The benchmark's tracer wraps the functions bound in each namespace
+    and restores them on uninstall; a package name first read while it is
+    installed would be bound to its wrapper for good.  After each
+    workload's traced pass, every name the package has bound is still its
+    module's own object."""
+    probe = (
+        "import sys, psicalc, worker\n"
+        "from pathlib import Path\n"
+        f"worker.OUT = Path({str(tmp_path)!r})\n"
+        "for name in ('identity_sweep', 'expand_hahn', 'cli_session'):\n"
+        "    result = worker.traced(worker.Workload(name, 7, True), 7, True)\n"
+        "    assert not result['failures'], result['failures']\n"
+        "home = {n: sys.modules[f'psicalc.{m}'] for n, m in psicalc._ORIGIN.items()}\n"
+        "bound = [n for n in home if n in vars(psicalc)]\n"
+        "print(len(bound), [n for n in bound if vars(psicalc)[n] is not vars(home[n])[n]])\n"
+    )
+    count, stale = fresh(probe, ROOT / "bench").split(" ", 1)
+    assert int(count) > 0 and stale == "[]\n"
