@@ -21,9 +21,14 @@ A one-term result c x^j / den -- `monomial`, `constant`, the product of
 two one-term operands, the derivative of one term, and the one-term
 operator images and sweep steps of `operators` -- is made by `_term`
 instead, from one gcd of two ints and no pass over its zeros; `_one_term`
-reads such a term back.  Evaluation has one kernel, `_value`, whose
-unreduced integer pair `__call__` reduces once; the expansions reduce
-each of their scalars once too, where the report stores it.  A
+reads such a term back.  Evaluation has two Horner kernels on the
+numerators.  `_value` takes one rational point and returns an unreduced
+integer pair, which `__call__` reduces once; the expansions reduce each
+of their scalars once too, where the report stores it.
+`Polynomial._numerator_values` takes many integer points, for the
+iterated sums and Newton's exactness check in `discrete`; it stays a
+loop of its own because one `_value` call per point made
+`newton_expansion` 1.03-1.10x slower.  A
 polynomial is written once: `_set` and `_term` are the only code that
 assigns its two slots, each on the object it has just made, so a result
 can be shared.  `.coeffs` is a `Fraction` tuple built on each read.
@@ -218,7 +223,8 @@ class Polynomial:
         return Fraction(*_value(self, a.numerator, a.denominator))
 
     def _numerator_values(self, points: Iterable[int]) -> list[int]:
-        """den * f(r) at each integer r, by Horner on the numerators."""
+        """den * f(r) at each integer r, by Horner on the numerators: the
+        evaluation kernel at many integer points, beside `_value`."""
         coeffs, out = self._num[::-1], []
         for r in points:
             acc = 0
@@ -347,8 +353,10 @@ def _value(f: Polynomial, p: int, q: int) -> tuple[int, int]:
     """f(p/q) as an unreduced pair (num, den) for ints p and q > 0, den
     = q^(d+1) times f's, of its sign (positive for a canonical f): Horner
     on the numerators, homogenised, so that no step divides.
-    The one evaluation kernel: `Polynomial.__call__` reduces its pair
-    once, and the expansions reduce theirs where the report stores them."""
+    The evaluation kernel at one rational point: `Polynomial.__call__`
+    reduces its pair once, and the expansions reduce theirs where the
+    report stores them.  `Polynomial._numerator_values` is the one at
+    many integer points."""
     acc, qk = 0, 1
     for c in reversed(f._num):
         acc, qk = acc * p + c * qk, qk * q

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -13,6 +16,20 @@ from psicalc import Polynomial, operators
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh(*args, timeout=60, path=(), python=sys.executable):
+    """`python *args` in a new interpreter with src, then `path`, as its
+    PYTHONPATH: the CompletedProcess (text), checked for no traceback."""
+    proc = subprocess.run(
+        [python, *args], env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (SRC, *path)))},
+        capture_output=True, text=True, timeout=timeout,
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
 
 
 def polynomials(max_degree=8):

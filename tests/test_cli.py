@@ -7,17 +7,15 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import SRC, fresh
 from psicalc import cli
 from psicalc.cli import main
 from psicalc.errors import AdmissibilityError, InternalError, RangeError
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -310,10 +308,7 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
         "import sys, psicalc.cli, psicalc.operators, psicalc.expansions, psicalc.discrete, "
         f"psicalc.hahn, psicalc.parsing; print([m for m in {_HEAVY} if m in sys.modules])"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = fresh("-S", "-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -345,10 +340,7 @@ def test_each_subcommand_imports_only_what_it_runs(argv, extra, fmt):
         f"print(code, 'json' in sys.modules, [m for m in {_HEAVY} if m in sys.modules])\n"
         "print(*(m for m in sys.modules if m.startswith('psicalc.')))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe, *argv.split(), "--format", fmt],
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
-    )
+    proc = fresh("-S", "-c", probe, *argv.split(), "--format", fmt)
     assert (proc.returncode, proc.stderr) == (0, "")
     codes, modules = proc.stdout.splitlines()
     assert codes == f"0 {fmt == 'json'} []"
@@ -554,12 +546,8 @@ class TestOrderLimit:
     @pytest.mark.parametrize("kind", KINDS)
     def test_huge_order_is_a_domain_error(self, kind):
         # a fresh interpreter under a timeout: an unchecked order runs away
-        proc = subprocess.run(
-            [sys.executable, "-m", "psicalc.cli", "expand", "--f", "x", "--kind", kind,
-             "--order", str(10**30), *self.KINDS[kind]],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-            timeout=20,
-        )
+        proc = fresh("-m", "psicalc.cli", "expand", "--f", "x", "--kind", kind,
+                     "--order", str(10**30), *self.KINDS[kind], timeout=20)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: --order must be at most {self.LIMIT}\n"
 
@@ -594,11 +582,7 @@ class TestSizeLimits:
     def test_past_the_limit_is_a_domain_error(self, flag, excess):
         # a fresh interpreter under a timeout: an unchecked size runs away
         limit = self.LIMITS[flag]
-        proc = subprocess.run(
-            [sys.executable, "-m", "psicalc.cli", *self.ARGV[flag], flag, str(limit + excess)],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-            timeout=20,
-        )
+        proc = fresh("-m", "psicalc.cli", *self.ARGV[flag], flag, str(limit + excess), timeout=20)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: {flag} must be at most {limit}\n"
 
@@ -612,21 +596,13 @@ class TestSizeLimits:
     @pytest.mark.parametrize("f, offset", [("x^99999999", 1), ("(1+x)^129", 5), ("x^100*x^29", 5)])
     def test_polynomial_past_the_degree_limit_is_a_parse_error(self, f, offset):
         # a fresh interpreter under a timeout: an unchecked power runs away
-        proc = subprocess.run(
-            [sys.executable, "-m", "psicalc.cli", "expand", "--f", f, "--order", "1"],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-            timeout=20,
-        )
+        proc = fresh("-m", "psicalc.cli", "expand", "--f", f, "--order", "1", timeout=20)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: degree above the limit of 128 (at offset {offset})\n"
 
     def test_constant_past_the_bit_limit_is_a_parse_error(self):
         # 2^9999999 has degree 0, so only the bit limit stops it
-        proc = subprocess.run(
-            [sys.executable, "-m", "psicalc.cli", "expand", "--f", "2^9999999", "--order", "1"],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-            timeout=20,
-        )
+        proc = fresh("-m", "psicalc.cli", "expand", "--f", "2^9999999", "--order", "1", timeout=20)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: coefficients above the limit of 100000 bits (at offset 1)\n"
 
@@ -674,11 +650,7 @@ class TestReportLimit:
     def test_past_the_limit_is_a_domain_error(self, argv, count, bits):
         # a fresh interpreter under a timeout: each of these ran for seconds
         # or printed megabytes before the limit
-        proc = subprocess.run(
-            [sys.executable, "-m", "psicalc.cli", "expand", *argv],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-            timeout=20,
-        )
+        proc = fresh("-m", "psicalc.cli", "expand", *argv, timeout=20)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: report of about {count} coefficients of up to {bits} "
                                f"bits is above the limit of {self.LIMIT} bits\n")
@@ -686,12 +658,8 @@ class TestReportLimit:
     @pytest.mark.parametrize("alpha", ["10001", "10000000"])
     def test_maclaurin_alpha_past_its_limit(self, alpha):
         # f = x keeps the size estimate small: only the alpha limit refuses
-        proc = subprocess.run(
-            [sys.executable, "-m", "psicalc.cli", "expand", "--kind", "maclaurin",
-             "--f", "x", "--order", "1", "--alpha", alpha],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-            timeout=20,
-        )
+        proc = fresh("-m", "psicalc.cli", "expand", "--kind", "maclaurin",
+                     "--f", "x", "--order", "1", "--alpha", alpha, timeout=20)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: --alpha must be at most 10000 for maclaurin\n"
 

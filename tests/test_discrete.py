@@ -89,6 +89,10 @@ class TestDefiniteSum:
         with pytest.raises(RangeError):
             definite_sum(t, 4)
 
+    def test_end_is_none_without_a_table(self):
+        assert lat(X**2).end is None
+        assert LatticeFunction.from_table([1, 2, 3], start=-1).end == 1
+
 
 class TestIteratedSum:
     def test_depth_one_is_definite_sum(self):

@@ -69,6 +69,10 @@ class TestTaylorClassical:
         assert r.partial_sum + r.cauchy_remainder == f
         assert r.exact
 
+    def test_total_is_f(self):
+        f = X**5 - F(2, 3) * X**2 + 4
+        assert taylor_classical(f, F(1, 2), 3).total == f
+
 
 class TestPsiBernoulliTaylor:
     def test_classical_matches_taylor_pointwise(self):
@@ -90,6 +94,11 @@ class TestPsiBernoulliTaylor:
         total = sum((t.coeff(0) for t in r.terms), F(0)) + r.cauchy_remainder.coeff(0)
         assert total == 1  # f(1)
         assert r.exact
+
+    def test_total_is_the_constant_f_at_x_eval(self):
+        f = X**5 - F(2, 3) * X**2 + 4
+        r = psi_bernoulli_taylor(parse_psi_spec("q:3/2"), f, F(1, 2), F(-5, 3), 3)
+        assert r.total == Polynomial.constant(at(f, F(-5, 3)))
 
     @given(
         polynomials(max_degree=7),

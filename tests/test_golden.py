@@ -14,12 +14,15 @@ against its file (exit 1 on any that moved, with a diff):
 Run as a script it needs only the stdlib, so that any CPython the
 package supports can replay the matrix: pytest reaches this file through
 its own collection, and the `pytest_generate_tests` hook below, not
-through an import.
+through an import.  So the one test that needs pytest and the test
+runner, the replay on every other interpreter found, imports them itself.
 """
 
 import contextlib
 import difflib
 import io
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -128,6 +131,37 @@ def test_output_matches_the_committed_file(stem):
 def test_every_committed_file_has_a_run():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(RUNS)
     assert sorted(p.stem for p in SLOW.glob("*.txt")) == sorted(SLOW_RUNS)
+
+
+def test_runs_match_on_every_other_interpreter():
+    """`RUNS` replayed under each other CPython >= 3.10.7 found in pyenv's
+    versions dir or as python3.1x on PATH, one per version, one at a time,
+    with no site packages: the CLI needs nothing but the stdlib."""
+    import pytest
+    from conftest import fresh
+
+    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    found = [*sorted(pyenv.glob("versions/*/bin/python3")),
+             *filter(None, (shutil.which(f"python3.{minor}") for minor in range(10, 20)))]
+    others = {}
+    for python in found:
+        proc = fresh("-S", "-c", "import platform, sys; "
+                     "print(platform.python_implementation(), *sys.version_info[:3])", python=python)
+        if proc.returncode == 0:
+            name, *version = proc.stdout.split()
+            version = tuple(map(int, version))
+            if name == "CPython" and (3, 10, 7) <= version != sys.version_info[:3]:
+                others.setdefault(version, python)
+    if not others:
+        pytest.skip("no other CPython >= 3.10.7 found")
+    probe = ("import test_golden as g\n"
+             "print(len(g.RUNS), [stem for stem, argv in g.RUNS.items()\n"
+             "                    if g.render(argv) != (g.GOLDEN / f'{stem}.txt').read_text('utf-8')])\n")
+    replays = {}
+    for version, python in sorted(others.items()):
+        proc = fresh("-S", "-c", probe, path=[Path(__file__).parent], python=python)
+        replays[version] = (proc.returncode, proc.stderr, proc.stdout)
+    assert replays == {version: (0, "", f"{len(RUNS)} []\n") for version in others}
 
 
 if __name__ == "__main__":

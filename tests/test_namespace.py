@@ -1,13 +1,11 @@
 """The package namespace: `import psicalc` imports no submodule, and each
 public name resolves on first access to its module's own object."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
+from conftest import fresh
+
 ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
 
 # the package's surface when `__init__` imported every submodule eagerly
 SURFACE = {
@@ -35,21 +33,10 @@ SURFACE = {
 }
 
 
-def fresh(probe: str, *path: Path) -> str:
-    """What `probe` prints in a new interpreter that has only src, and any
-    further `path` entries, on its path."""
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (SRC, *path)))},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    return proc.stdout
-
-
 def test_bare_import_loads_no_submodule():
     probe = "import sys, psicalc; print([m for m in sys.modules if m.startswith('psicalc.')])"
-    assert fresh(probe) == "[]\n"
+    proc = fresh("-S", "-c", probe, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 def test_star_import_binds_the_eager_surface():
@@ -63,7 +50,9 @@ def test_star_import_binds_the_eager_surface():
         "    if name != '__builtins__':\n"
         "        print(name, value.__name__ if isinstance(value, type(sys)) else '')\n"
     )
-    star = dict(line.partition(" ")[::2] for line in fresh(probe).splitlines())
+    proc = fresh("-S", "-c", probe, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    star = dict(line.partition(" ")[::2] for line in proc.stdout.splitlines())
     assert set(star) == {*exports, *SURFACE}
     assert len(star) == 76
     assert {name: star[name] for name in SURFACE} == {m: f"psicalc.{m}" for m in SURFACE}
@@ -80,7 +69,8 @@ def test_each_name_is_its_module_object():
         "        assert vars(psicalc)[name] is getattr(home, name), name  # bound once read\n"
         "print('ok')\n"
     )
-    assert fresh(probe) == "ok\n"
+    proc = fresh("-S", "-c", probe, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "ok\n")
 
 
 def test_submodules_resolve_after_a_bare_import():
@@ -89,12 +79,16 @@ def test_submodules_resolve_after_a_bare_import():
         f"for module in {sorted(SURFACE)!r}:\n"
         "    print(module, getattr(psicalc, module).__name__)\n"
     )
-    assert fresh(probe).splitlines() == [f"{m} psicalc.{m}" for m in sorted(SURFACE)]
+    proc = fresh("-S", "-c", probe, timeout=120)
+    want = [f"{m} psicalc.{m}" for m in sorted(SURFACE)]
+    assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", want)
 
 
 def test_dir_lists_every_name_before_any_is_read():
     probe = "import psicalc; print(*dir(psicalc))"
-    listed = set(fresh(probe).split())
+    proc = fresh("-S", "-c", probe, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    listed = set(proc.stdout.split())
     names = {name for names in SURFACE.values() for name in names.split()}
     assert names | set(SURFACE) | {"__version__"} <= listed
 
@@ -113,13 +107,14 @@ def test_unknown_name_raises_the_usual_errors():
         "    print(type(exc).__name__, str(exc).split(' (')[0])\n"
         "print(hasattr(psicalc, 'no_such_name'))\n"
     )
-    assert fresh(probe).splitlines() == [
+    proc = fresh("-S", "-c", probe, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", [
         "module 'psicalc' has no attribute 'no_such_name'",
         "module 'psicalc' has no attribute '_EXPORTS_'",
         "module 'psicalc' has no attribute 'cli_'",
         "ImportError cannot import name 'no_such_name' from 'psicalc'",
         "False",
-    ]
+    ])
 
 
 def test_traced_benchmark_leaves_the_package_names_unwrapped(tmp_path):
@@ -139,5 +134,7 @@ def test_traced_benchmark_leaves_the_package_names_unwrapped(tmp_path):
         "bound = [n for n in home if n in vars(psicalc)]\n"
         "print(len(bound), [n for n in bound if vars(psicalc)[n] is not vars(home[n])[n]])\n"
     )
-    count, stale = fresh(probe, ROOT / "bench").split(" ", 1)
+    proc = fresh("-S", "-c", probe, timeout=120, path=[ROOT / "bench"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    count, stale = proc.stdout.split(" ", 1)
     assert int(count) > 0 and stale == "[]\n"

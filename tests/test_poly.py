@@ -1,16 +1,13 @@
 import math
 import operator
-import os
-import subprocess
 import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import polynomials, rationals
+from conftest import fresh, polynomials, rationals
 from psicalc import (
     AdmissibleSequence,
     HahnParams,
@@ -32,7 +29,6 @@ from psicalc import (
 from psicalc import operators, poly
 
 X = Polynomial.x()
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestEval:
@@ -504,10 +500,7 @@ class TestStructure:
             "big = Polynomial([10**5000])\n"
             "print(len(repr(big)), len(repr(taylor_classical(big * Polynomial.x(), 0, 1))))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = fresh("-c", probe)
         assert proc.returncode == 0, proc.stderr
         repr_len, report_len = map(int, proc.stdout.split())
         assert repr_len == len("Polynomial([Fraction(, 1)])") + 5001

@@ -51,6 +51,10 @@ class TestFactor:
         with pytest.raises(DomainError):
             ctx("classical").factor(0)
 
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown sequence kind 'bogus'"):
+            AdmissibleSequence("bogus").raw_factor(1)
+
 
 class TestGaussQFactor:
     """n_q as the one Fraction (b^n - a^n) / (b^(n-1) (b - a)), q = a/b."""

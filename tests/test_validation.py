@@ -1,14 +1,12 @@
 """Every argument check in the library raises its documented error type
 with its own message."""
 
-import os
-import subprocess
 import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
+from conftest import fresh
 from psicalc import (
     AdmissibleSequence,
     HahnParams,
@@ -178,9 +176,7 @@ def test_order_past_the_limit_before_any_work():
         "    except DomainError as exc:\n"
         "        print(exc)\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh("-c", probe)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "expansion order must be at most 10000\n" * 5
 
@@ -196,8 +192,6 @@ def test_maclaurin_point_past_the_limit_before_any_work():
         "    except DomainError as exc:\n"
         "        print(exc)\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh("-c", probe)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "expansion point must be at most 10000\n" * 2
