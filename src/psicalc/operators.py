@@ -26,7 +26,7 @@ from itertools import accumulate, compress
 from .errors import DomainError, InternalError
 from .poly import (
     _ZERO, Polynomial, _Raw, _aligned, _canonical, _combine, _diagonal, _difference, _digits,
-    _one_term, _pack, _perms, _rational, _raw_equal, _reduced, _term, _value, _x_shift_back,
+    _one_term, _pack, _rational, _raw_equal, _reduced, _term, _value, _x_shift_back,
 )
 from .record import Record
 from .sequences import PsiContext
@@ -72,10 +72,12 @@ def _psi_power(
     for k = 1, with its cached running lcm, and a quotient of the
     prefix-product rows beyond; the derivative power maps
     x^(m+k) -> r_m x^m, the antiderivative power x^m -> x^(m+k) / r_m,
-    and the x_hat power that times (m+k)!/m!.  The rows are grown to the
-    top index the k single steps would reach, so a bad factor raises the
-    same error; a snapshot `ctx._rows` that already reaches top is read with
-    no call.  A one-term f = c x^d, its degree read as len - 1, maps over
+    and the x_hat power that times (m+k)!/m!: by m + 1 for k = 1, and
+    beyond it together with r_m's denominator, as the one window
+    W_(m+k) // W_m of the umbral row W_n = n! B_n.  The rows are grown to
+    the top index the k single steps would reach, so a bad factor raises
+    the same error; a snapshot `ctx._rows` that already reaches top is read
+    with no call.  A one-term f = c x^d, its degree read as len - 1, maps over
     the divisor of its own run r_m, m = top - k, to one `poly._term`: no
     lcm, and one gcd of two ints.  Any other f is weighed over the lcm of
     the whole run (for k = 1 the cached one), except that a raising power of
@@ -107,18 +109,18 @@ def _psi_power(
         m = count - 1
         if k == 1:
             x, y = rows.num[m], rows.den[m]
+            if falling:  # times (m+1)!/m!
+                y *= top
         else:
-            a, b = rows.num_prod, rows.den_prod
+            a, b = rows.num_prod, rows.umbral if falling else rows.den_prod
             x, y = a[m + k] // a[m], b[m + k] // b[m]
         if not raising:
             return _term(m, cs[d] * x, f._den * y)
-        if falling:
-            y *= math.perm(top, k)
         return _term(top, cs[d] * y, f._den * x)
     if k == 1:
         num, den = rows.num, rows.den
     else:
-        a, b = rows.num_prod, rows.den_prod
+        a, b = rows.num_prod, rows.umbral if falling else rows.den_prod
         num = [a[m + k] // a[m] for m in range(count)]
         den = [b[m + k] // b[m] for m in range(count)]
     if raising and 2 * zeros > len(cs):  # mostly zeros: weigh only the terms
@@ -129,8 +131,8 @@ def _psi_power(
         lcm = math.lcm(*(num if raising else den))
     if not raising:
         return _diagonal(f, [x * (lcm // y) for x, y in zip(num[:count], den)], lcm, -k, raw)
-    if falling:  # times (m+k)!/m!
-        ws = [i * y * (lcm // x) for i, x, y in zip(_perms(top + 1, k), num, den)]
+    if falling and k == 1:  # times m + 1
+        ws = [i * y * (lcm // x) for i, x, y in zip(range(1, top + 1), num, den)]
     else:
         ws = [y * (lcm // x) for x, y in zip(num[:count], den)]
     return _diagonal(f, ws, lcm, k, raw)
@@ -169,12 +171,13 @@ def _star(
     """star_psi(ctx, f, g).truncate(top), forming only the degrees <= top,
     all of them for top=None.
 
-    With n_psi! = A_n / B_n from the prefix-product rows, t = deg f + deg g,
+    With n_psi! = A_n / B_n from the prefix-product rows and the umbral
+    row W_n = n! B_n, so that n!/n_psi! = W_n / A_n, t = deg f + deg g,
     u = min(top, t) the degrees formed and d = min(deg g, u): T^-1 g has
-    the numerators g_n A_n (B_d / B_n) (d!/n!), n <= d, over B_d d!; their
-    schoolbook product with f's numerators, pairs i + n <= u only, maps
-    forward by x^j -> j! B_j (A_u / A_j) over A_u, and the result is made
-    canonical once (left `poly._Raw` for raw=True; f and g may be `_Raw`).
+    the numerators g_n A_n (W_d / W_n), n <= d, over W_d; their schoolbook
+    product with f's numerators, pairs i + n <= u only, maps forward by
+    x^j -> W_j (A_u / A_j) over A_u, and the result is made canonical once
+    (left `poly._Raw` for raw=True; f and g may be `_Raw`).
     The rows are grown to t, the top index deg f single x_hat steps would
     reach, whatever top is, so a bad factor raises the same error as the
     whole product; a constant f or a zero g needs none.
@@ -192,36 +195,37 @@ def _star(
     if u < 0:
         return _ZERO
     d = min(d, u)
-    a, b = rows.num_prod, rows.den_prod
-    fact = list(accumulate(range(1, u + 1), operator.mul, initial=1))
-    bd, fd = b[d], fact[d]
+    a, w = rows.num_prod, rows.umbral
+    wd = w[d]
     # a tuple, so that a row's slice of all of it is h itself, not a copy
-    h = tuple([c * a[n] * (bd // b[n]) * (fd // fact[n]) for n, c in enumerate(gn[: d + 1])])
+    h = tuple([c * a[n] * (wd // w[n]) for n, c in enumerate(gn[: d + 1])])
     out = [0] * (u + 1)
     for i, c in enumerate(fn[: u + 1]):
         if c:
             for j, v in enumerate(h[: u + 1 - i], i):
                 out[j] += c * v
     au = a[u]
-    out = [v * fact[j] * b[j] * (au // a[j]) for j, v in enumerate(out)]
-    return (_Raw if raw else _canonical)(out, f._den * g._den * bd * fd * au)
+    out = [v * w[j] * (au // a[j]) for j, v in enumerate(out)]
+    return (_Raw if raw else _canonical)(out, f._den * g._den * wd * au)
 
 
 def psi_power(ctx: PsiContext, n: int) -> Polynomial:
-    """The n-th star power of x: (n!/n_psi!) x^n."""
+    """The n-th star power of x: (n!/n_psi!) x^n = (W_n / A_n) x^n, from
+    the umbral and prefix-product rows."""
     if n < 0:
         raise ValueError("psi_power index must be nonnegative")
-    return Polynomial.monomial(n, Fraction(math.factorial(n)) / ctx.factorial(n))
+    rows = ctx.rows(n)
+    return _term(n, rows.umbral[n], rows.num_prod[n])
 
 
 def umbral_tilde(ctx: PsiContext, g: Polynomial) -> Polynomial:
     """The umbral map g -> g(x_hat) 1: scales the x^n coefficient by n!/n_psi!.
-    With n_psi! = A_n / B_n from the prefix-product rows and d the degree,
-    that is n! B_n (A_d / A_n) over A_d."""
+    With the umbral row W_n = n! B_n and the prefix products A_n, so that
+    n!/n_psi! = W_n / A_n, and d the degree, that is W_n (A_d / A_n) over A_d."""
     d = max(g.degree, 0)
     rows = ctx.rows(d)
-    a, b = rows.num_prod, rows.den_prod
-    return _diagonal(g, [math.factorial(n) * b[n] * (a[d] // a[n]) for n in range(d + 1)], a[d], 0)
+    a, w = rows.num_prod, rows.umbral
+    return _diagonal(g, [w[n] * (a[d] // a[n]) for n in range(d + 1)], a[d], 0)
 
 
 def psi_exp(ctx: PsiContext, alpha: Scalar, N: int) -> Polynomial:

@@ -5,9 +5,10 @@ An admissible sequence supplies one nonzero rational factor n_psi per
 positive integer n.  Three built-in families are provided (the classical
 integers, the Gauss q-integers, and the Fibonacci numbers) plus custom
 factor lists.  A PsiContext wraps a sequence with one memo, the integer
-rows of n_psi that the operators weigh coefficients by and n_psi! is
-read from; it is the parameter every psi-operator takes.  On the
-Gauss q-integers the psi-calculus is the Jackson q-calculus of `hahn`.
+rows of n_psi that the operators weigh coefficients by and that n_psi!
+and the umbral weight n!/n_psi! are read from; it is the parameter every
+psi-operator takes.  On the Gauss q-integers the psi-calculus is the
+Jackson q-calculus of `hahn`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ class AdmissibleSequence(Record):
     q: Fraction | None
     factors: tuple[Fraction, ...] | None
 
+    def __init__(self, *args, **kwargs):
+        """Refuses, as DomainError, what no factor could be read from: an
+        unknown kind, a gauss_q with no q and a custom with no factors."""
+        super().__init__(*args, **kwargs)
+        if self.kind not in ("classical", "gauss_q", "fibonomial", "custom"):
+            raise DomainError(f"unknown sequence kind {self.kind!r}")
+        if self.kind == "gauss_q" and self.q is None:
+            raise DomainError("gauss_q sequence needs a q")
+        if self.kind == "custom" and not self.factors:
+            raise DomainError("custom sequence needs at least one factor")
+
     @classmethod
     def classical(cls) -> "AdmissibleSequence":
         return cls("classical")
@@ -81,12 +93,10 @@ class AdmissibleSequence(Record):
             for _ in range(n - 1):
                 a, b = b, a + b
             return Fraction(a)
-        if self.kind == "custom":
-            if n > len(self.factors):
-                raise DomainError(f"custom sequence has {len(self.factors)} factors, "
-                                  f"index {_digits(n)} requested")
-            return self.factors[n - 1]
-        raise ValueError(f"unknown sequence kind {self.kind!r}")
+        if n > len(self.factors):
+            raise DomainError(f"custom sequence has {len(self.factors)} factors, "
+                              f"index {_digits(n)} requested")
+        return self.factors[n - 1]
 
     @property
     def label(self) -> str:
@@ -99,21 +109,24 @@ class AdmissibleSequence(Record):
         return "custom:" + ",".join(map(_digits, self.factors))
 
 
-class PsiRows(namedtuple("PsiRows", "num den num_lcm den_lcm num_prod den_prod")):
+class PsiRows(namedtuple("PsiRows", "num den num_lcm den_lcm num_prod den_prod umbral")):
     """1_psi ... m_psi as integers: k_psi = num[k-1] / den[k-1] in lowest
     terms with den[k-1] > 0, num_lcm[k-1] = lcm(|num[0]|, ..., |num[k-1]|)
     and den_lcm[k-1] = lcm(den[0], ..., den[k-1]).  The prefix products
-    num_prod[k] = num[0] ... num[k-1] and den_prod[k] (1 at k = 0) give
-    k_psi! = num_prod[k] / den_prod[k], and a run of factors as one quotient:
-    (m+k)_psi! / m_psi! = (num_prod[m+k] // num_prod[m]) / (den_prod[m+k] // den_prod[m])."""
+    num_prod[k] = A_k = num[0] ... num[k-1] and den_prod[k] = B_k (1 at
+    k = 0) give k_psi! = A_k / B_k, and a run of factors as one quotient:
+    (m+k)_psi! / m_psi! = (A_(m+k) // A_m) / (B_(m+k) // B_m).  The umbral
+    row umbral[k] = W_k = k! B_k gives the umbral weight k!/k_psi! = W_k / A_k,
+    and ((m+k)!/m!) (B_(m+k)/B_m) as the one quotient W_(m+k) // W_m."""
 
     __slots__ = ()
 
 
 class PsiContext:
     """An admissible sequence plus its one memo, the integer rows of n_psi
-    (see `rows`): n_psi! is read from their prefix products, and n_psi
-    itself straight from the sequence.
+    (see `rows`): n_psi! is read from their prefix products, the umbral
+    weight n!/n_psi! from the umbral row W, and n_psi itself straight from
+    the sequence.
 
     Contexts can be shared between threads; all returned values are
     immutable.  The rows are one immutable `PsiRows` snapshot, replaced
@@ -123,7 +136,7 @@ class PsiContext:
 
     def __init__(self, sequence: AdmissibleSequence):
         self.sequence = sequence
-        self._rows = PsiRows((), (), (), (), (1,), (1,))
+        self._rows = PsiRows((), (), (), (), (1,), (1,), (1,))
         self._lock = threading.Lock()
 
     @property
@@ -147,7 +160,7 @@ class PsiContext:
         rows = self._rows
         if len(rows.num) >= n:
             return rows
-        num, den, num_lcm, den_lcm, num_prod, den_prod = map(list, rows)
+        grown = num, den, num_lcm, den_lcm, num_prod, den_prod, umbral = [*map(list, rows)]
         a, b = (num_lcm[-1], den_lcm[-1]) if num else (1, 1)
         try:
             for k in range(len(num) + 1, n + 1):
@@ -159,8 +172,9 @@ class PsiContext:
                 den_lcm.append(b)
                 num_prod.append(num_prod[-1] * v.numerator)
                 den_prod.append(den_prod[-1] * v.denominator)
+                umbral.append(umbral[-1] * (k * v.denominator))
         finally:
-            rows = PsiRows(*map(tuple, (num, den, num_lcm, den_lcm, num_prod, den_prod)))
+            rows = PsiRows(*map(tuple, grown))
             with self._lock:
                 if len(rows.num) > len(self._rows.num):
                     self._rows = rows

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,14 @@ def fresh(*args, timeout=60, path=(), python=sys.executable):
     )
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc
+
+
+def assert_umbral_row(rows):
+    """The umbral row of a `PsiRows` snapshot: as long as the other
+    prefix-product rows, one longer than the factor rows, and n! B_n at
+    every n, B_n = den_prod[n]."""
+    assert len(rows.umbral) == len(rows.num_prod) == len(rows.den_prod) == len(rows.num) + 1
+    assert list(rows.umbral) == [math.factorial(n) * b for n, b in enumerate(rows.den_prod)]
 
 
 def polynomials(max_degree=8):

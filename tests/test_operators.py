@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    antiderivative_power_one_short, doubled_derivative, polynomials, rationals,
+    antiderivative_power_one_short, assert_umbral_row, doubled_derivative, polynomials, rationals,
 )
 from psicalc import (
     AdmissibilityError,
@@ -828,9 +828,7 @@ class TestDiagonalOperatorsOracle:
         assert psi_antiderivative(ctx, one) == F(-3, 2) * X
         assert psi_derivative(ctx, X) == Polynomial.constant(F(-2, 3))
 
-    @pytest.mark.parametrize(
-        "spec", BUILTIN_SPECS + (CUSTOM_SPEC,), ids=[*BUILTIN_SPECS, "custom"]
-    )
+    @pytest.mark.parametrize("spec", SPARSE_SPECS, ids=[*BUILTIN_SPECS, "q:-2/3", "custom"])
     @given(f=polynomials(max_degree=20))
     def test_polynomial_images(self, spec, f):
         ctx = parse_psi_spec(spec)
@@ -980,6 +978,7 @@ class TestRowReadParity:
             else:
                 assert isinstance(got, Polynomial), (str(f), top, got)
             assert ctx._rows == ref._rows, (str(f), top)
+            assert_umbral_row(ctx._rows)
 
 
 class TestOperatorPowers:
@@ -1321,6 +1320,15 @@ class TestStarProductOracle:
         assert got == star_loop(ctx, f, g)
 
     @pytest.mark.parametrize("spec", STAR_SPECS, ids=[*STAR_SPECS[:-1], "custom"])
+    def test_star_powers_of_x(self, spec):
+        # psi_power(n) = x_hat^n 1 = (n!/n_psi!) x^n, read from the umbral row
+        ctx = parse_psi_spec(spec)
+        w = ctx.sequence.raw_factor
+        for n in range(22):
+            fact = math.prod(map(w, range(1, n + 1)), start=F(1))
+            assert psi_power(ctx, n).coeffs == (0,) * n + (math.factorial(n) / fact,), n
+
+    @pytest.mark.parametrize("spec", STAR_SPECS, ids=[*STAR_SPECS[:-1], "custom"])
     @given(f=polynomials(max_degree=8), g=polynomials(max_degree=8))
     @example(f=X**8 - F(1, 3), g=Polynomial([F(-2, 5), 0, 0, 0, 0, 0, 0, 0, 7]))
     @example(f=Polynomial.constant(F(-4, 7)), g=X**5 + 1)
@@ -1352,6 +1360,8 @@ class TestStarProductOracle:
                     assert one == steps, (str(f), str(g), top)
                     rows = len(ctxs[0].rows(0).num), len(ctxs[1].rows(0).num)
                     assert rows[0] == rows[1], (str(f), str(g), top)
+                    for c in ctxs:
+                        assert_umbral_row(c._rows)
 
     @pytest.mark.parametrize("spec", STAR_SPECS, ids=[*STAR_SPECS[:-1], "custom"])
     def test_exp_addition_reports_match_the_whole_product(self, spec):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import assert_umbral_row
 from psicalc import (
     AdmissibilityError,
     AdmissibleSequence,
@@ -52,8 +53,9 @@ class TestFactor:
             ctx("classical").factor(0)
 
     def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown sequence kind 'bogus'"):
-            AdmissibleSequence("bogus").raw_factor(1)
+        # refused when the sequence is made, not at its first factor
+        with pytest.raises(DomainError, match="unknown sequence kind 'bogus'"):
+            AdmissibleSequence("bogus")
 
 
 class TestGaussQFactor:
@@ -175,13 +177,16 @@ class TestMemoization:
     def test_shared_context_across_threads(self):
         reference = [ctx("fib").factorial(n) for n in range(1, 201)]
         shared = ctx("fib")
-        results, errors = {}, []
+        results, errors, snapshots = {}, [], []
 
         def worker(seed):
             order = list(range(1, 201))
             random.Random(seed).shuffle(order)
+            got = results[seed] = {}
             try:
-                results[seed] = {n: shared.factorial(n) for n in order}
+                for n in order:
+                    got[n] = shared.factorial(n)
+                    snapshots.append(shared._rows)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -199,6 +204,9 @@ class TestMemoization:
         assert errors == []
         for seed in range(8):
             assert [results[seed][n] for n in range(1, 201)] == reference
+        # every snapshot a reader saw holds a whole umbral row
+        for rows in {id(rows): rows for rows in snapshots}.values():
+            assert_umbral_row(rows)
 
 
 class TestPsiSpecGrammar:

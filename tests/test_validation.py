@@ -90,6 +90,15 @@ CASES = {
                                "custom psi-spec needs at least one factor (at offset 7)"),
     "raw-factor-0": (lambda: AdmissibleSequence.classical().raw_factor(0), DomainError,
                      "sequence index must be a positive integer, got 0"),
+    # a sequence no factor could be read from is refused when it is made
+    "unknown-kind": (lambda: AdmissibleSequence("bogus"), DomainError,
+                     "unknown sequence kind 'bogus'"),
+    "gauss-q-without-q": (lambda: AdmissibleSequence("gauss_q"), DomainError,
+                          "gauss_q sequence needs a q"),
+    "custom-without-factors-made": (lambda: AdmissibleSequence("custom"), DomainError,
+                                    "custom sequence needs at least one factor"),
+    "custom-empty": (lambda: AdmissibleSequence.custom([]), DomainError,
+                     "custom sequence needs at least one factor"),
     # poly
     "negative-monomial": (lambda: Polynomial.monomial(-1), ValueError,
                           "monomial degree must be nonnegative"),
