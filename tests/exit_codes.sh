@@ -47,6 +47,12 @@ expect 0 psicalc expand --f=-x^2 --order 1
 expect 0 psicalc expand --f x --order 1 --alpha "1$(printf '0%.0s' {1..5000})"
 expect 0 psicalc verify --suite hahn-reduction --max-degree 0
 expect 0 psicalc verify --suite hahn-reduction --max-degree 1
+# with the runs above, every module loads through the installed script:
+# discrete by Newton at the size cap (1.5 MB printed), sequences alone by
+# table, and every verify suite
+expect 0 psicalc expand --kind newton --f "(1+x)^128" --order 128
+expect 0 psicalc table --psi q:2 --n 4
+expect 0 psicalc verify --suite all --psi fib
 expect 2 psicalc verify --suite hahn-reduction --max-degree -1
 expect 2 psicalc verify --suite hahn-reduction --max-degree 65
 

@@ -3,8 +3,10 @@
 Each file under tests/golden/ holds one run: its argv, its exit code, its
 stdout and its stderr, as plain text, so a failing test shows a diff of
 what moved.  A change that moves any of them says which and why.  The
-runs of `RUNS` are tier-1 tests; those of `SLOW_RUNS`, verify --suite all
-at the degree cap, take seconds and are kept under tests/golden/slow/.
+runs of `RUNS` are tier-1 tests; those of `SLOW_RUNS`, the runs at the
+caps, take seconds and are kept under tests/golden/slow/.  These files are
+the one check of the CLI's output; tests/exit_codes.sh checks its exit
+codes through the installed script.
 To rewrite every file from the current code, or to check every run
 against its file (exit 1 on any that moved, with a diff):
 
@@ -31,7 +33,8 @@ from psicalc.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SLOW = GOLDEN / "slow"
 
-# negative factors, as in the CI line of the bernoulli suite
+# negative factors: 17 of them, so that --max-degree 8 runs star products
+# to degree 16, the last weights before the factors run out
 CUSTOM_SPEC = "custom:-2,3,-5,7,-11,13,-17,19,-23,29,-31,37,-41,43,-47,53,-59"
 SPECS = {"classical": "classical", "fib": "fib", "q3_2": "q:3/2", "q-2_3": "q:-2/3",
          "custom": CUSTOM_SPEC}
@@ -94,18 +97,42 @@ RUNS.update({
     "expand-psi-zero-json": [
         "expand", "--kind", "psi", "--psi", "fib", "--f", "0", "--alpha", "1/2",
         "--x-eval=-3", "--order", "2", "--format", "json"],
+    # every suite at the degree cap on classical, and at degree 8 on the
+    # negative custom spec
+    "verify-all-classical-d64-text": [
+        "verify", "--suite", "all", "--psi", "classical", "--max-degree", "64"],
+    "verify-all-custom-d8-text": [
+        "verify", "--suite", "all", "--psi", CUSTOM_SPEC, "--max-degree", "8"],
+    # a sparse several-term input to the psi operators: at --x-eval 0 the
+    # expansion works on f itself, not on the dense f(x + x_eval)
+    "expand-psi-sparse": ["expand", "--kind", "psi", "--psi", "q:-2/3", "--f", "x^64 + x",
+                          "--order", "64", "--alpha", "1/2", "--x-eval", "0"],
+    "expand-maclaurin-cubic-json": ["expand", "--kind", "maclaurin", "--f", "x^3 - x",
+                                    "--order", "2", "--alpha", "5", "--format", "json"],
 })
+# README's examples of expand, jackson and table, in text and JSON
+for stem, argv in {
+    "expand-readme": ["expand", "--psi", "q:2", "--f", "(1+x)^3", "--alpha", "0",
+                      "--x-eval", "1", "--order", "2"],
+    "jackson-readme": ["jackson", "--f", "x^2", "--q", "1/2", "--z", "1"],
+    "table-q2-n4": ["table", "--psi", "q:2", "--n", "4"],
+}.items():
+    RUNS[stem], RUNS[f"{stem}-json"] = argv, [*argv, "--format", "json"]
 # table on every spec, and on q:-1, whose 2_q = 0 fails admissibility (exit 3)
 for name, spec in {**SPECS, "q-1": "q:-1"}.items():
     RUNS[f"table-{name}-n40"] = ["table", "--psi", spec, "--n", "40"]
 
-# verify --suite all at the degree cap, about 2 s in all: checked in CI by
-# `--check`, not in tier-1
+# verify --suite all at the degree cap, and the psi expansion at the caps,
+# whose x_hat images and remainder antiderivative are unreduced pairs:
+# about 3 s in all, checked in CI by `--check`, not in tier-1
 SLOW_RUNS = {
     f"verify-all-{name}-d64-text": ["verify", "--suite", "all", "--psi", SPECS[name],
                                     "--max-degree", "64"]
     for name in ("fib", "q3_2", "q-2_3", "custom")
 }
+SLOW_RUNS["expand-psi-cap-json"] = [
+    "expand", "--kind", "psi", "--psi", "q:3/2", "--f", "(1+x)^128", "--order", "300",
+    "--alpha", "1/2", "--x-eval", "2", "--format", "json"]
 
 
 def render(argv: list[str]) -> str:
