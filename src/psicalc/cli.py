@@ -104,15 +104,16 @@ VERIFY_SWEEPS_HELP = (
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 _CORPUS_SEED = 20260826
+_CORPUS_SIZE = 6
 
 
-def _corpus(max_degree: int, count: int = 6) -> list[Polynomial]:
+def _corpus(max_degree: int) -> list[Polynomial]:
     """Deterministic polynomial corpus with small rational coefficients."""
     import random  # only verify needs it; kept off the start-up path
 
     rng = random.Random(_CORPUS_SEED)
     polys = []
-    for _ in range(count):
+    for _ in range(_CORPUS_SIZE):
         degree = rng.randint(1, max(1, max_degree))
         coeffs = [
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(degree)

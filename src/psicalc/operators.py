@@ -219,13 +219,10 @@ def psi_power(ctx: PsiContext, n: int) -> Polynomial:
 
 
 def umbral_tilde(ctx: PsiContext, g: Polynomial) -> Polynomial:
-    """The umbral map g -> g(x_hat) 1: scales the x^n coefficient by n!/n_psi!.
-    With the umbral row W_n = n! B_n and the prefix products A_n, so that
-    n!/n_psi! = W_n / A_n, and d the degree, that is W_n (A_d / A_n) over A_d."""
-    d = max(g.degree, 0)
-    rows = ctx.rows(d)
-    a, w = rows.num_prod, rows.umbral
-    return _diagonal(g, [w[n] * (a[d] // a[n]) for n in range(d + 1)], a[d], 0)
+    """The umbral map T: g -> g(x_hat) 1, which scales the x^n coefficient
+    by n!/n_psi!.  It is star_psi(ctx, g, 1), whose `_star` pass is then its
+    forward map alone: W_n (A_d / A_n) over A_d, for d the degree of g."""
+    return _star(ctx, g, Polynomial.constant(1))
 
 
 def psi_exp(ctx: PsiContext, alpha: Scalar, N: int) -> Polynomial:
